@@ -31,7 +31,6 @@ from .external import (  # noqa: F401
     ExternalCodec,
     ExternalCodecError,
     ExternalCodecSpec,
-    external_reconstruct,
 )
 from .chains import (  # noqa: F401
     ChainResult,
@@ -39,7 +38,8 @@ from .chains import (  # noqa: F401
     RhoEstimate,
     compress_chain,
     distortion,
-    estimate_rho,
+    evaluate_cell,
+    rho_from_outcomes,
     sample_quality_sequence,
 )
 from .registry import make_codec  # noqa: F401
@@ -50,7 +50,7 @@ from .protocol import (  # noqa: F401
     Theorem1Record,
     compute_rd_curves,
     run_protocol,
-    theorem1_check,
+    theorem1_from_outcomes,
     verify_strong_idempotence,
 )
 from .report import emit_report, render_svg  # noqa: F401

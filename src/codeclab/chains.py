@@ -5,8 +5,9 @@ reconstruction at q_min and the k-round chained reconstruction, estimated
 over (item, trial) pairs with a fresh quality sequence per pair.
 
 Every random draw comes from a stream derived deterministically from
-(master_seed, purpose, q_min, k, item, trial), so results are independent
-of worker scheduling.
+(master_seed, purpose, q_min, k, item, trial).  evaluate_cell is the one
+place that runs Monte Carlo chains: the rho grid, the theorem-1 check and
+the RD curves all read its PairOutcomes.
 """
 from __future__ import annotations
 
@@ -56,24 +57,19 @@ def psnr_from_mse(mse: float, peak: float) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def distortion(a: Signal, b: Signal, kind: str = "MSE") -> float:
-    """MSE, RMSE, or PSNR between two signals of the same kind and shape."""
-    if kind not in DISTORTION_KINDS:
-        raise ValueError(f"unknown distortion kind {kind!r}")
-    mse = _mse(a, b)
-    if kind == "MSE":
-        return mse
-    if kind == "RMSE":
-        return math.sqrt(mse)
-    return psnr_from_mse(mse, signal_peak(a))
-
-
 def _from_mse(mse: float, kind: str, peak: float) -> float:
     if kind == "MSE":
         return mse
     if kind == "RMSE":
         return math.sqrt(mse)
-    return psnr_from_mse(mse, peak)
+    if kind == "PSNR":
+        return psnr_from_mse(mse, peak)
+    raise ValueError(f"unknown distortion kind {kind!r}")
+
+
+def distortion(a: Signal, b: Signal, kind: str = "MSE") -> float:
+    """MSE, RMSE, or PSNR between two signals of the same kind and shape."""
+    return _from_mse(_mse(a, b), kind, signal_peak(a))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,24 +116,21 @@ def sample_quality_sequence(
 @dataclasses.dataclass
 class ChainResult:
     final: Signal
-    stage_bpp: list[float]
-
-    @property
-    def stage_count(self) -> int:
-        return len(self.stage_bpp)
+    final_bpp: float
 
 
 def compress_chain(x: Signal, seq: QualitySequence, codec: Codec) -> ChainResult:
-    """Apply reconstruct sequentially: y_i = f(y_{i-1}, q_i)."""
+    """Apply reconstruct sequentially: y_i = f(y_{i-1}, q_i).
+
+    Only the final stage's rate is computed: it is the one a report reads.
+    """
     y = x
-    stage_bpp = []
     for stage, q in enumerate(seq.levels, start=1):
         try:
             y, bs = codec.reconstruct(y, q)
         except Exception as e:
             raise CodecError(f"chain stage {stage} (quality {q}) failed: {e}") from e
-        stage_bpp.append(codec.bpp(bs, x))
-    return ChainResult(final=y, stage_bpp=stage_bpp)
+    return ChainResult(final=y, final_bpp=codec.bpp(bs, x))
 
 
 @dataclasses.dataclass
@@ -162,39 +155,46 @@ def evaluate_cell(
     ds: Dataset,
     codec: Codec,
     q_min: int,
-    k: int,
+    k_list: list[int],
     b: int,
     mode: str = "forced-min",
     master_seed: int = 0,
-) -> list[PairOutcome]:
-    """Run b independent chains per dataset item for one (q_min, k) cell."""
+    stream: int = STREAM_RHO,
+) -> dict[int, list[PairOutcome]]:
+    """Run b independent chains per dataset item for each k at one q_min.
+
+    Each item's single pass at q_min is computed once and shared by every k.
+    Returns {k: outcomes}, ordered by (item, trial) within each k.  stream is
+    STREAM_RHO for the rho grid and STREAM_RD for the RD curves.
+    """
     codec.check_quality(q_min)
     if b < 1:
         raise ValueError("b must be >= 1")
     q_max = codec.num_levels
-    outcomes = []
+    cells: dict[int, list[PairOutcome]] = {k: [] for k in k_list}
     for i, x in enumerate(ds.items):
         single, single_bs = codec.reconstruct(x, q_min)
         single_bpp = codec.bpp(single_bs, x)
         mse_x_single = _mse(x, single)
-        for t in range(b):
-            rng = derive_rng(master_seed, STREAM_RHO, q_min, k, i, t)
-            seq = sample_quality_sequence(q_min, q_max, k, mode, rng)
-            chain = compress_chain(x, seq, codec)
-            outcomes.append(
-                PairOutcome(
-                    item=i,
-                    trial=t,
-                    seq=seq,
-                    mse_single_vs_chain=_mse(single, chain.final),
-                    mse_x_vs_single=mse_x_single,
-                    mse_x_vs_chain=_mse(x, chain.final),
-                    single_bpp=single_bpp,
-                    chain_final_bpp=chain.stage_bpp[-1],
-                    peak=signal_peak(x),
+        for k, outcomes in cells.items():
+            for t in range(b):
+                rng = derive_rng(master_seed, stream, q_min, k, i, t)
+                seq = sample_quality_sequence(q_min, q_max, k, mode, rng)
+                chain = compress_chain(x, seq, codec)
+                outcomes.append(
+                    PairOutcome(
+                        item=i,
+                        trial=t,
+                        seq=seq,
+                        mse_single_vs_chain=_mse(single, chain.final),
+                        mse_x_vs_single=mse_x_single,
+                        mse_x_vs_chain=_mse(x, chain.final),
+                        single_bpp=single_bpp,
+                        chain_final_bpp=chain.final_bpp,
+                        peak=signal_peak(x),
+                    )
                 )
-            )
-    return outcomes
+    return cells
 
 
 @dataclasses.dataclass
@@ -209,7 +209,6 @@ class RhoEstimate:
     sample_std: float
     std_err: float
     n_pairs: int
-    per_trial: list[float] | None = None
 
 
 def _aggregate(values: list[float]) -> tuple[float, float, float]:
@@ -223,31 +222,13 @@ def _aggregate(values: list[float]) -> tuple[float, float, float]:
 
 
 def rho_from_outcomes(
-    outcomes: list[PairOutcome], q_min: int, k: int, b: int, kind: str = "MSE",
-    keep_per_trial: bool = False,
+    outcomes: list[PairOutcome], q_min: int, k: int, b: int, kind: str = "MSE"
 ) -> RhoEstimate:
-    if kind not in DISTORTION_KINDS:
-        raise ValueError(f"unknown distortion kind {kind!r}")
+    """Monte Carlo rho(q_min, k): mean d(f(x, q_min), chain) over (item, trial)."""
     vals = [_from_mse(o.mse_single_vs_chain, kind, o.peak) for o in outcomes]
     mean, std, se = _aggregate(vals)
     return RhoEstimate(
         q_min=q_min, k=k, b=b, distortion_kind=kind,
         mean=mean, sample_std=std, std_err=se, n_pairs=len(vals),
-        per_trial=vals if keep_per_trial else None,
     )
 
-
-def estimate_rho(
-    ds: Dataset,
-    codec: Codec,
-    q_min: int,
-    k: int,
-    b: int,
-    kind: str = "MSE",
-    mode: str = "forced-min",
-    master_seed: int = 0,
-    keep_per_trial: bool = False,
-) -> RhoEstimate:
-    """Monte Carlo rho(q_min, k): mean d(f(x, q_min), chain) over (item, trial)."""
-    outcomes = evaluate_cell(ds, codec, q_min, k, b, mode, master_seed)
-    return rho_from_outcomes(outcomes, q_min, k, b, kind, keep_per_trial)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import estimate_rho
+from .chains import evaluate_cell
 from .codecs import CodecError
 from .external import ExternalCodecError
 from .ladders import build_midpoint_ladder, build_nested_ladder
@@ -21,12 +21,12 @@ from .protocol import (
     compute_rd_curves,
     resolve_dataset,
     run_protocol,
-    theorem1_check,
+    theorem1_from_outcomes,
     verify_strong_idempotence,
 )
 from .registry import make_codec
 from .report import emit_report, render_svg
-from .signals import SourceVector, load_dataset
+from .signals import SourceVector
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,31 +71,32 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _load_eval_dataset(codec, dataset_dir):
-    if codec.signal_kind == "image":
-        if dataset_dir is None:
-            raise ConfigError("image codecs need --dataset DIR")
-        return load_dataset(dataset_dir)
-    cfg = EvalConfig(codec="nested-scalar")  # only used for source synthesis
-    return resolve_dataset(cfg, codec)
+def _cell_inputs(args, mode: str):
+    """Codec and dataset for a one-k command, resolved as `evaluate` does."""
+    cfg = EvalConfig(
+        codec=args.codec, dataset=args.dataset, k_list=[args.k], b=args.b,
+        mode=mode, master_seed=args.seed,
+    )
+    cfg.validate()
+    codec = make_codec(cfg.codec)
+    return cfg, codec, resolve_dataset(cfg, codec)
 
 
 def _cmd_rd_curve(args) -> int:
-    codec = make_codec(args.codec)
-    ds = _load_eval_dataset(codec, args.dataset)
+    cfg, codec, ds = _cell_inputs(args, args.mode)
     rd_single, rd_multi = compute_rd_curves(
-        ds, codec, args.k, args.b, args.mode, args.seed
+        ds, codec, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed
     )
-    svg = render_svg(rd_single, rd_multi, title=f"{codec.codec_id} RD, k={args.k}")
+    svg = render_svg(rd_single, rd_multi[args.k], title=f"{codec.codec_id} RD, k={args.k}")
     Path(args.out).write_bytes(svg)
     print(f"wrote RD chart to {args.out}")
     return EXIT_OK
 
 
 def _cmd_check_theorem1(args) -> int:
-    codec = make_codec(args.codec)
-    ds = _load_eval_dataset(codec, args.dataset)
-    rec = theorem1_check(ds, codec, args.qmin, args.k, args.b, master_seed=args.seed)
+    cfg, codec, ds = _cell_inputs(args, "forced-min")
+    cells = evaluate_cell(ds, codec, args.qmin, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed)
+    rec = theorem1_from_outcomes(cells[args.k], args.qmin, args.k)
     print(f"q_min={rec.q_min} k={rec.k}")
     print(f"mean MSE single-pass: {rec.mean_single!r} (SE {rec.std_err_single!r})")
     print(f"mean MSE chain:       {rec.mean_chain!r} (SE {rec.std_err_chain!r})")
@@ -122,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--ladder", choices=("nested", "midpoint"), required=True)
     p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_toy_demo)
 
     p = sub.add_parser("evaluate", help="run the full protocol from a JSON config")

@@ -146,10 +146,3 @@ class ExternalCodec(Codec):
         )
         return out, bs
 
-
-def external_reconstruct(
-    img: ImageBuffer, q: int, spec: ExternalCodecSpec
-) -> tuple[ImageBuffer, float]:
-    """One-shot helper: reconstruction plus bits-per-pixel of the encoded file."""
-    out, bs = ExternalCodec(spec).reconstruct(img, q)
-    return out, bs.bits_used / img.pixel_count

@@ -83,7 +83,7 @@ def uniform_source_mse(codewords: list[Fraction]) -> Fraction:
     return total
 
 
-def build_nested_ladder(q_levels: int, grid_n: int = 10_000) -> CodebookLadder:
+def build_nested_ladder(q_levels: int) -> CodebookLadder:
     """Nested ladder via exhaustive constrained subset search.
 
     Working down from the midpoint top level, each level q keeps the
@@ -91,18 +91,14 @@ def build_nested_ladder(q_levels: int, grid_n: int = 10_000) -> CodebookLadder:
     restricted to subsets whose decision boundaries all coincide with parent
     boundaries (otherwise a parent codeword can land on or across a child
     boundary and chained quantization diverges from the single pass).
-    Ties break on the lexicographically smallest index set.
-
-    MSE is integrated exactly with rational arithmetic; grid_n is the
-    resolution a numeric fallback would need and is validated only.
+    Ties break on the lexicographically smallest index set.  MSE is
+    integrated exactly with rational arithmetic.
     """
     if q_levels < 1:
         raise ValueError("need at least one level")
     if q_levels > 4:
         # C(2^q, 2^(q-1)) candidates; beyond Q=4 the exhaustive search explodes
         raise ValueError("nested ladder search is exhaustive; at most 4 levels supported")
-    if grid_n < 1:
-        raise ValueError("grid_n must be positive")
     exact_levels: dict[int, list[Fraction]] = {q_levels: _midpoint_level(q_levels)}
     for q in range(q_levels - 1, 0, -1):
         parent = exact_levels[q + 1]

@@ -11,18 +11,16 @@ import numpy as np
 
 from . import __version__
 from .chains import (
+    DISTORTION_KINDS,
+    MODES,
     PairOutcome,
     RhoEstimate,
     STREAM_RD,
     STREAM_SOURCE,
     compress_chain,
-    derive_rng,
-    distortion,
     evaluate_cell,
     psnr_from_mse,
     rho_from_outcomes,
-    sample_quality_sequence,
-    signal_peak,
     QualitySequence,
     _aggregate,
     _mse,
@@ -65,11 +63,6 @@ class EvalConfig:
     distortion: str = DEFAULT_KIND
     master_seed: int = 0
 
-    _FIELDS = (
-        "codec", "codec_options", "dataset", "q_min_list",
-        "k_list", "b", "mode", "distortion", "master_seed",
-    )
-
     @classmethod
     def from_json(cls, text: str | bytes) -> "EvalConfig":
         try:
@@ -78,7 +71,7 @@ class EvalConfig:
             raise ConfigError(f"config is not valid JSON: {e}") from None
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - set(cls._FIELDS)
+        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "codec" not in doc:
@@ -92,18 +85,25 @@ class EvalConfig:
         return cls.from_json(Path(path).read_text())
 
     def validate(self) -> None:
-        if self.b < 1:
-            raise ConfigError("b must be >= 1")
-        if not self.k_list or any(k < 1 for k in self.k_list):
+        if not _is_int(self.b) or self.b < 1:
+            raise ConfigError("b must be an integer >= 1")
+        if not self.k_list or not all(_is_int(k) and k >= 1 for k in self.k_list):
             raise ConfigError("k_list must be non-empty positive integers")
-        if self.q_min_list is not None and not self.q_min_list:
-            raise ConfigError("q_min_list must be non-empty when given")
-        if self.mode not in ("literal", "forced-min"):
+        if self.q_min_list is not None and not (
+            self.q_min_list and all(_is_int(q) for q in self.q_min_list)
+        ):
+            raise ConfigError("q_min_list must be non-empty integers when given")
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.distortion not in ("MSE", "RMSE", "PSNR"):
+        if self.distortion not in DISTORTION_KINDS:
             raise ConfigError(f"unknown distortion kind {self.distortion!r}")
-        if self.master_seed < 0:
+        if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ConfigError("master_seed must be a non-negative integer")
+
+
+def _is_int(v) -> bool:
+    # bool is an int subclass, but true/false is never a count or a seed
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclasses.dataclass
@@ -224,58 +224,40 @@ def theorem1_from_outcomes(
     )
 
 
-def theorem1_check(
-    ds: Dataset,
-    codec: Codec,
-    q_min: int,
-    k: int,
-    b: int,
-    mode: str = "forced-min",
-    master_seed: int = 0,
-) -> Theorem1Record:
-    """Estimate E[d(x, single)] vs E[d(x, chain)] in MSE and compare at 3 SE."""
-    outcomes = evaluate_cell(ds, codec, q_min, k, b, mode, master_seed)
-    return theorem1_from_outcomes(outcomes, q_min, k)
+def _rd_point(q: int, bpps: list[float], mses: list[float], peak: float) -> RdPoint:
+    psnrs = [psnr_from_mse(m, peak) for m in mses]
+    mean_psnr = math.inf if any(math.isinf(p) for p in psnrs) else float(np.mean(psnrs))
+    return RdPoint(q, float(np.mean(bpps)), mean_psnr, float(np.mean(mses)))
 
 
 def compute_rd_curves(
     ds: Dataset,
     codec: Codec,
-    k: int,
+    k_list: list[int],
     b: int,
     mode: str = "forced-min",
     master_seed: int = 0,
-) -> tuple[list[RdPoint], list[RdPoint]]:
-    """Single-pass RD points per ladder level, and multi-round points per q_min.
+) -> tuple[list[RdPoint], dict[int, list[RdPoint]]]:
+    """Single-pass RD points per ladder level, and multi-round points per q_min
+    for each k.
 
     rd_multi PSNR compares the chain final against the ORIGINAL signal; its
     bitrate is the final stage's (what a downstream consumer would hold).
     """
-    rd_single = []
+    rd_single: list[RdPoint] = []
+    rd_multi: dict[int, list[RdPoint]] = {k: [] for k in k_list}
     for q in range(1, codec.num_levels + 1):
-        bpps, mses = [], []
-        for x in ds.items:
-            recon, bs = codec.reconstruct(x, q)
-            bpps.append(codec.bpp(bs, x))
-            mses.append(_mse(x, recon))
-        mean_mse = float(np.mean(mses))
-        psnrs = [psnr_from_mse(m, signal_peak(ds.items[0])) for m in mses]
-        mean_psnr = math.inf if any(math.isinf(p) for p in psnrs) else float(np.mean(psnrs))
-        rd_single.append(RdPoint(q, float(np.mean(bpps)), mean_psnr, mean_mse))
-    rd_multi = []
-    for q_min in range(1, codec.num_levels + 1):
-        bpps, mses, psnrs = [], [], []
-        for i, x in enumerate(ds.items):
-            for t in range(b):
-                rng = derive_rng(master_seed, STREAM_RD, q_min, k, i, t)
-                seq = sample_quality_sequence(q_min, codec.num_levels, k, mode, rng)
-                chain = compress_chain(x, seq, codec)
-                m = _mse(x, chain.final)
-                bpps.append(chain.stage_bpp[-1])
-                mses.append(m)
-                psnrs.append(psnr_from_mse(m, signal_peak(x)))
-        mean_psnr = math.inf if any(math.isinf(p) for p in psnrs) else float(np.mean(psnrs))
-        rd_multi.append(RdPoint(q_min, float(np.mean(bpps)), mean_psnr, float(np.mean(mses))))
+        cells = evaluate_cell(ds, codec, q, k_list, b, mode, master_seed, STREAM_RD)
+        singles = [o for o in cells[k_list[0]] if o.trial == 0]
+        peak = singles[0].peak
+        rd_single.append(_rd_point(
+            q, [o.single_bpp for o in singles], [o.mse_x_vs_single for o in singles], peak
+        ))
+        for k, outcomes in cells.items():
+            rd_multi[k].append(_rd_point(
+                q, [o.chain_final_bpp for o in outcomes],
+                [o.mse_x_vs_chain for o in outcomes], peak,
+            ))
     return rd_single, rd_multi
 
 
@@ -331,24 +313,18 @@ def run_protocol(cfg: EvalConfig) -> EvalReport:
     grid: list[RhoEstimate] = []
     theorem1: list[Theorem1Record] = []
     for q_min in q_min_list:
-        for k in cfg.k_list:
-            try:
-                outcomes = evaluate_cell(
-                    ds, codec, q_min, k, cfg.b, cfg.mode, cfg.master_seed
-                )
-            except Exception as e:
-                raise RuntimeError(f"grid cell (q_min={q_min}, k={k}) failed: {e}") from e
-            grid.append(
-                rho_from_outcomes(outcomes, q_min, k, cfg.b, cfg.distortion)
+        try:
+            cells = evaluate_cell(
+                ds, codec, q_min, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed
             )
-            theorem1.append(theorem1_from_outcomes(outcomes, q_min, k))
-    rd_single: list[RdPoint] = []
-    rd_multi: dict[int, list[RdPoint]] = {}
-    for k in cfg.k_list:
-        rd_single, multi = compute_rd_curves(
-            ds, codec, k, cfg.b, cfg.mode, cfg.master_seed
-        )
-        rd_multi[k] = multi
+        except Exception as e:
+            raise RuntimeError(f"grid cell (q_min={q_min}) failed: {e}") from e
+        for k in cfg.k_list:
+            grid.append(rho_from_outcomes(cells[k], q_min, k, cfg.b, cfg.distortion))
+            theorem1.append(theorem1_from_outcomes(cells[k], q_min, k))
+    rd_single, rd_multi = compute_rd_curves(
+        ds, codec, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed
+    )
     config_echo = {
         "codec": cfg.codec,
         "codec_options": cfg.codec_options,

@@ -35,10 +35,12 @@ class ImageBuffer:
             raise ValueError(f"channels must be 1 or 3, got {self.channels}")
         arr = np.asarray(self.samples)
         if arr.dtype != np.uint8:
-            rounded = np.asarray(arr)
-            if np.any(rounded < 0) or np.any(rounded > 255):
+            # a float (incl. NaN) or object sample would be truncated by the cast
+            if arr.dtype.kind not in "iu":
+                raise ValueError(f"samples must be integers, got dtype {arr.dtype}")
+            if np.any(arr < 0) or np.any(arr > 255):
                 raise ValueError("samples out of [0, 255]")
-            arr = rounded.astype(np.uint8)
+            arr = arr.astype(np.uint8)
         self.samples = arr.ravel()
         expected = self.width * self.height * self.channels
         if self.samples.size != expected:

@@ -42,11 +42,12 @@ def dct_cells(image_dataset, dct_codec):
     """Per-pair outcomes for every (q_min, k) cell used by criteria 4-6."""
     cells = {}
     for q_min in range(1, 9):
-        for k in (10, 50):
-            cells[(q_min, k)] = evaluate_cell(
-                image_dataset, dct_codec, q_min, k, b=10, mode="forced-min",
-                master_seed=2024,
-            )
+        per_k = evaluate_cell(
+            image_dataset, dct_codec, q_min, [10, 50], b=10, mode="forced-min",
+            master_seed=2024,
+        )
+        for k, outcomes in per_k.items():
+            cells[(q_min, k)] = outcomes
     return cells
 
 
@@ -129,7 +130,7 @@ def test_criterion_7_bitrate_property():
     ds = Dataset.from_source(x)
     ok = True
     for q_min in (1, 2, 3):
-        for o in evaluate_cell(ds, codec, q_min, k=6, b=5, master_seed=3):
+        for o in evaluate_cell(ds, codec, q_min, [6], b=5, master_seed=3)[6]:
             chain = compress_chain(x, o.seq, codec)
             single, _ = codec.reconstruct(x, q_min)
             ok &= (
@@ -214,6 +215,6 @@ def test_criterion_10_external_jpeg(image_dataset, tmp_path):
         source_path=image_dataset.source_path,
         item_names=image_dataset.item_names[:1],
     )
-    rd_single, rd_multi = compute_rd_curves(ds, codec, k=5, b=2, master_seed=5)
-    ok = all(m.mean_psnr <= s.mean_psnr for s, m in zip(rd_single, rd_multi))
+    rd_single, rd_multi = compute_rd_curves(ds, codec, [5], b=2, master_seed=5)
+    ok = all(m.mean_psnr <= s.mean_psnr for s, m in zip(rd_single, rd_multi[5]))
     _verdict(10, ok, "multi-round JPEG curve at or below single-pass in PSNR")

@@ -9,13 +9,12 @@ from codeclab import (
     SourceVector,
     compress_chain,
     distortion,
-    estimate_rho,
     generate_uniform_source,
     midpoint_scalar_codec,
     nested_scalar_codec,
     sample_quality_sequence,
 )
-from codeclab.chains import derive_rng, evaluate_cell
+from codeclab.chains import derive_rng, evaluate_cell, rho_from_outcomes
 from codeclab.signals import Dataset
 
 
@@ -105,7 +104,7 @@ class TestCompressChain:
         chain = compress_chain(x, seq, codec)
         direct, bs = codec.reconstruct(x, 2)
         assert np.array_equal(chain.final.values, direct.values)
-        assert chain.stage_bpp == [codec.bpp(bs, x)]
+        assert chain.final_bpp == codec.bpp(bs, x)
 
     def test_midpoint_1_then_3_lands_on_five_eighths(self, source_ds):
         codec = midpoint_scalar_codec(3)
@@ -144,11 +143,24 @@ class TestCompressChain:
             compress_chain(source_ds.items[0], seq, Broken())
 
 
+def _rho(ds, codec, q_min, k, b, master_seed=0):
+    return rho_from_outcomes(
+        evaluate_cell(ds, codec, q_min, [k], b, master_seed=master_seed)[k], q_min, k, b
+    )
+
+
+def _per_trial(ds, codec, q_min, k, b, master_seed):
+    return [
+        o.mse_single_vs_chain
+        for o in evaluate_cell(ds, codec, q_min, [k], b, master_seed=master_seed)[k]
+    ]
+
+
 class TestEstimateRho:
     def test_nested_forced_min_is_exactly_zero(self, source_ds):
         codec = nested_scalar_codec(3)
         for q_min in (1, 2, 3):
-            est = estimate_rho(source_ds, codec, q_min, k=10, b=5)
+            est = _rho(source_ds, codec, q_min, k=10, b=5)
             assert est.mean == 0.0
             assert est.std_err == 0.0
 
@@ -162,16 +174,16 @@ class TestEstimateRho:
 
     def test_deterministic_per_trial(self, source_ds):
         codec = midpoint_scalar_codec(3)
-        a = estimate_rho(source_ds, codec, 1, 5, 8, master_seed=77, keep_per_trial=True)
-        b = estimate_rho(source_ds, codec, 1, 5, 8, master_seed=77, keep_per_trial=True)
-        assert a.per_trial == b.per_trial
-        assert a.n_pairs == 8
+        a = _per_trial(source_ds, codec, 1, 5, 8, master_seed=77)
+        b = _per_trial(source_ds, codec, 1, 5, 8, master_seed=77)
+        assert a == b
+        assert _rho(source_ds, codec, 1, 5, 8, master_seed=77).n_pairs == 8
 
     def test_seed_changes_draws(self, source_ds):
         codec = midpoint_scalar_codec(3)
-        a = estimate_rho(source_ds, codec, 1, 8, 10, master_seed=1, keep_per_trial=True)
-        b = estimate_rho(source_ds, codec, 1, 8, 10, master_seed=2, keep_per_trial=True)
-        assert a.per_trial != b.per_trial
+        a = _per_trial(source_ds, codec, 1, 8, 10, master_seed=1)
+        b = _per_trial(source_ds, codec, 1, 8, 10, master_seed=2)
+        assert a != b
 
     def test_std_err_shrinks_with_b(self, gray_images, dct_codec):
         # Monte Carlo: quadrupling b should roughly halve the standard error
@@ -179,13 +191,13 @@ class TestEstimateRho:
             64, 64, 1, gray_images[0].planes()[0][:64, :64].astype(np.uint8)
         )
         ds = Dataset(items=[small], source_path="<mem>", item_names=["a"])
-        e10 = estimate_rho(ds, dct_codec, 2, 5, 10, master_seed=3)
-        e40 = estimate_rho(ds, dct_codec, 2, 5, 40, master_seed=3)
+        e10 = _rho(ds, dct_codec, 2, 5, 10, master_seed=3)
+        e40 = _rho(ds, dct_codec, 2, 5, 40, master_seed=3)
         assert 0.3 <= e40.std_err / e10.std_err <= 0.7
 
     def test_rmse_triangle_per_pair(self, source_ds):
         codec = midpoint_scalar_codec(3)
-        outcomes = evaluate_cell(source_ds, codec, 1, 6, 20, "forced-min", 11)
+        outcomes = evaluate_cell(source_ds, codec, 1, [6], 20, "forced-min", 11)[6]
         for o in outcomes:
             lhs = math.sqrt(o.mse_x_vs_chain)
             rhs = math.sqrt(o.mse_x_vs_single) + math.sqrt(o.mse_single_vs_chain)

@@ -13,9 +13,10 @@ from codeclab import (
     midpoint_scalar_codec,
     nested_scalar_codec,
     run_protocol,
-    theorem1_check,
     verify_strong_idempotence,
 )
+from codeclab.chains import evaluate_cell
+from codeclab.protocol import theorem1_from_outcomes
 from codeclab.report import emit_report
 from codeclab.signals import Dataset
 
@@ -86,43 +87,47 @@ class TestRunProtocol:
             assert key in rep.config
 
 
+def _theorem1(ds, codec, q_min, k, b):
+    return theorem1_from_outcomes(evaluate_cell(ds, codec, q_min, [k], b)[k], q_min, k)
+
+
 class TestTheorem1:
     def test_nested_equality(self, source_ds):
         codec = nested_scalar_codec(3)
-        rec = theorem1_check(source_ds, codec, 2, 10, 5)
+        rec = _theorem1(source_ds, codec, 2, 10, 5)
         assert rec.mean_chain == rec.mean_single
         assert rec.satisfied
 
     def test_k1_forced_min_identical(self, source_ds):
         codec = midpoint_scalar_codec(3)
-        rec = theorem1_check(source_ds, codec, 1, 1, 5)
+        rec = _theorem1(source_ds, codec, 1, 1, 5)
         assert rec.mean_chain == rec.mean_single
         assert rec.satisfied
 
     def test_dct_lowest_quality(self, image_dataset, dct_codec):
-        rec = theorem1_check(image_dataset, dct_codec, 1, 10, 10)
+        rec = _theorem1(image_dataset, dct_codec, 1, 10, 10)
         assert rec.satisfied
 
 
 class TestRdCurves:
     def test_nested_multi_matches_single_distortion(self, source_ds):
         codec = nested_scalar_codec(3)
-        rd_single, rd_multi = compute_rd_curves(source_ds, codec, k=10, b=5)
+        rd_single, rd_multi = compute_rd_curves(source_ds, codec, k_list=[10], b=5)
         # per-chain equality is exact (see test_chains); the aggregate mean
         # re-sums identical values, so allow last-ulp float noise here
-        for s, m in zip(rd_single, rd_multi):
+        for s, m in zip(rd_single, rd_multi[10]):
             assert m.mean_psnr == pytest.approx(s.mean_psnr, rel=1e-12)
             assert m.mean_mse == pytest.approx(s.mean_mse, rel=1e-12)
 
     def test_nested_psnr_increases_with_level(self, source_ds):
-        rd_single, _ = compute_rd_curves(source_ds, nested_scalar_codec(3), 5, 3)
+        rd_single, _ = compute_rd_curves(source_ds, nested_scalar_codec(3), [5], 3)
         psnrs = [p.mean_psnr for p in rd_single]
         assert all(a < b for a, b in zip(psnrs, psnrs[1:]))
 
     def test_k1_forced_min_collapses_for_any_codec(self, source_ds):
         codec = midpoint_scalar_codec(3)
-        rd_single, rd_multi = compute_rd_curves(source_ds, codec, k=1, b=4)
-        for s, m in zip(rd_single, rd_multi):
+        rd_single, rd_multi = compute_rd_curves(source_ds, codec, k_list=[1], b=4)
+        for s, m in zip(rd_single, rd_multi[1]):
             assert (m.mean_bpp, m.mean_psnr, m.mean_mse) == (
                 s.mean_bpp, s.mean_psnr, s.mean_mse,
             )

@@ -136,6 +136,28 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("override", [
+        {"b": "10"},
+        {"k_list": [1.5]},
+        {"q_min_list": [1.0]},
+        {"master_seed": True},
+    ])
+    def test_evaluate_config_types_exit_2(self, tmp_path, capsys, override):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"codec": "nested-scalar", **override}))
+        assert main(["evaluate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_check_theorem1_seed_seeds_source(self, capsys):
+        means = []
+        for seed in ("1", "99"):
+            assert main(["check-theorem1", "--codec", "midpoint-scalar", "--qmin", "1",
+                         "--k", "5", "--b", "3", "--seed", seed]) == 0
+            out = capsys.readouterr().out
+            means.append(next(ln for ln in out.splitlines() if "single-pass" in ln))
+        assert means[0] != means[1]
+
     def test_rd_curve_svg(self, tmp_path):
         out = tmp_path / "rd.svg"
         assert main(["rd-curve", "--codec", "midpoint-scalar", "--k", "3",

@@ -124,3 +124,13 @@ class TestImageBuffer:
     def test_bad_channels(self):
         with pytest.raises(ValueError):
             ImageBuffer(1, 1, 2, np.zeros(2, np.uint8))
+
+    def test_non_integer_samples_rejected(self):
+        # a uint8 cast would silently give [12, 0]
+        with pytest.raises(ValueError, match="integers"):
+            ImageBuffer(2, 1, 1, [12.7, float("nan")])
+        with pytest.raises(ValueError, match="integers"):
+            ImageBuffer(1, 1, 1, np.array([7.0]))
+        img = ImageBuffer(2, 1, 1, [12, 255])
+        assert img.samples.dtype == np.uint8
+        assert list(img.samples) == [12, 255]
