@@ -16,7 +16,6 @@ from .ladders import (  # noqa: F401
     CodebookLadder,
     build_midpoint_ladder,
     build_nested_ladder,
-    quantize_nearest,
 )
 from .codecs import (  # noqa: F401
     Bitstream,

@@ -9,7 +9,6 @@ Rounding everywhere is half-away-from-zero.
 """
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
@@ -45,11 +44,12 @@ def _dct_matrix() -> np.ndarray:
 _DCT = _dct_matrix()
 
 
-def dct2_8x8(block: np.ndarray, direction: str = "forward") -> np.ndarray:
-    """Orthonormal 2-D DCT-II of an 8x8 block ('forward') or its inverse."""
-    b = np.asarray(block, dtype=np.float64)
-    if b.shape != (8, 8):
-        raise ValueError(f"expected 8x8 block, got {b.shape}")
+def dct2_8x8(blocks: np.ndarray, direction: str = "forward") -> np.ndarray:
+    """Orthonormal 2-D DCT-II ('forward') or its inverse of each 8x8 block in
+    an array of shape (..., 8, 8)."""
+    b = np.asarray(blocks, dtype=np.float64)
+    if b.shape[-2:] != (8, 8):
+        raise ValueError(f"expected (..., 8, 8) blocks, got {b.shape}")
     if direction == "forward":
         return _DCT @ b @ _DCT.T
     if direction == "inverse":
@@ -58,7 +58,12 @@ def dct2_8x8(block: np.ndarray, direction: str = "forward") -> np.ndarray:
 
 
 def scale_quant_table(q_native: int) -> np.ndarray:
-    """IJG-style quality scaling of the base table; entries clamped to [1, 255]."""
+    """IJG quality scaling of the base table; entries clamped to [1, 255].
+
+    Below quality 50 the scale 5000/q is kept exact, where libjpeg's
+    jpeg_quality_scaling truncates it to an integer, so the tables at native
+    qualities 15, 35 and 45 differ from libjpeg's in 4, 25 and 5 entries.
+    """
     if not 1 <= q_native <= 100:
         raise ValueError(f"native quality {q_native} outside [1, 100]")
     if q_native < 50:
@@ -129,8 +134,7 @@ class BlockDctCodec(Codec):
 
     def _channel_indices(self, plane: np.ndarray, table: np.ndarray) -> np.ndarray:
         padded = _pad_to_blocks(plane) - 128.0
-        blocks = _to_blocks(padded)
-        coeffs = _DCT @ blocks @ _DCT.T
+        coeffs = dct2_8x8(_to_blocks(padded))
         return round_half_away(coeffs / table).astype(np.int64)
 
     def encode(self, img: ImageBuffer, q: int) -> Bitstream:
@@ -145,13 +149,7 @@ class BlockDctCodec(Codec):
             if np.any(np.abs(idx) > 32767):
                 raise CodecError("quantized coefficient out of int16 range")
             parts.append(idx.astype("<i2").tobytes())
-        return Bitstream(
-            payload=b"".join(parts),
-            bits_used=bits,
-            codec_id=self.codec_id,
-            quality=q,
-            shape=(img.height, img.width, img.channels),
-        )
+        return Bitstream(payload=b"".join(parts), bits_used=bits)
 
     def decode(self, bs: Bitstream) -> ImageBuffer:
         try:
@@ -174,8 +172,7 @@ class BlockDctCodec(Codec):
         planes = np.empty((channels, height, width), dtype=np.float64)
         for c in range(channels):
             idx = body[c * nblocks * 64 : (c + 1) * nblocks * 64].astype(np.float64)
-            coeffs = idx.reshape(nblocks, 8, 8) * table
-            blocks = _DCT.T @ coeffs @ _DCT
+            blocks = dct2_8x8(idx.reshape(nblocks, 8, 8) * table, "inverse")
             plane = _from_blocks(blocks, ph, pw) + 128.0
             planes[c] = np.clip(round_half_away(plane), 0, 255)[:height, :width]
         return ImageBuffer.from_planes(planes)

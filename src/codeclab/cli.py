@@ -14,7 +14,6 @@ import numpy as np
 from .chains import evaluate_cell
 from .codecs import CodecError
 from .external import ExternalCodecError
-from .ladders import build_midpoint_ladder, build_nested_ladder
 from .protocol import (
     ConfigError,
     EvalConfig,
@@ -53,12 +52,11 @@ def _print_sweep(sweep, codec) -> int:
 
 
 def _cmd_toy_demo(args) -> int:
-    build = build_nested_ladder if args.ladder == "nested" else build_midpoint_ladder
-    ladder = build(args.levels)
+    codec = make_codec(f"{args.ladder}-scalar", {"levels": args.levels})
+    ladder = codec.ladder
     print(f"{args.ladder} ladder, {ladder.num_levels} level(s):")
     for q in range(1, ladder.num_levels + 1):
         print(f"  q={q}: {list(ladder.level(q))}")
-    codec = make_codec(f"{args.ladder}-scalar", {"levels": args.levels})
     sweep = verify_strong_idempotence(codec, _grid_inputs(args.n), max_len=4)
     return _print_sweep(sweep, codec)
 

@@ -29,9 +29,6 @@ class Bitstream:
 
     payload: bytes
     bits_used: float
-    codec_id: str
-    quality: int
-    shape: tuple[int, ...]
 
     def __post_init__(self):
         if self.bits_used < 0:
@@ -107,9 +104,9 @@ class ScalarQuantizerCodec(Codec):
 
     signal_kind = "source"
 
-    def __init__(self, ladder: CodebookLadder, codec_id: str | None = None):
+    def __init__(self, ladder: CodebookLadder):
         self.ladder = ladder
-        self.codec_id = codec_id or f"{ladder.kind}-scalar"
+        self.codec_id = f"{ladder.kind}-scalar"
         self.claims_strong_idempotence = ladder.kind == "nested"
 
     @property
@@ -124,13 +121,7 @@ class ScalarQuantizerCodec(Codec):
         bits_per_index = max(size - 1, 0).bit_length()
         header = _SCALAR_HEADER.pack(_SCALAR_MAGIC, q, bits_per_index, len(x))
         payload = header + _pack_indices(indices, bits_per_index)
-        return Bitstream(
-            payload=payload,
-            bits_used=len(x) * math.log2(size),
-            codec_id=self.codec_id,
-            quality=q,
-            shape=(len(x),),
-        )
+        return Bitstream(payload=payload, bits_used=len(x) * math.log2(size))
 
     def decode(self, bs: Bitstream) -> SourceVector:
         try:
@@ -148,8 +139,8 @@ class ScalarQuantizerCodec(Codec):
 
 
 def nested_scalar_codec(levels: int = 3) -> ScalarQuantizerCodec:
-    return ScalarQuantizerCodec(build_nested_ladder(levels), "nested-scalar")
+    return ScalarQuantizerCodec(build_nested_ladder(levels))
 
 
 def midpoint_scalar_codec(levels: int = 3) -> ScalarQuantizerCodec:
-    return ScalarQuantizerCodec(build_midpoint_ladder(levels), "midpoint-scalar")
+    return ScalarQuantizerCodec(build_midpoint_ladder(levels))

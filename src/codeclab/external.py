@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import shlex
 import subprocess
 import tempfile
@@ -31,25 +32,42 @@ class ExternalCodecSpec:
     def __post_init__(self):
         if not self.quality_map:
             raise ValueError("quality_map must be non-empty")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ValueError("timeout_s must be finite and positive")
 
     @classmethod
-    def from_json(cls, text: str | bytes) -> "ExternalCodecSpec":
-        doc = json.loads(text)
-        allowed = {"encode_cmd", "decode_cmd", "quality_map", "timeout_s"}
-        unknown = set(doc) - allowed
+    def from_dict(cls, doc) -> "ExternalCodecSpec":
+        """Spec from a parsed JSON object, type-checked field by field."""
+        if not isinstance(doc, dict):
+            raise ValueError("external codec spec must be a JSON object")
+        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
         for field in ("encode_cmd", "decode_cmd", "quality_map"):
             if field not in doc:
                 raise ValueError(f"missing spec field: {field}")
+        for field in ("encode_cmd", "decode_cmd"):
+            if not isinstance(doc[field], str):
+                raise ValueError(f"{field} must be a string")
+        if not isinstance(doc["quality_map"], list):
+            raise ValueError("quality_map must be a list")
+        timeout = doc.get("timeout_s", 60.0)
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
+            raise ValueError("timeout_s must be a number")
+        try:
+            timeout = float(timeout)
+        except OverflowError:  # an integer past the float range
+            raise ValueError("timeout_s must be finite and positive") from None
         return cls(
             encode_cmd=doc["encode_cmd"],
             decode_cmd=doc["decode_cmd"],
             quality_map=[str(q) for q in doc["quality_map"]],
-            timeout_s=float(doc.get("timeout_s", 60.0)),
+            timeout_s=timeout,
         )
+
+    @classmethod
+    def from_json(cls, text: str | bytes) -> "ExternalCodecSpec":
+        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExternalCodecSpec":
@@ -85,10 +103,10 @@ class ExternalCodec(Codec):
     """Codec backed by user-supplied encode/decode command lines."""
 
     signal_kind = "image"
+    codec_id = "external"
 
-    def __init__(self, spec: ExternalCodecSpec, codec_id: str = "external"):
+    def __init__(self, spec: ExternalCodecSpec):
         self.spec = spec
-        self.codec_id = codec_id
 
     @property
     def num_levels(self) -> int:
@@ -137,12 +155,5 @@ class ExternalCodec(Codec):
             raise ExternalCodecError(
                 f"decoded dims {out.width}x{out.height} != input {img.width}x{img.height}"
             )
-        bs = Bitstream(
-            payload=payload,
-            bits_used=8.0 * len(payload),
-            codec_id=self.codec_id,
-            quality=q,
-            shape=(img.height, img.width, img.channels),
-        )
-        return out, bs
+        return out, Bitstream(payload=payload, bits_used=8.0 * len(payload))
 

@@ -55,6 +55,9 @@ class CodebookLadder:
         return self.levels[q - 1]
 
 
+MAX_MIDPOINT_LEVELS = 16
+
+
 def _midpoint_level(q: int) -> list[Fraction]:
     return [Fraction(2 * i - 1, 2**q) for i in range(1, 2 ** (q - 1) + 1)]
 
@@ -63,6 +66,12 @@ def build_midpoint_ladder(q_levels: int) -> CodebookLadder:
     """Midpoint ladder: level q holds (2i-1)/2^q for i = 1..2^(q-1)."""
     if q_levels < 1:
         raise ValueError("need at least one level")
+    if q_levels > MAX_MIDPOINT_LEVELS:
+        # the top level doubles with each level; 2^(q-1) codewords to build
+        raise ValueError(
+            f"midpoint ladder holds at most {MAX_MIDPOINT_LEVELS} levels"
+            f" ({2 ** (MAX_MIDPOINT_LEVELS - 1)} top codewords), got {q_levels}"
+        )
     levels = tuple(
         tuple(float(c) for c in _midpoint_level(q)) for q in range(1, q_levels + 1)
     )
@@ -121,23 +130,13 @@ def build_nested_ladder(q_levels: int) -> CodebookLadder:
     return CodebookLadder(levels=levels, kind="nested")
 
 
-def quantize_nearest(x: float, codewords) -> tuple[int, float]:
-    """Nearest codeword to x; exact ties go to the LARGER codeword."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    cw = np.asarray(codewords, dtype=np.float64)
-    if cw.size == 0:
-        raise ValueError("empty codebook")
-    # digitize(x, mids) maps x == midpoint into the upper bin
-    idx = int(np.digitize(x, (cw[:-1] + cw[1:]) / 2))
-    return idx, float(cw[idx])
-
-
 def quantize_array(xs: np.ndarray, codewords) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized quantize_nearest with the same larger-codeword tie-break."""
+    """Index and value of the nearest codeword to each x in [0, 1]; exact ties
+    go to the LARGER codeword."""
     cw = np.asarray(codewords, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):  # NaN fails both comparisons
         raise ValueError("values outside [0, 1]")
+    # digitize(x, mids) maps x == midpoint into the upper bin
     idx = np.digitize(xs, (cw[:-1] + cw[1:]) / 2)
     return idx, cw[idx]

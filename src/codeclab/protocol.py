@@ -26,7 +26,7 @@ from .chains import (
     _mse,
 )
 from .codecs import Codec
-from .registry import make_codec
+from .registry import _is_int, make_codec
 from .signals import Dataset, generate_uniform_source, load_dataset
 
 
@@ -39,6 +39,7 @@ DEFAULT_B = 10
 DEFAULT_MODE = "forced-min"
 DEFAULT_KIND = "MSE"
 DEFAULT_SOURCE_N = 10_000
+SEQUENCE_GUARD = 1_000_000  # most quality sequences one verify sweep enumerates
 
 # decisions that shape reported numbers; echoed into every report
 DECISIONS_IN_FORCE = (
@@ -85,6 +86,12 @@ class EvalConfig:
         return cls.from_json(Path(path).read_text())
 
     def validate(self) -> None:
+        if not isinstance(self.codec, str):
+            raise ConfigError("codec must be a string")
+        if not isinstance(self.codec_options, dict):
+            raise ConfigError("codec_options must be an object")
+        if self.dataset is not None and not isinstance(self.dataset, str):
+            raise ConfigError("dataset must be a string or null")
         if not _is_int(self.b) or self.b < 1:
             raise ConfigError("b must be an integer >= 1")
         if not self.k_list or not all(_is_int(k) and k >= 1 for k in self.k_list):
@@ -99,11 +106,6 @@ class EvalConfig:
             raise ConfigError(f"unknown distortion kind {self.distortion!r}")
         if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ConfigError("master_seed must be a non-negative integer")
-
-
-def _is_int(v) -> bool:
-    # bool is an int subclass, but true/false is never a count or a seed
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclasses.dataclass
@@ -140,59 +142,14 @@ class IdempotenceSweep:
 
 @dataclasses.dataclass
 class EvalReport:
+    """One evaluate run; report.emit_report serialises these fields as they are."""
+
     config: dict
     grid: list[RhoEstimate]
     rd_single: list[RdPoint]
     rd_multi: dict[int, list[RdPoint]]
     theorem1: list[Theorem1Record]
     provenance: dict
-
-    def to_dict(self) -> dict:
-        def num(x):
-            return "inf" if isinstance(x, float) and math.isinf(x) else x
-
-        def rd(points):
-            return [
-                {
-                    "quality": p.quality,
-                    "mean_bpp": num(p.mean_bpp),
-                    "mean_psnr": num(p.mean_psnr),
-                    "mean_mse": num(p.mean_mse),
-                }
-                for p in points
-            ]
-
-        return {
-            "config": self.config,
-            "grid": [
-                {
-                    "q_min": g.q_min,
-                    "k": g.k,
-                    "b": g.b,
-                    "distortion_kind": g.distortion_kind,
-                    "mean": num(g.mean),
-                    "sample_std": num(g.sample_std),
-                    "std_err": num(g.std_err),
-                    "n_pairs": g.n_pairs,
-                }
-                for g in self.grid
-            ],
-            "rd_single": rd(self.rd_single),
-            "rd_multi": {str(k): rd(v) for k, v in self.rd_multi.items()},
-            "theorem1": [
-                {
-                    "q_min": t.q_min,
-                    "k": t.k,
-                    "mean_single": num(t.mean_single),
-                    "mean_chain": num(t.mean_chain),
-                    "std_err_single": num(t.std_err_single),
-                    "std_err_chain": num(t.std_err_chain),
-                    "satisfied": t.satisfied,
-                }
-                for t in self.theorem1
-            ],
-            "provenance": self.provenance,
-        }
 
 
 def resolve_dataset(cfg: EvalConfig, codec: Codec) -> Dataset:
@@ -201,7 +158,7 @@ def resolve_dataset(cfg: EvalConfig, codec: Codec) -> Dataset:
         if cfg.dataset is None:
             raise ConfigError(f"codec {codec.codec_id!r} needs a dataset directory")
         return load_dataset(cfg.dataset)
-    n = int(cfg.codec_options.get("source_n", DEFAULT_SOURCE_N))
+    n = cfg.codec_options.get("source_n", DEFAULT_SOURCE_N)
     seed_seq = np.random.SeedSequence([cfg.master_seed, STREAM_SOURCE])
     seed = int(seed_seq.generate_state(1, np.uint64)[0])
     return Dataset.from_source(generate_uniform_source(n, seed))
@@ -261,19 +218,13 @@ def compute_rd_curves(
     return rd_single, rd_multi
 
 
-def verify_strong_idempotence(
-    codec: Codec,
-    inputs: list,
-    max_len: int,
-    kinds: tuple[str, ...] = ("MSE", "RMSE"),
-    sequence_guard: int = 1_000_000,
-) -> IdempotenceSweep:
+def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> IdempotenceSweep:
     """Enumerate every quality sequence up to max_len and compare each chain
     against the single pass at the sequence minimum."""
     q_levels = codec.num_levels
     total = sum(q_levels**length for length in range(1, max_len + 1))
-    if total > sequence_guard:
-        raise ValueError(f"{total} sequences exceeds the {sequence_guard} guard")
+    if total > SEQUENCE_GUARD:
+        raise ValueError(f"{total} sequences exceeds the {SEQUENCE_GUARD} guard")
     max_mse = 0.0
     sum_mse = 0.0
     count = 0
@@ -326,15 +277,8 @@ def run_protocol(cfg: EvalConfig) -> EvalReport:
         ds, codec, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed
     )
     config_echo = {
-        "codec": cfg.codec,
-        "codec_options": cfg.codec_options,
-        "dataset": cfg.dataset,
+        **dataclasses.asdict(cfg),
         "q_min_list": list(q_min_list),
-        "k_list": list(cfg.k_list),
-        "b": cfg.b,
-        "mode": cfg.mode,
-        "distortion": cfg.distortion,
-        "master_seed": cfg.master_seed,
         "codec_ladder_levels": codec.num_levels,
         "dataset_items": list(ds.item_names),
         "dataset_warnings": list(ds.warnings),

@@ -6,6 +6,7 @@ infinite PSNR appears as the marker string "inf", never a float overflow.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +18,7 @@ CSV_COLUMNS = ("codec", "q_min", "k", "b", "mode", "kind", "mean", "std_err")
 
 def emit_report(rep: EvalReport, fmt: str = "json") -> bytes:
     if fmt == "json":
-        text = json.dumps(rep.to_dict(), sort_keys=True, indent=2)
+        text = json.dumps(_jsonable(rep), sort_keys=True, indent=2)
         return (text + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
@@ -40,8 +41,28 @@ def emit_report(rep: EvalReport, fmt: str = "json") -> bytes:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+_INF = "inf"
+
+
+def _jsonable(x):
+    """Report value -> JSON value: dataclasses by field, dict keys as strings
+    (so sort_keys orders them as strings), and +-inf as the "inf" marker."""
+    # most nodes are leaves, so they are tested first
+    if isinstance(x, float):
+        return _INF if math.isinf(x) else x
+    if isinstance(x, (int, str)):
+        return x
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if dataclasses.is_dataclass(x):
+        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    return x
+
+
 def _csv_num(x: float) -> str:
-    return "inf" if math.isinf(x) else repr(x)
+    return _INF if math.isinf(x) else repr(x)
 
 
 _WIDTH, _HEIGHT = 800, 600

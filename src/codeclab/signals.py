@@ -53,7 +53,7 @@ class ImageBuffer:
         return self.width * self.height
 
     def planes(self) -> np.ndarray:
-        """Float64 view of shape (channels, height, width)."""
+        """Float64 copy of shape (channels, height, width)."""
         a = self.samples.reshape(self.height, self.width, self.channels)
         return np.moveaxis(a, 2, 0).astype(np.float64)
 

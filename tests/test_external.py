@@ -156,3 +156,23 @@ class TestSpecJson:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="missing"):
             ExternalCodecSpec.from_json('{"encode_cmd": "a"}')
+
+    @pytest.mark.parametrize("text", [
+        "5",
+        '{"encode_cmd": 7, "decode_cmd": "b", "quality_map": ["1"]}',
+        '{"encode_cmd": "a", "decode_cmd": null, "quality_map": ["1"]}',
+        '{"encode_cmd": "a", "decode_cmd": "b", "quality_map": 5}',
+        '{"encode_cmd": "a", "decode_cmd": "b", "quality_map": "123"}',
+        '{"encode_cmd": "a", "decode_cmd": "b", "quality_map": ["1"], "timeout_s": NaN}',
+        '{"encode_cmd": "a", "decode_cmd": "b", "quality_map": ["1"], "timeout_s": Infinity}',
+        '{"encode_cmd": "a", "decode_cmd": "b", "quality_map": ["1"], "timeout_s": 1%s}' % ("0" * 400),
+        '{"encode_cmd": "a", "decode_cmd": "b", "quality_map": ["1"], "timeout_s": "9"}',
+        '{"encode_cmd": "a", "decode_cmd": "b", "quality_map": ["1"], "timeout_s": true}',
+    ])
+    def test_bad_spec_rejected_at_load(self, text):
+        with pytest.raises(ValueError):
+            ExternalCodecSpec.from_json(text)
+
+    def test_from_dict_matches_from_json(self):
+        doc = {"encode_cmd": "a", "decode_cmd": "b", "quality_map": [1, "2"], "timeout_s": 3}
+        assert ExternalCodecSpec.from_dict(doc) == ExternalCodecSpec.from_json(json.dumps(doc))

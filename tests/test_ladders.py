@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codeclab import build_midpoint_ladder, build_nested_ladder, quantize_nearest
+from codeclab import build_midpoint_ladder, build_nested_ladder
 from codeclab.ladders import quantize_array, uniform_source_mse
 
 
@@ -69,6 +69,11 @@ class TestMidpointLadder:
         with pytest.raises(ValueError):
             build_midpoint_ladder(3).level(4)
 
+    def test_too_many_levels_guarded(self):
+        assert build_midpoint_ladder(16).level(16)[-1] == 1 - 2**-16
+        with pytest.raises(ValueError, match="at most 16"):
+            build_midpoint_ladder(17)
+
 
 class TestNestedLadder:
     def test_matches_bruteforce_oracle(self):
@@ -105,42 +110,42 @@ class TestNestedLadder:
 
 
 class TestQuantizeNearest:
+    CODEWORDS = (0.125, 0.375, 0.625, 0.875)
+
     def test_region_rule(self):
-        _, v = quantize_nearest(0.3, (0.125, 0.375, 0.625, 0.875))
-        assert v == 0.375
+        _, v = quantize_array([0.3], self.CODEWORDS)
+        assert list(v) == [0.375]
 
     def test_tie_goes_larger(self):
-        _, v = quantize_nearest(0.5, (0.125, 0.375, 0.625, 0.875))
-        assert v == 0.625
+        _, v = quantize_array([0.25, 0.5, 0.75], self.CODEWORDS)
+        assert list(v) == [0.375, 0.625, 0.875]
 
     def test_codeword_fixed_point(self):
-        idx, v = quantize_nearest(0.875, (0.125, 0.375, 0.625, 0.875))
-        assert (idx, v) == (3, 0.875)
+        idx, v = quantize_array(list(self.CODEWORDS), self.CODEWORDS)
+        assert list(idx) == [0, 1, 2, 3]
+        assert list(v) == list(self.CODEWORDS)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            quantize_nearest(1.5, (0.5,))
+            quantize_array([0.5, 1.5], (0.5,))
+        with pytest.raises(ValueError):
+            quantize_array([-0.25], (0.5,))
+        with pytest.raises(ValueError):
+            quantize_array([0.5, float("nan")], (0.5,))
 
-    @given(x=st.floats(0.0, 1.0), q=st.integers(1, 4))
+    @given(xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20), q=st.integers(1, 4))
     @settings(max_examples=200, deadline=None)
-    def test_output_is_codeword_and_nearest(self, x, q):
+    def test_output_is_codeword_and_nearest(self, xs, q):
         codewords = build_midpoint_ladder(4).level(q)
-        idx, v = quantize_nearest(x, codewords)
-        assert v == codewords[idx]
-        dists = [abs(x - c) for c in codewords]
-        assert abs(x - v) == min(dists)
+        idx, vs = quantize_array(xs, codewords)
+        for x, i, v in zip(xs, idx, vs):
+            assert v == codewords[i]
+            assert abs(x - v) == min(abs(x - c) for c in codewords)
 
-    @given(x=st.floats(0.0, 1.0))
+    @given(xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
     @settings(max_examples=100, deadline=None)
-    def test_idempotent(self, x):
+    def test_idempotent(self, xs):
         codewords = build_midpoint_ladder(3).level(3)
-        _, v = quantize_nearest(x, codewords)
-        _, v2 = quantize_nearest(v, codewords)
-        assert v2 == v
-
-    def test_vectorized_agrees_with_scalar(self):
-        codewords = build_nested_ladder(3).level(2)
-        xs = np.linspace(0.0, 1.0, 1001)
-        _, vec = quantize_array(xs, codewords)
-        for x, v in zip(xs, vec):
-            assert quantize_nearest(float(x), codewords)[1] == v
+        _, v = quantize_array(xs, codewords)
+        _, v2 = quantize_array(v, codewords)
+        assert np.array_equal(v2, v)

@@ -171,3 +171,23 @@ def test_make_codec_ids():
         make_codec("block-dct", {"gamma": 1})
     with pytest.raises(ValueError):
         make_codec("external")
+
+
+@pytest.mark.parametrize("codec_id,options", [
+    ("midpoint-scalar", {"levels": 2.7}),
+    ("nested-scalar", {"levels": True}),
+    ("midpoint-scalar", {"levels": float("inf")}),
+    ("midpoint-scalar", {"levels": "3"}),
+    ("midpoint-scalar", {"levels": 17}),
+    ("midpoint-scalar:+2", None),
+    ("nested-scalar", {"source_n": 50.9}),
+    ("nested-scalar", {"source_n": "40"}),
+    ("nested-scalar", {"source_n": 0}),
+    ("block-dct", {"native_qualities": 7}),
+    ("block-dct", {"native_qualities": [5.5, 20]}),
+    ("external", {"spec": 5}),
+    ("external", {"spec_path": 5}),
+])
+def test_make_codec_rejects_bad_option_values(codec_id, options):
+    with pytest.raises(ValueError):
+        make_codec(codec_id, options)

@@ -5,7 +5,8 @@ import pytest
 
 from codeclab import EvalConfig, ImageBuffer, run_protocol, serialize_pnm
 from codeclab.cli import main
-from codeclab.protocol import RdPoint
+from codeclab.chains import RhoEstimate
+from codeclab.protocol import EvalReport, RdPoint, Theorem1Record
 from codeclab.report import emit_report, render_svg
 
 
@@ -53,6 +54,39 @@ class TestEmitReport:
             assert parsed["mean"] == orig.mean
             assert parsed["std_err"] == orig.std_err
         assert doc["config"]["master_seed"] == 4
+
+    def test_json_schema_keys_and_inf_markers(self):
+        inf = float("inf")
+        rd = [RdPoint(1, 0.5, inf, 0.0), RdPoint(2, 1.0, 30.0, 2.0)]
+        rep = EvalReport(
+            config={"codec": "toy", "k_list": [2, 10]},
+            grid=[RhoEstimate(1, 2, 3, "PSNR", inf, 0.0, 0.0, 3)],
+            rd_single=rd,
+            rd_multi={2: rd, 10: [RdPoint(1, 0.5, inf, 0.0)]},
+            theorem1=[Theorem1Record(1, 2, 0.5, 0.75, 0.0, 0.125, True)],
+            provenance={"tool": "codeclab"},
+        )
+        text = emit_report(rep, "json").decode()
+        doc = json.loads(text)
+        assert list(doc) == ["config", "grid", "provenance", "rd_multi", "rd_single", "theorem1"]
+        assert list(doc["rd_multi"]) == ["10", "2"]
+        assert text.index('"10"') < text.index('"2"')
+        assert doc["grid"] == [{
+            "q_min": 1, "k": 2, "b": 3, "distortion_kind": "PSNR", "mean": "inf",
+            "sample_std": 0.0, "std_err": 0.0, "n_pairs": 3,
+        }]
+        rd_doc = [
+            {"quality": 1, "mean_bpp": 0.5, "mean_psnr": "inf", "mean_mse": 0.0},
+            {"quality": 2, "mean_bpp": 1.0, "mean_psnr": 30.0, "mean_mse": 2.0},
+        ]
+        assert doc["rd_single"] == rd_doc
+        assert doc["rd_multi"] == {"2": rd_doc, "10": rd_doc[:1]}
+        assert doc["theorem1"] == [{
+            "q_min": 1, "k": 2, "mean_single": 0.5, "mean_chain": 0.75,
+            "std_err_single": 0.0, "std_err_chain": 0.125, "satisfied": True,
+        }]
+        assert doc["config"] == {"codec": "toy", "k_list": [2, 10]}
+        assert doc["provenance"] == {"tool": "codeclab"}
 
     def test_unknown_format(self, scalar_report):
         with pytest.raises(ValueError):
@@ -141,6 +175,10 @@ class TestCli:
         {"k_list": [1.5]},
         {"q_min_list": [1.0]},
         {"master_seed": True},
+        {"codec": 5},
+        {"codec_options": [1]},
+        {"dataset": 3},
+        {"codec_options": {"levels": 2.7, "source_n": 50}},
     ])
     def test_evaluate_config_types_exit_2(self, tmp_path, capsys, override):
         cfg_path = tmp_path / "cfg.json"
@@ -148,6 +186,20 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "r.json")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_evaluate_bad_external_spec_exit_2(self, tmp_path, capsys, tiny_image_dir):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "codec": "external",
+            "codec_options": {"spec": {
+                "encode_cmd": 7, "decode_cmd": "cp {input} {output}", "quality_map": ["1"],
+            }},
+            "dataset": str(tiny_image_dir),
+            "k_list": [1], "b": 1,
+        }))
+        assert main(["evaluate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "encode_cmd must be a string" in capsys.readouterr().err
 
     def test_check_theorem1_seed_seeds_source(self, capsys):
         means = []
