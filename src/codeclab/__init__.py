@@ -32,8 +32,6 @@ from .external import (  # noqa: F401
     ExternalCodecSpec,
 )
 from .chains import (  # noqa: F401
-    ChainResult,
-    QualitySequence,
     RhoEstimate,
     compress_chain,
     distortion,

@@ -72,33 +72,9 @@ def distortion(a: Signal, b: Signal, kind: str = "MSE") -> float:
     return _from_mse(_mse(a, b), kind, signal_peak(a))
 
 
-@dataclasses.dataclass(frozen=True)
-class QualitySequence:
-    """Ordered quality levels q_1..q_k driving one chain."""
-
-    levels: tuple[int, ...]
-    mode: str
-    q_min: int
-    q_max: int
-
-    def __post_init__(self):
-        if not self.levels:
-            raise ValueError("empty quality sequence")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if any(not self.q_min <= q <= self.q_max for q in self.levels):
-            raise ValueError("sequence level outside [q_min, q_max]")
-        if self.mode == "forced-min" and min(self.levels) != self.q_min:
-            raise ValueError("forced-min sequence must attain q_min")
-
-    @property
-    def k(self) -> int:
-        return len(self.levels)
-
-
 def sample_quality_sequence(
     q_min: int, q_max: int, k: int, mode: str, rng: np.random.Generator
-) -> QualitySequence:
+) -> tuple[int, ...]:
     """k iid uniform draws from [q_min, q_max]; forced-min overwrites one
     uniformly chosen position with q_min."""
     if q_min > q_max:
@@ -110,27 +86,21 @@ def sample_quality_sequence(
     levels = rng.integers(q_min, q_max + 1, size=k)
     if mode == "forced-min":
         levels[int(rng.integers(k))] = q_min
-    return QualitySequence(tuple(int(q) for q in levels), mode, q_min, q_max)
+    return tuple(int(q) for q in levels)
 
 
-@dataclasses.dataclass
-class ChainResult:
-    final: Signal
-    final_bpp: float
-
-
-def compress_chain(x: Signal, seq: QualitySequence, codec: Codec) -> ChainResult:
-    """Apply reconstruct sequentially: y_i = f(y_{i-1}, q_i).
-
-    Only the final stage's rate is computed: it is the one a report reads.
-    """
+def compress_chain(x: Signal, levels: tuple[int, ...], codec: Codec):
+    """Apply reconstruct sequentially, y_i = f(y_{i-1}, q_i), and return the
+    last stage's (reconstruction, bitstream), as Codec.reconstruct does."""
+    if not levels:
+        raise ValueError("empty quality sequence")
     y = x
-    for stage, q in enumerate(seq.levels, start=1):
+    for stage, q in enumerate(levels, start=1):
         try:
             y, bs = codec.reconstruct(y, q)
         except Exception as e:
             raise CodecError(f"chain stage {stage} (quality {q}) failed: {e}") from e
-    return ChainResult(final=y, final_bpp=codec.bpp(bs, x))
+    return y, bs
 
 
 @dataclasses.dataclass
@@ -142,7 +112,7 @@ class PairOutcome:
 
     item: int
     trial: int
-    seq: QualitySequence
+    levels: tuple[int, ...]
     mse_single_vs_chain: float  # d(f(x, q_min), chain final) -- the rho term
     mse_x_vs_single: float
     mse_x_vs_chain: float
@@ -179,18 +149,18 @@ def evaluate_cell(
         for k, outcomes in cells.items():
             for t in range(b):
                 rng = derive_rng(master_seed, stream, q_min, k, i, t)
-                seq = sample_quality_sequence(q_min, q_max, k, mode, rng)
-                chain = compress_chain(x, seq, codec)
+                levels = sample_quality_sequence(q_min, q_max, k, mode, rng)
+                y, bs = compress_chain(x, levels, codec)
                 outcomes.append(
                     PairOutcome(
                         item=i,
                         trial=t,
-                        seq=seq,
-                        mse_single_vs_chain=_mse(single, chain.final),
+                        levels=levels,
+                        mse_single_vs_chain=_mse(single, y),
                         mse_x_vs_single=mse_x_single,
-                        mse_x_vs_chain=_mse(x, chain.final),
+                        mse_x_vs_chain=_mse(x, y),
                         single_bpp=single_bpp,
-                        chain_final_bpp=chain.final_bpp,
+                        chain_final_bpp=codec.bpp(bs, x),
                         peak=signal_peak(x),
                     )
                 )

@@ -19,6 +19,7 @@ from .protocol import (
     EvalConfig,
     compute_rd_curves,
     resolve_dataset,
+    resolve_q_min_list,
     run_protocol,
     theorem1_from_outcomes,
     verify_strong_idempotence,
@@ -69,11 +70,11 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _cell_inputs(args, mode: str):
+def _cell_inputs(args, mode: str, q_min_list: list[int] | None = None):
     """Codec and dataset for a one-k command, resolved as `evaluate` does."""
     cfg = EvalConfig(
-        codec=args.codec, dataset=args.dataset, k_list=[args.k], b=args.b,
-        mode=mode, master_seed=args.seed,
+        codec=args.codec, dataset=args.dataset, q_min_list=q_min_list, k_list=[args.k],
+        b=args.b, mode=mode, master_seed=args.seed,
     )
     cfg.validate()
     codec = make_codec(cfg.codec)
@@ -92,9 +93,10 @@ def _cmd_rd_curve(args) -> int:
 
 
 def _cmd_check_theorem1(args) -> int:
-    cfg, codec, ds = _cell_inputs(args, "forced-min")
-    cells = evaluate_cell(ds, codec, args.qmin, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed)
-    rec = theorem1_from_outcomes(cells[args.k], args.qmin, args.k)
+    cfg, codec, ds = _cell_inputs(args, "forced-min", [args.qmin])
+    (q_min,) = resolve_q_min_list(cfg, codec)
+    cells = evaluate_cell(ds, codec, q_min, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed)
+    rec = theorem1_from_outcomes(cells[args.k], q_min, args.k)
     print(f"q_min={rec.q_min} k={rec.k}")
     print(f"mean MSE single-pass: {rec.mean_single!r} (SE {rec.std_err_single!r})")
     print(f"mean MSE chain:       {rec.mean_chain!r} (SE {rec.std_err_chain!r})")

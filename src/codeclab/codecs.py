@@ -63,14 +63,9 @@ class Codec:
         bs = self.encode(x, q)
         return self.decode(bs), bs
 
-    def sample_count(self, x) -> int:
-        """Denominator for bits-per-sample: pixels for images, length for vectors."""
-        if isinstance(x, SourceVector):
-            return len(x)
-        return x.pixel_count
-
     def bpp(self, bs: Bitstream, x) -> float:
-        return bs.bits_used / self.sample_count(x)
+        """Bits per sample: per pixel for images, per value for source vectors."""
+        return bs.bits_used / (len(x) if isinstance(x, SourceVector) else x.pixel_count)
 
 
 _SCALAR_MAGIC = b"SQ"

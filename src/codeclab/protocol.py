@@ -21,7 +21,6 @@ from .chains import (
     evaluate_cell,
     psnr_from_mse,
     rho_from_outcomes,
-    QualitySequence,
     _aggregate,
     _mse,
 )
@@ -164,6 +163,15 @@ def resolve_dataset(cfg: EvalConfig, codec: Codec) -> Dataset:
     return Dataset.from_source(generate_uniform_source(n, seed))
 
 
+def resolve_q_min_list(cfg: EvalConfig, codec: Codec) -> list[int]:
+    """cfg.q_min_list, or the whole ladder; every level must lie on the ladder."""
+    q_min_list = cfg.q_min_list or list(range(1, codec.num_levels + 1))
+    for q in q_min_list:
+        if not 1 <= q <= codec.num_levels:
+            raise ConfigError(f"q_min {q} outside codec ladder [1, {codec.num_levels}]")
+    return q_min_list
+
+
 def theorem1_from_outcomes(
     outcomes: list[PairOutcome], q_min: int, k: int
 ) -> Theorem1Record:
@@ -221,6 +229,8 @@ def compute_rd_curves(
 def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> IdempotenceSweep:
     """Enumerate every quality sequence up to max_len and compare each chain
     against the single pass at the sequence minimum."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     q_levels = codec.num_levels
     total = sum(q_levels**length for length in range(1, max_len + 1))
     if total > SEQUENCE_GUARD:
@@ -235,9 +245,8 @@ def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> Idemp
             singles[q], _ = codec.reconstruct(x, q)
         for length in range(1, max_len + 1):
             for seq_levels in itertools.product(range(1, q_levels + 1), repeat=length):
-                seq = QualitySequence(seq_levels, "literal", 1, q_levels)
-                chain = compress_chain(x, seq, codec)
-                dev = _mse(singles[min(seq_levels)], chain.final)
+                y, _ = compress_chain(x, seq_levels, codec)
+                dev = _mse(singles[min(seq_levels)], y)
                 sum_mse += dev
                 count += 1
                 if dev > max_mse:
@@ -257,10 +266,7 @@ def run_protocol(cfg: EvalConfig) -> EvalReport:
     cfg.validate()
     codec = make_codec(cfg.codec, cfg.codec_options)
     ds = resolve_dataset(cfg, codec)
-    q_min_list = cfg.q_min_list or list(range(1, codec.num_levels + 1))
-    for q in q_min_list:
-        if not 1 <= q <= codec.num_levels:
-            raise ConfigError(f"q_min {q} outside codec ladder [1, {codec.num_levels}]")
+    q_min_list = resolve_q_min_list(cfg, codec)
     grid: list[RhoEstimate] = []
     theorem1: list[Theorem1Record] = []
     for q_min in q_min_list:

@@ -21,7 +21,7 @@ from codeclab import (
     run_protocol,
     verify_strong_idempotence,
 )
-from codeclab.chains import QualitySequence, evaluate_cell, rho_from_outcomes
+from codeclab.chains import evaluate_cell, rho_from_outcomes
 from codeclab.cli import main
 from codeclab.protocol import theorem1_from_outcomes
 from codeclab.signals import Dataset
@@ -62,12 +62,11 @@ def test_criterion_1_exhaustive_strong_idempotence(grid_source):
 
 def test_criterion_2_midpoint_witness(grid_source):
     codec = midpoint_scalar_codec(3)
-    seq = QualitySequence((1, 3), "literal", 1, 3)
     rhos = []
     for x in (grid_source[0], generate_uniform_source(5000, 77)):
         single, _ = codec.reconstruct(x, 1)
-        chain = compress_chain(x, seq, codec)
-        rhos.append(distortion(single, chain.final, "MSE"))
+        y, _ = compress_chain(x, (1, 3), codec)
+        rhos.append(distortion(single, y, "MSE"))
     sweep = verify_strong_idempotence(codec, grid_source, max_len=4)
     ok = all(r == 0.015625 for r in rhos) and sweep.max_mse > 0.0
     _verdict(2, ok, f"chain (1,3) rho {rhos} (want exactly 1/64), "
@@ -131,10 +130,10 @@ def test_criterion_7_bitrate_property():
     ok = True
     for q_min in (1, 2, 3):
         for o in evaluate_cell(ds, codec, q_min, [6], b=5, master_seed=3)[6]:
-            chain = compress_chain(x, o.seq, codec)
+            y, _ = compress_chain(x, o.levels, codec)
             single, _ = codec.reconstruct(x, q_min)
             ok &= (
-                codec.encode(chain.final, q_min).payload
+                codec.encode(y, q_min).payload
                 == codec.encode(single, q_min).payload
             )
     _verdict(7, ok, "forced-min chain finals re-encode byte-identically at q_min")
@@ -209,7 +208,7 @@ def _jpeg_spec(tmp_path):
 
 def test_criterion_10_external_jpeg(image_dataset, tmp_path):
     spec = _jpeg_spec(tmp_path)
-    codec = ExternalCodec(spec, "jpeg")
+    codec = ExternalCodec(spec)
     ds = Dataset(
         items=image_dataset.items[:1],
         source_path=image_dataset.source_path,

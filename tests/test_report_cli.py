@@ -138,6 +138,12 @@ class TestCli:
     def test_verify_rejects_image_codec(self):
         assert main(["verify", "--codec", "block-dct", "--max-len", "2"]) == 2
 
+    @pytest.mark.parametrize("max_len", ["0", "-2"])
+    def test_verify_max_len_below_one_exit_2(self, capsys, max_len):
+        assert main(["verify", "--codec", "nested-scalar", "--max-len", max_len,
+                     "--grid", "11"]) == 2
+        assert "max_len must be >= 1" in capsys.readouterr().err
+
     def test_evaluate_roundtrip(self, tmp_path, capsys):
         cfg = {
             "codec": "nested-scalar",
@@ -224,6 +230,12 @@ class TestCli:
         assert main(["check-theorem1", "--codec", "nested-scalar", "--qmin", "1",
                      "--k", "4", "--b", "3"]) == 0
         assert "satisfied" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("qmin", ["0", "9"])
+    def test_check_theorem1_qmin_outside_ladder_exit_2(self, capsys, qmin):
+        assert main(["check-theorem1", "--codec", "midpoint-scalar", "--qmin", qmin,
+                     "--k", "2", "--b", "1"]) == 2
+        assert f"q_min {qmin} outside codec ladder [1, 3]" in capsys.readouterr().err
 
     def test_runtime_error_exit_3(self, tmp_path, tiny_image_dir):
         spec = tmp_path / "ext.json"
