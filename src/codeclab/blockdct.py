@@ -76,7 +76,10 @@ def scale_quant_table(q_native: int) -> np.ndarray:
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    """trunc(x + copysign(0.5, x)), in one temporary."""
+    y = np.copysign(0.5, x)
+    y += x
+    return np.trunc(y, out=y)
 
 
 def _pad_to_blocks(plane: np.ndarray) -> np.ndarray:
@@ -96,6 +99,16 @@ def _from_blocks(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
     return (
         blocks.reshape(h // 8, w // 8, 8, 8).transpose(0, 2, 1, 3).reshape(h, w)
     )
+
+
+def _plane_from_indices(
+    idx: np.ndarray, table: np.ndarray, height: int, width: int
+) -> np.ndarray:
+    """Dequantise (blocks, 8, 8) indices, inverse DCT, level-shift, round and
+    clip to [0, 255]: the decoded (height, width) plane, padding cropped."""
+    blocks = dct2_8x8(idx * table, "inverse")
+    plane = _from_blocks(blocks, height + (-height) % 8, width + (-width) % 8)
+    return np.clip(round_half_away(plane[:height, :width] + 128.0), 0, 255)
 
 
 def _entropy_bits(indices: np.ndarray) -> float:
@@ -133,9 +146,13 @@ class BlockDctCodec(Codec):
         return len(self.native_qualities)
 
     def _channel_indices(self, plane: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Quantization indices of one plane, (blocks, 8, 8), in int16 range."""
         padded = _pad_to_blocks(plane) - 128.0
         coeffs = dct2_8x8(_to_blocks(padded))
-        return round_half_away(coeffs / table).astype(np.int64)
+        idx = round_half_away(coeffs / table).astype(np.int64)
+        if np.any(np.abs(idx) > 32767):
+            raise CodecError("quantized coefficient out of int16 range")
+        return idx
 
     def encode(self, img: ImageBuffer, q: int) -> Bitstream:
         self.check_quality(q)
@@ -144,10 +161,7 @@ class BlockDctCodec(Codec):
         parts = [_HEADER.pack(_MAGIC, q, img.channels, img.width, img.height)]
         for plane in img.planes():
             idx = self._channel_indices(plane, table)
-            flat = idx.reshape(-1, 64)
-            bits += _entropy_bits(flat)
-            if np.any(np.abs(idx) > 32767):
-                raise CodecError("quantized coefficient out of int16 range")
+            bits += _entropy_bits(idx.reshape(-1, 64))
             parts.append(idx.astype("<i2").tobytes())
         return Bitstream(payload=b"".join(parts), bits_used=bits)
 
@@ -171,8 +185,17 @@ class BlockDctCodec(Codec):
             )
         planes = np.empty((channels, height, width), dtype=np.float64)
         for c in range(channels):
-            idx = body[c * nblocks * 64 : (c + 1) * nblocks * 64].astype(np.float64)
-            blocks = dct2_8x8(idx.reshape(nblocks, 8, 8) * table, "inverse")
-            plane = _from_blocks(blocks, ph, pw) + 128.0
-            planes[c] = np.clip(round_half_away(plane), 0, 255)[:height, :width]
+            idx = body[c * nblocks * 64 : (c + 1) * nblocks * 64].reshape(nblocks, 8, 8)
+            planes[c] = _plane_from_indices(idx, table, height, width)
+        return ImageBuffer.from_planes(planes)
+
+    def stage(self, img: ImageBuffer, q: int) -> ImageBuffer:
+        """reconstruct(img, q)[0] with no rate and no payload: each plane's
+        indices go straight to the inverse, not through int16 bytes."""
+        self.check_quality(q)
+        table = self._tables[q - 1]
+        planes = img.planes()
+        for c in range(img.channels):
+            idx = self._channel_indices(planes[c], table)
+            planes[c] = _plane_from_indices(idx, table, img.height, img.width)
         return ImageBuffer.from_planes(planes)

@@ -90,14 +90,21 @@ def sample_quality_sequence(
 
 
 def compress_chain(x: Signal, levels: tuple[int, ...], codec: Codec):
-    """Apply reconstruct sequentially, y_i = f(y_{i-1}, q_i), and return the
-    last stage's (reconstruction, bitstream), as Codec.reconstruct does."""
+    """Apply the codec sequentially, y_i = f(y_{i-1}, q_i), and return the
+    last stage's (reconstruction, bitstream), as Codec.reconstruct does.
+
+    Only the last stage's rate can be read, so stages 1..k-1 run Codec.stage,
+    which computes no bitstream."""
     if not levels:
         raise ValueError("empty quality sequence")
     y = x
+    last = len(levels)
     for stage, q in enumerate(levels, start=1):
         try:
-            y, bs = codec.reconstruct(y, q)
+            if stage < last:
+                y = codec.stage(y, q)
+            else:
+                y, bs = codec.reconstruct(y, q)
         except Exception as e:
             raise CodecError(f"chain stage {stage} (quality {q}) failed: {e}") from e
     return y, bs

@@ -2,6 +2,7 @@
 
 A codec exposes reconstruct(x, q): apply the encoder-decoder pair at
 quality level q (1 = lowest).  Reconstruction is deterministic and pure.
+stage(x, q) returns the same reconstruction without the bitstream.
 """
 from __future__ import annotations
 
@@ -62,6 +63,11 @@ class Codec:
         """Return (reconstruction, bitstream)."""
         bs = self.encode(x, q)
         return self.decode(bs), bs
+
+    def stage(self, x, q: int):
+        """Return reconstruct(x, q)[0] alone, for chain stages whose rate
+        nobody reads.  An override must return an identical result."""
+        return self.reconstruct(x, q)[0]
 
     def bpp(self, bs: Bitstream, x) -> float:
         """Bits per sample: per pixel for images, per value for source vectors."""

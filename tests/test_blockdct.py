@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from codeclab import BlockDctCodec, ImageBuffer, dct2_8x8, scale_quant_table
+import codeclab.blockdct
+from codeclab import BlockDctCodec, ImageBuffer, compress_chain, dct2_8x8, scale_quant_table
 from codeclab.blockdct import BASE_QUANT_TABLE, round_half_away
+from codeclab.chains import derive_rng, sample_quality_sequence
 from codeclab.codecs import CodecError
+
+
+def _rgb_37x21():
+    """RGB image padded on both axes (37 -> 40 wide, 21 -> 24 high)."""
+    rng = np.random.default_rng(37)
+    return ImageBuffer(37, 21, 3, rng.integers(0, 256, 37 * 21 * 3, dtype=np.uint8))
 
 
 class TestDct:
@@ -76,6 +84,25 @@ class TestRounding:
         vals = np.array([0.5, -0.5, 1.5, -1.5, 2.4, -2.4])
         assert np.array_equal(round_half_away(vals), [1, -1, 2, -2, 2, -2])
 
+    def test_matches_sign_floor_reference(self):
+        def reference(x):
+            return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+        ties = np.arange(-2000, 2000) + 0.5
+        big = np.array([2.0**52, 2.0**52 + 1, 2.0**53 - 1, 2.0**52 - 0.5, 2.0**51 + 0.5])
+        vals = np.concatenate([
+            np.random.default_rng(5).normal(0.0, 300.0, 590_000),
+            ties,
+            np.nextafter(ties, np.inf),
+            np.nextafter(ties, -np.inf),
+            [0.0, -0.0, 0.5, -0.5, np.nextafter(0.5, 0), -np.nextafter(0.5, 0)],
+            big,
+            -big,
+        ])
+        # array_equal treats -0.0 == 0.0: only the sign of a zero may differ,
+        # and every caller's integer cast erases it
+        assert np.array_equal(round_half_away(vals), reference(vals))
+
 
 class TestBlockDctCodec:
     def test_constant_128_is_lossless_zero_rate(self):
@@ -125,3 +152,46 @@ class TestBlockDctCodec:
     def test_ladder_validation(self):
         with pytest.raises(ValueError):
             BlockDctCodec(native_qualities=(10, 10, 20))
+
+
+class TestStage:
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_stage_is_reconstruct_image(self, dct_codec, gray_images, q):
+        for img in [*gray_images, _rgb_37x21()]:
+            assert dct_codec.stage(img, q).same_as(dct_codec.reconstruct(img, q)[0])
+
+    @pytest.mark.parametrize("rgb", [False, True])
+    def test_chain_matches_reconstruct_loop(self, dct_codec, gray_images, rgb):
+        x = _rgb_37x21() if rgb else gray_images[0]
+        levels = sample_quality_sequence(1, 8, 50, "literal", derive_rng(50, rgb))
+        y, bs = compress_chain(x, levels, dct_codec)
+        ref = x
+        for q in levels:
+            ref, ref_bs = dct_codec.reconstruct(ref, q)
+        assert y.same_as(ref)
+        assert bs == ref_bs
+
+    def test_int16_range_checked_on_both_paths(self, gray_images):
+        codec = BlockDctCodec()
+        codec._tables[0] = np.full((8, 8), 0.01)  # indices up to ~1e5
+        with pytest.raises(CodecError, match="int16"):
+            codec.encode(gray_images[0], 1)
+        with pytest.raises(CodecError, match="int16"):
+            codec.stage(gray_images[0], 1)
+
+    @pytest.mark.parametrize("rgb, calls", [(False, 1), (True, 3)])
+    def test_chain_entropy_codes_last_stage_only(
+        self, monkeypatch, dct_codec, gray_images, rgb, calls
+    ):
+        entropy_bits = codeclab.blockdct._entropy_bits
+        seen = []
+
+        def counting(indices):
+            seen.append(indices.shape)
+            return entropy_bits(indices)
+
+        monkeypatch.setattr(codeclab.blockdct, "_entropy_bits", counting)
+        x = _rgb_37x21() if rgb else gray_images[0]
+        levels = sample_quality_sequence(1, 8, 50, "literal", derive_rng(51))
+        compress_chain(x, levels, dct_codec)
+        assert len(seen) == calls

@@ -14,7 +14,7 @@ from codeclab import (
     sample_quality_sequence,
 )
 from codeclab.chains import derive_rng, evaluate_cell, rho_from_outcomes
-from codeclab.codecs import CodecError
+from codeclab.codecs import Codec, CodecError
 from codeclab.signals import Dataset
 
 
@@ -114,7 +114,7 @@ class TestCompressChain:
     def test_failure_annotated_with_stage(self, source_ds):
         codec = nested_scalar_codec(3)
 
-        class Broken:
+        class Broken(Codec):
             codec_id = "broken"
             num_levels = 3
 
@@ -129,10 +129,16 @@ class TestCompressChain:
         x = source_ds.items[0]
         with pytest.raises(CodecError, match="stage 2"):
             compress_chain(x, (3, 2), Broken())
+        with pytest.raises(CodecError, match="stage 1 \\(quality 2\\) failed: kaput"):
+            compress_chain(x, (2, 3), Broken())
         with pytest.raises(CodecError, match="stage 1 \\(quality 0\\)"):
             compress_chain(x, (0, 3), Broken())
         with pytest.raises(ValueError, match="empty"):
             compress_chain(x, (), Broken())
+
+    def test_failure_in_lean_stage_annotated(self, gray_images, dct_codec):
+        with pytest.raises(CodecError, match="stage 1 \\(quality 9\\)"):
+            compress_chain(gray_images[0], (9, 3), dct_codec)
 
 
 def _rho(ds, codec, q_min, k, b, master_seed=0):
