@@ -129,7 +129,11 @@ _MAGIC = b"BD"
 
 
 class BlockDctCodec(Codec):
-    """JPEG-style codec: pad, level-shift, 8x8 DCT, quantize, and back."""
+    """JPEG-style codec: pad, level-shift, 8x8 DCT, quantize, and back.
+
+    Payload: header "<2sBBHH" (magic BD, quality, channels, width, height),
+    then each plane's indices as little-endian int16, in row-major block order.
+    """
 
     signal_kind = "image"
     codec_id = "block-dct"
@@ -178,15 +182,14 @@ class BlockDctCodec(Codec):
         table = self._tables[q - 1]
         ph, pw = height + (-height) % 8, width + (-width) % 8
         nblocks = (ph // 8) * (pw // 8)
-        body = np.frombuffer(bs.payload, dtype="<i2", offset=_HEADER.size)
-        if body.size != channels * nblocks * 64:
-            raise CodecError(
-                f"corrupt payload: expected {channels * nblocks * 64} indices, got {body.size}"
-            )
+        expected, got = 2 * channels * nblocks * 64, len(bs.payload) - _HEADER.size
+        if got != expected:
+            raise CodecError(f"corrupt payload: expected {expected} body bytes, got {got}")
+        body = np.frombuffer(bs.payload, "<i2", offset=_HEADER.size)
+        body = body.reshape(channels, nblocks, 8, 8)
         planes = np.empty((channels, height, width), dtype=np.float64)
         for c in range(channels):
-            idx = body[c * nblocks * 64 : (c + 1) * nblocks * 64].reshape(nblocks, 8, 8)
-            planes[c] = _plane_from_indices(idx, table, height, width)
+            planes[c] = _plane_from_indices(body[c], table, height, width)
         return ImageBuffer.from_planes(planes)
 
     def stage(self, img: ImageBuffer, q: int) -> ImageBuffer:

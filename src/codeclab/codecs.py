@@ -2,7 +2,8 @@
 
 A codec exposes reconstruct(x, q): apply the encoder-decoder pair at
 quality level q (1 = lowest).  Reconstruction is deterministic and pure.
-stage(x, q) returns the same reconstruction without the bitstream.
+stage(x, q) returns the same reconstruction without the bitstream.  Every
+payload is a struct header, then fixed-width little-endian indices.
 """
 from __future__ import annotations
 
@@ -22,11 +23,8 @@ class CodecError(RuntimeError):
 
 @dataclasses.dataclass
 class Bitstream:
-    """Encoded payload plus its information-theoretic size in bits.
-
-    bits_used may be fractional: the scalar codecs count log2(codebook)
-    bits per sample, the DCT codec an empirical-entropy estimate.
-    """
+    """Encoded payload plus its information-theoretic size in bits, which
+    may be fractional; each codec documents how it counts them."""
 
     payload: bytes
     bits_used: float
@@ -75,37 +73,32 @@ class Codec:
 
 
 _SCALAR_MAGIC = b"SQ"
-_SCALAR_HEADER = struct.Struct("<2sBBI")  # magic, quality, bits/index, n
+_SCALAR_HEADER = struct.Struct("<2sBI")  # magic, quality, n
 
 
-def _pack_indices(indices: np.ndarray, bits: int) -> bytes:
-    if bits == 0:
-        return b""
-    shifts = np.arange(bits - 1, -1, -1)
-    bitmat = ((indices[:, None] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bitmat.ravel()).tobytes()
+def _pack_indices(indices: np.ndarray) -> bytes:
+    return indices.astype("<u2").tobytes()
 
 
-def _unpack_indices(data: bytes, n: int, bits: int) -> np.ndarray:
-    if bits == 0:
-        return np.zeros(n, dtype=np.int64)
-    raw = np.unpackbits(np.frombuffer(data, np.uint8))[: n * bits]
-    if raw.size < n * bits:
-        raise CodecError("scalar payload truncated")
-    weights = 1 << np.arange(bits - 1, -1, -1)
-    return raw.reshape(n, bits).astype(np.int64) @ weights
+def _unpack_indices(body: bytes, n: int) -> np.ndarray:
+    if len(body) != 2 * n:
+        raise CodecError(f"corrupt scalar payload: expected {2 * n} bytes, got {len(body)}")
+    return np.frombuffer(body, dtype="<u2")
 
 
 class ScalarQuantizerCodec(Codec):
     """Per-sample nearest-codeword quantizer over a codebook ladder.
 
-    bits_used is n * log2(|codebook|); the payload packs indices at
-    ceil(log2 |codebook|) bits each behind a small header.
+    Payload: header "<2sBI" (magic SQ, quality, n), then n little-endian
+    uint16 codeword indices.  bits_used is n * log2(|codebook|), whatever
+    the payload size.
     """
 
     signal_kind = "source"
 
     def __init__(self, ladder: CodebookLadder):
+        if any(len(lv) > 1 << 16 for lv in ladder.levels):
+            raise ValueError("scalar codecs hold at most 65536 codewords per level (uint16)")
         self.ladder = ladder
         self.codec_id = f"{ladder.kind}-scalar"
         self.claims_strong_idempotence = ladder.kind == "nested"
@@ -118,22 +111,19 @@ class ScalarQuantizerCodec(Codec):
         self.check_quality(q)
         codewords = self.ladder.level(q)
         indices, _ = quantize_array(x.values, codewords)
-        size = len(codewords)
-        bits_per_index = max(size - 1, 0).bit_length()
-        header = _SCALAR_HEADER.pack(_SCALAR_MAGIC, q, bits_per_index, len(x))
-        payload = header + _pack_indices(indices, bits_per_index)
-        return Bitstream(payload=payload, bits_used=len(x) * math.log2(size))
+        payload = _SCALAR_HEADER.pack(_SCALAR_MAGIC, q, len(x)) + _pack_indices(indices)
+        return Bitstream(payload=payload, bits_used=len(x) * math.log2(len(codewords)))
 
     def decode(self, bs: Bitstream) -> SourceVector:
         try:
-            magic, q, bits, n = _SCALAR_HEADER.unpack_from(bs.payload)
+            magic, q, n = _SCALAR_HEADER.unpack_from(bs.payload)
         except struct.error as e:
             raise CodecError(f"corrupt scalar header: {e}") from None
         if magic != _SCALAR_MAGIC:
             raise CodecError(f"corrupt scalar header: magic {magic!r}")
         self.check_quality(q)
         codewords = np.asarray(self.ladder.level(q))
-        indices = _unpack_indices(bs.payload[_SCALAR_HEADER.size :], n, bits)
+        indices = _unpack_indices(bs.payload[_SCALAR_HEADER.size :], n)
         if np.any(indices >= codewords.size):
             raise CodecError("scalar index out of codebook range")
         return SourceVector(codewords[indices])

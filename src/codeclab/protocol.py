@@ -157,6 +157,8 @@ def resolve_dataset(cfg: EvalConfig, codec: Codec) -> Dataset:
         if cfg.dataset is None:
             raise ConfigError(f"codec {codec.codec_id!r} needs a dataset directory")
         return load_dataset(cfg.dataset)
+    if cfg.dataset is not None:
+        raise ConfigError(f"codec {codec.codec_id!r} takes no dataset (synthetic source)")
     n = cfg.codec_options.get("source_n", DEFAULT_SOURCE_N)
     seed_seq = np.random.SeedSequence([cfg.master_seed, STREAM_SOURCE])
     seed = int(seed_seq.generate_state(1, np.uint64)[0])

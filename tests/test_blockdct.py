@@ -140,6 +140,19 @@ class TestBlockDctCodec:
         with pytest.raises(CodecError, match="payload"):
             dct_codec.decode(bs)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda payload: payload + b"\x00",
+        lambda payload: payload[:-1],
+        lambda payload: payload[: codeclab.blockdct._HEADER.size + 1],
+    ], ids=["one-byte-long", "one-byte-short", "header-plus-one"])
+    def test_odd_length_payload(self, dct_codec, corrupt):
+        rng = np.random.default_rng(3)
+        img = ImageBuffer(16, 8, 1, rng.integers(0, 256, 128, dtype=np.uint8))
+        bs = dct_codec.encode(img, 5)
+        bs.payload = corrupt(bs.payload)
+        with pytest.raises(CodecError, match="corrupt payload"):
+            dct_codec.decode(bs)
+
     def test_quality_improves_distortion(self, dct_codec, gray_images):
         img = gray_images[0]
         mses = []

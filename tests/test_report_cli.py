@@ -216,6 +216,24 @@ class TestCli:
             means.append(next(ln for ln in out.splitlines() if "single-pass" in ln))
         assert means[0] != means[1]
 
+    @pytest.mark.parametrize("command", ["evaluate", "rd-curve", "check-theorem1"])
+    def test_scalar_codec_with_dataset_exit_2(self, tmp_path, capsys, tiny_image_dir, command):
+        ds = str(tiny_image_dir)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"codec": "nested-scalar", "dataset": ds,
+                                        "k_list": [2], "b": 1}))
+        out = tmp_path / "out"
+        args = {
+            "evaluate": ["--config", str(cfg_path), "--out", str(out)],
+            "rd-curve": ["--codec", "nested-scalar", "--dataset", ds, "--k", "2", "--b", "1",
+                         "--out", str(out)],
+            "check-theorem1": ["--codec", "nested-scalar", "--dataset", ds, "--qmin", "1",
+                               "--k", "2", "--b", "1"],
+        }[command]
+        assert main([command, *args]) == 2
+        assert "'nested-scalar' takes no dataset" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rd_curve_svg(self, tmp_path):
         out = tmp_path / "rd.svg"
         assert main(["rd-curve", "--codec", "midpoint-scalar", "--k", "3",

@@ -7,7 +7,13 @@ from codeclab import (
     midpoint_scalar_codec,
     nested_scalar_codec,
 )
-from codeclab.codecs import CodecError
+from codeclab.codecs import (
+    CodecError,
+    ScalarQuantizerCodec,
+    _pack_indices,
+    _unpack_indices,
+)
+from codeclab.ladders import CodebookLadder
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +79,50 @@ def test_corrupt_header_rejected(source):
     bs.payload = b"XX" + bs.payload[2:]
     with pytest.raises(CodecError, match="header"):
         codec.decode(bs)
+
+
+HEADER_SIZE = 7  # "<2sBI": magic, quality, n
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (lambda body, size: body + b"\x00\x00", "corrupt scalar payload"),
+    (lambda body, size: body[:-2], "corrupt scalar payload"),
+    (lambda body, size: body[:-1], "corrupt scalar payload"),
+    (lambda body, size: size.to_bytes(2, "little") + body[2:], "out of codebook range"),
+], ids=["two-trailing-bytes", "one-index-short", "odd-byte-count", "index-is-codebook-size"])
+def test_corrupt_body_rejected(source, corrupt, error):
+    codec = nested_scalar_codec(3)
+    bs = codec.encode(source, 3)
+    size = len(codec.ladder.level(3))
+    bs.payload = bs.payload[:HEADER_SIZE] + corrupt(bs.payload[HEADER_SIZE:], size)
+    with pytest.raises(CodecError, match=error):
+        codec.decode(bs)
+
+
+def test_payload_is_header_then_uint16_indices(source):
+    codec = nested_scalar_codec(3)
+    bs = codec.encode(source, 3)
+    assert len(bs.payload) == HEADER_SIZE + 2 * len(source)
+    assert bs.payload[:HEADER_SIZE] == b"SQ\x03" + len(source).to_bytes(4, "little")
+    indices = np.frombuffer(bs.payload[HEADER_SIZE:], "<u2")
+    assert np.array_equal(np.asarray(codec.ladder.level(3))[indices], codec.decode(bs).values)
+
+
+def test_codebook_size_bounded_by_uint16():
+    def ladder(size):
+        return CodebookLadder(levels=(tuple((2 * i + 1) / (2 * size) for i in range(size)),),
+                              kind="midpoint")
+
+    assert ScalarQuantizerCodec(ladder(65_536)).num_levels == 1
+    with pytest.raises(ValueError, match="65536 codewords"):
+        ScalarQuantizerCodec(ladder(65_537))
+
+
+def test_index_roundtrip_every_midpoint_level():
+    codec = midpoint_scalar_codec(16)
+    for q in range(1, 17):
+        indices = np.arange(len(codec.ladder.level(q)))
+        assert np.array_equal(_unpack_indices(_pack_indices(indices), len(indices)), indices)
 
 
 def test_claims_flag():

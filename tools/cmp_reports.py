@@ -1,0 +1,134 @@
+"""Check that this working tree's reports are byte-identical to a git ref's.
+
+    python3 tools/cmp_reports.py --base REF
+
+Extracts `git archive REF` into a temporary directory, writes a small image
+corpus (perfbench/corpus.py), the configs and a `cp` external codec spec into
+the same directory, and runs one fixed set of `python3 -m codeclab.cli`
+commands against each tree's `src/`.  Prints `same` or `DIFFERS` for every
+artefact (a report or SVG file, or a command's exit code and stdout) and exits
+1 if any differs, 2 if REF cannot be archived.  The temporary directory is
+removed afterwards.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _corpus(out: Path, kind: str, count: int, width: int, height: int) -> None:
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "corpus.py"), "--kind", kind,
+         "--count", str(count), "--width", str(width), "--height", str(height),
+         "--seed", "1", "--out", str(out)],
+        check=True,
+    )
+
+
+def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
+    """Write the corpus, spec and configs into work; return the command set as
+    (artefact, CLI arguments, output file name or None for stdout)."""
+    gray, rgb = work / "gray", work / "rgb"
+    _corpus(gray, "gray", 2, 131, 77)
+    _corpus(rgb, "rgb", 1, 37, 21)
+    spec = work / "cp.json"
+    spec.write_text(json.dumps({
+        "encode_cmd": "cp {input} {output}",
+        "decode_cmd": "cp {input} {output}",
+        "quality_map": ["1", "2", "3"],
+    }))
+    configs = {
+        "dct-gray": {"codec": "block-dct", "dataset": str(gray), "q_min_list": [5, 2, 2],
+                     "k_list": [3, 1, 3], "b": 2, "distortion": "PSNR", "master_seed": 3},
+        "dct-rgb": {"codec": "block-dct", "dataset": str(rgb), "k_list": [1, 2], "b": 2,
+                    "distortion": "PSNR", "master_seed": 1},
+        "nested-scalar": {"codec": "nested-scalar:4", "k_list": [2, 10], "b": 2,
+                          "distortion": "PSNR"},
+        "midpoint-scalar": {"codec": "midpoint-scalar", "codec_options": {"levels": 4},
+                            "k_list": [3, 5], "b": 3, "mode": "literal",
+                            "distortion": "RMSE", "master_seed": 2},
+        "external-cp": {"codec": f"external:{spec}", "dataset": str(gray),
+                        "q_min_list": [1, 3], "k_list": [1, 2], "b": 1},
+    }
+    cmds = []
+    for name, cfg in configs.items():
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        for fmt in ("json", "csv"):
+            out = f"evaluate-{name}.{fmt}"
+            cmds.append((out, ["evaluate", "--config", str(path), "--format", fmt,
+                               "--out", out], out))
+    cmds += [
+        ("rd-curve-dct.svg", ["rd-curve", "--codec", "block-dct", "--dataset", str(gray),
+                              "--k", "3", "--b", "1", "--seed", "4",
+                              "--out", "rd-curve-dct.svg"], "rd-curve-dct.svg"),
+        ("rd-curve-midpoint.svg", ["rd-curve", "--codec", "midpoint-scalar", "--mode",
+                                   "literal", "--k", "3", "--b", "2",
+                                   "--out", "rd-curve-midpoint.svg"], "rd-curve-midpoint.svg"),
+        ("verify-nested-scalar:4", ["verify", "--codec", "nested-scalar:4", "--max-len", "3",
+                                    "--grid", "2001"], None),
+        ("check-theorem1-dct", ["check-theorem1", "--codec", "block-dct", "--dataset",
+                                str(gray), "--qmin", "3", "--k", "3", "--b", "2",
+                                "--seed", "6"], None),
+        ("check-theorem1-midpoint", ["check-theorem1", "--codec", "midpoint-scalar",
+                                     "--qmin", "1", "--k", "5", "--b", "3", "--seed", "1"],
+         None),
+        ("toy-demo-nested", ["toy-demo", "--levels", "3", "--ladder", "nested",
+                             "--n", "2001"], None),
+        ("toy-demo-midpoint", ["toy-demo", "--levels", "4", "--ladder", "midpoint",
+                               "--n", "2001"], None),
+    ]
+    return cmds
+
+
+def _run(tree: Path, out_dir: Path, args: list[str], out: str | None) -> bytes | None:
+    """The artefact's bytes: the output file, or exit code and stdout."""
+    out_dir.mkdir(exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run([sys.executable, "-m", "codeclab.cli", *args], cwd=out_dir,
+                          env=env, capture_output=True)
+    if out is None:
+        return b"exit %d\n" % proc.returncode + proc.stdout
+    if proc.returncode != 0 or not (out_dir / out).is_file():
+        sys.stderr.write(f"{tree.name}: {' '.join(args[:1])} {out} failed:\n"
+                         f"{proc.stderr.decode(errors='replace')}")
+        return None
+    return (out_dir / out).read_bytes()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", required=True, help="git ref to compare the working tree against")
+    a = p.parse_args(argv)
+    work = Path(tempfile.mkdtemp(prefix="cmp_reports-"))
+    try:
+        base = work / "base"
+        base.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", a.base],
+                                 capture_output=True)
+        if archive.returncode != 0:
+            sys.stderr.write(archive.stderr.decode(errors="replace"))
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
+        differs = 0
+        for name, args, out in _commands(work):
+            old = _run(base, work / "out-base", args, out)
+            new = _run(ROOT, work / "out-head", args, out)
+            same = old is not None and old == new
+            differs += not same
+            print(f"{'same' if same else 'DIFFERS':8s}{name}", flush=True)
+        return 1 if differs else 0
+    finally:
+        shutil.rmtree(work)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
