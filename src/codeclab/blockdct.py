@@ -42,19 +42,26 @@ def _dct_matrix() -> np.ndarray:
 
 
 _DCT = _dct_matrix()
+# contiguous, so that matmul takes the BLAS path for the right-hand product
+_DCT_T = np.ascontiguousarray(_DCT.T)
 
 
-def dct2_8x8(blocks: np.ndarray, direction: str = "forward") -> np.ndarray:
+def dct2_8x8(
+    blocks: np.ndarray, direction: str = "forward", out: np.ndarray | None = None
+) -> np.ndarray:
     """Orthonormal 2-D DCT-II ('forward') or its inverse of each 8x8 block in
-    an array of shape (..., 8, 8)."""
+    an array of shape (..., 8, 8).  out, a float64 array of that shape, takes
+    the result and may be blocks itself."""
     b = np.asarray(blocks, dtype=np.float64)
     if b.shape[-2:] != (8, 8):
         raise ValueError(f"expected (..., 8, 8) blocks, got {b.shape}")
     if direction == "forward":
-        return _DCT @ b @ _DCT.T
-    if direction == "inverse":
-        return _DCT.T @ b @ _DCT
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        left, right = _DCT, _DCT_T
+    elif direction == "inverse":
+        left, right = _DCT_T, _DCT
+    else:
+        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    return np.matmul(np.matmul(left, b), right, out=out)
 
 
 def scale_quant_table(q_native: int) -> np.ndarray:
@@ -75,16 +82,23 @@ def scale_quant_table(q_native: int) -> np.ndarray:
     return np.clip(scaled, 1, 255)
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """trunc(x + copysign(0.5, x)), in one temporary."""
+def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """trunc(x + copysign(0.5, x)), in one temporary; out may be x itself."""
     y = np.copysign(0.5, x)
-    y += x
-    return np.trunc(y, out=y)
+    if out is None:
+        out = y
+    np.add(x, y, out=out)
+    return np.trunc(out, out=out)
 
 
 def _pad_to_blocks(plane: np.ndarray) -> np.ndarray:
+    """plane - 128 in a fresh buffer, edge-padded to whole 8x8 blocks."""
     h, w = plane.shape
-    return np.pad(plane, ((0, (-h) % 8), (0, (-w) % 8)), mode="edge")
+    out = np.empty((h + (-h) % 8, w + (-w) % 8))
+    np.subtract(plane, 128.0, out=out[:h, :w])
+    out[h:, :w] = out[h - 1, :w]
+    out[:, w:] = out[:, w - 1 : w]
+    return out
 
 
 def _to_blocks(plane: np.ndarray) -> np.ndarray:
@@ -106,21 +120,36 @@ def _plane_from_indices(
 ) -> np.ndarray:
     """Dequantise (blocks, 8, 8) indices, inverse DCT, level-shift, round and
     clip to [0, 255]: the decoded (height, width) plane, padding cropped."""
-    blocks = dct2_8x8(idx * table, "inverse")
-    plane = _from_blocks(blocks, height + (-height) % 8, width + (-width) % 8)
-    return np.clip(round_half_away(plane[:height, :width] + 128.0), 0, 255)
+    coeffs = idx * table
+    dct2_8x8(coeffs, "inverse", out=coeffs)
+    plane = _from_blocks(coeffs, height + (-height) % 8, width + (-width) % 8)
+    plane = plane[:height, :width]
+    plane += 128.0
+    round_half_away(plane, out=plane)
+    return np.clip(plane, 0, 255, out=plane)
 
 
 def _entropy_bits(indices: np.ndarray) -> float:
-    """Sum over the 64 coefficient positions of blocks * H(position histogram)."""
+    """Sum over the 64 coefficient positions of blocks * H(position histogram).
+
+    One bincount over (position, value) keys, position pos taking the keys
+    start[pos] .. start[pos + 1] - 1.  Each position's p * log2(p) terms are
+    summed on their own, positions in order, so the result is bit-for-bit
+    that of a loop over the 64 positions."""
     nblocks = indices.shape[0]
+    lo = indices.min(axis=0).astype(np.int64)
+    start = np.zeros(65, dtype=np.int64)
+    np.cumsum(indices.max(axis=0) - lo + 1, out=start[1:])
+    keys = indices - lo
+    keys += start[:64]
+    counts = np.bincount(keys.ravel(), minlength=int(start[-1]))
+    seen = np.flatnonzero(counts)
+    p = counts[seen] / nblocks
+    terms = p * np.log2(p)
+    ends = np.searchsorted(seen, start)
     total = 0.0
-    for pos in range(64):
-        col = indices[:, pos]
-        counts = np.bincount(col - col.min())
-        counts = counts[counts > 0]
-        p = counts / nblocks
-        total -= nblocks * float((p * np.log2(p)).sum())
+    for a, b in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        total -= nblocks * float(terms[a:b].sum())
     return total
 
 
@@ -150,13 +179,15 @@ class BlockDctCodec(Codec):
         return len(self.native_qualities)
 
     def _channel_indices(self, plane: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Quantization indices of one plane, (blocks, 8, 8), in int16 range."""
-        padded = _pad_to_blocks(plane) - 128.0
-        coeffs = dct2_8x8(_to_blocks(padded))
-        idx = round_half_away(coeffs / table).astype(np.int64)
-        if np.any(np.abs(idx) > 32767):
+        """Quantization indices of one plane, (blocks, 8, 8), as float64
+        integers in int16 range."""
+        blocks = _to_blocks(_pad_to_blocks(plane))
+        coeffs = dct2_8x8(blocks, out=blocks)
+        coeffs /= table
+        round_half_away(coeffs, out=coeffs)
+        if coeffs.max() > 32767 or coeffs.min() < -32767:
             raise CodecError("quantized coefficient out of int16 range")
-        return idx
+        return coeffs
 
     def encode(self, img: ImageBuffer, q: int) -> Bitstream:
         self.check_quality(q)
@@ -164,9 +195,9 @@ class BlockDctCodec(Codec):
         bits = 0.0
         parts = [_HEADER.pack(_MAGIC, q, img.channels, img.width, img.height)]
         for plane in img.planes():
-            idx = self._channel_indices(plane, table)
+            idx = self._channel_indices(plane, table).astype("<i2")
             bits += _entropy_bits(idx.reshape(-1, 64))
-            parts.append(idx.astype("<i2").tobytes())
+            parts.append(idx.tobytes())
         return Bitstream(payload=b"".join(parts), bits_used=bits)
 
     def decode(self, bs: Bitstream) -> ImageBuffer:

@@ -38,13 +38,16 @@ def _mse(a: Signal, b: Signal) -> float:
         if len(a) != len(b):
             raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
         diff = a.values - b.values
-    elif isinstance(a, ImageBuffer) and isinstance(b, ImageBuffer):
+        return float(np.mean(diff * diff))
+    if isinstance(a, ImageBuffer) and isinstance(b, ImageBuffer):
         if (a.width, a.height, a.channels) != (b.width, b.height, b.channels):
             raise ValueError("image dimension mismatch")
-        diff = a.samples.astype(np.float64) - b.samples.astype(np.float64)
-    else:
-        raise ValueError("cannot compare an image with a source vector")
-    return float(np.mean(diff * diff))
+        # the sum of squares is an exact integer, so this is the float64 mean
+        # of the squared differences, whatever order that mean sums in
+        diff = np.subtract(a.samples, b.samples, dtype=np.int32)
+        diff *= diff
+        return int(diff.sum(dtype=np.int64)) / diff.size
+    raise ValueError("cannot compare an image with a source vector")
 
 
 def signal_peak(a: Signal) -> float:
@@ -89,22 +92,23 @@ def sample_quality_sequence(
     return tuple(int(q) for q in levels)
 
 
-def compress_chain(x: Signal, levels: tuple[int, ...], codec: Codec):
+def compress_chain(x: Signal, levels: tuple[int, ...], codec: Codec, rate: bool = True):
     """Apply the codec sequentially, y_i = f(y_{i-1}, q_i), and return the
     last stage's (reconstruction, bitstream), as Codec.reconstruct does.
 
     Only the last stage's rate can be read, so stages 1..k-1 run Codec.stage,
-    which computes no bitstream."""
+    which computes no bitstream.  With rate=False the last stage runs
+    Codec.stage too, and the bitstream is None."""
     if not levels:
         raise ValueError("empty quality sequence")
-    y = x
-    last = len(levels)
+    y, bs = x, None
+    last = len(levels) if rate else 0
     for stage, q in enumerate(levels, start=1):
         try:
-            if stage < last:
-                y = codec.stage(y, q)
-            else:
+            if stage == last:
                 y, bs = codec.reconstruct(y, q)
+            else:
+                y = codec.stage(y, q)
         except Exception as e:
             raise CodecError(f"chain stage {stage} (quality {q}) failed: {e}") from e
     return y, bs
@@ -123,8 +127,8 @@ class PairOutcome:
     mse_single_vs_chain: float  # d(f(x, q_min), chain final) -- the rho term
     mse_x_vs_single: float
     mse_x_vs_chain: float
-    single_bpp: float
-    chain_final_bpp: float
+    single_bpp: float | None  # None when evaluate_cell ran with rates=False
+    chain_final_bpp: float | None
     peak: float
 
 
@@ -137,12 +141,15 @@ def evaluate_cell(
     mode: str = "forced-min",
     master_seed: int = 0,
     stream: int = STREAM_RHO,
+    rates: bool = True,
 ) -> dict[int, list[PairOutcome]]:
     """Run b independent chains per dataset item for each k at one q_min.
 
     Each item's single pass at q_min is computed once and shared by every k.
     Returns {k: outcomes}, ordered by (item, trial) within each k.  stream is
-    STREAM_RHO for the rho grid and STREAM_RD for the RD curves.
+    STREAM_RHO for the rho grid and STREAM_RD for the RD curves.  rates=False
+    is for callers that read no bpp: the single pass and every chain stage
+    then run Codec.stage, and single_bpp and chain_final_bpp are None.
     """
     codec.check_quality(q_min)
     if b < 1:
@@ -150,14 +157,14 @@ def evaluate_cell(
     q_max = codec.num_levels
     cells: dict[int, list[PairOutcome]] = {k: [] for k in k_list}
     for i, x in enumerate(ds.items):
-        single, single_bs = codec.reconstruct(x, q_min)
-        single_bpp = codec.bpp(single_bs, x)
+        single, single_bs = compress_chain(x, (q_min,), codec, rates)
+        single_bpp = codec.bpp(single_bs, x) if rates else None
         mse_x_single = _mse(x, single)
         for k, outcomes in cells.items():
             for t in range(b):
                 rng = derive_rng(master_seed, stream, q_min, k, i, t)
                 levels = sample_quality_sequence(q_min, q_max, k, mode, rng)
-                y, bs = compress_chain(x, levels, codec)
+                y, bs = compress_chain(x, levels, codec, rates)
                 outcomes.append(
                     PairOutcome(
                         item=i,
@@ -167,7 +174,7 @@ def evaluate_cell(
                         mse_x_vs_single=mse_x_single,
                         mse_x_vs_chain=_mse(x, y),
                         single_bpp=single_bpp,
-                        chain_final_bpp=codec.bpp(bs, x),
+                        chain_final_bpp=codec.bpp(bs, x) if rates else None,
                         peak=signal_peak(x),
                     )
                 )

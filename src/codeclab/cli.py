@@ -95,7 +95,9 @@ def _cmd_rd_curve(args) -> int:
 def _cmd_check_theorem1(args) -> int:
     cfg, codec, ds = _cell_inputs(args, "forced-min", [args.qmin])
     (q_min,) = resolve_q_min_list(cfg, codec)
-    cells = evaluate_cell(ds, codec, q_min, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed)
+    cells = evaluate_cell(
+        ds, codec, q_min, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed, rates=False
+    )
     rec = theorem1_from_outcomes(cells[args.k], q_min, args.k)
     print(f"q_min={rec.q_min} k={rec.k}")
     print(f"mean MSE single-pass: {rec.mean_single!r} (SE {rec.std_err_single!r})")

@@ -274,7 +274,7 @@ def run_protocol(cfg: EvalConfig) -> EvalReport:
     for q_min in q_min_list:
         try:
             cells = evaluate_cell(
-                ds, codec, q_min, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed
+                ds, codec, q_min, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed, rates=False
             )
         except Exception as e:
             raise RuntimeError(f"grid cell (q_min={q_min}) failed: {e}") from e

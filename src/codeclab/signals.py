@@ -62,7 +62,7 @@ class ImageBuffer:
         """Build from a (channels, height, width) array already in [0, 255]."""
         c, h, w = planes.shape
         interleaved = np.moveaxis(planes, 0, 2)
-        return cls(w, h, c, interleaved.astype(np.uint8))
+        return cls(w, h, c, interleaved.astype(np.uint8, order="C"))
 
     def same_as(self, other: "ImageBuffer") -> bool:
         return (

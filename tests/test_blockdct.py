@@ -4,7 +4,13 @@ import scipy.fft
 
 import codeclab.blockdct
 from codeclab import BlockDctCodec, ImageBuffer, compress_chain, dct2_8x8, scale_quant_table
-from codeclab.blockdct import BASE_QUANT_TABLE, round_half_away
+from codeclab.blockdct import (
+    BASE_QUANT_TABLE,
+    _entropy_bits,
+    _pad_to_blocks,
+    _to_blocks,
+    round_half_away,
+)
 from codeclab.chains import derive_rng, sample_quality_sequence
 from codeclab.codecs import CodecError
 
@@ -102,6 +108,9 @@ class TestRounding:
         # array_equal treats -0.0 == 0.0: only the sign of a zero may differ,
         # and every caller's integer cast erases it
         assert np.array_equal(round_half_away(vals), reference(vals))
+        in_place = vals.copy()
+        assert round_half_away(in_place, out=in_place) is in_place
+        assert np.array_equal(in_place, reference(vals))
 
 
 class TestBlockDctCodec:
@@ -192,6 +201,24 @@ class TestStage:
         with pytest.raises(CodecError, match="int16"):
             codec.stage(gray_images[0], 1)
 
+    @pytest.mark.parametrize("value, dc_index, in_range", [(0, -32768, False), (255, 32512, True)])
+    def test_int16_bound_on_dc_index(self, value, dc_index, in_range):
+        """A constant block has only a DC coefficient, 8 * (value - 128); a
+        DC step of 1/32 puts its index at 32 times that."""
+        codec = BlockDctCodec()
+        codec._tables[0] = np.ones((8, 8))
+        codec._tables[0][0, 0] = 1 / 32
+        x = ImageBuffer(8, 8, 1, np.full(64, value, np.uint8))
+        if in_range:
+            body = codec.encode(x, 1).payload[-128:]
+            assert np.frombuffer(body, "<i2")[0] == dc_index
+            codec.stage(x, 1)
+            return
+        with pytest.raises(CodecError, match="int16"):
+            codec.encode(x, 1)
+        with pytest.raises(CodecError, match="int16"):
+            codec.stage(x, 1)
+
     @pytest.mark.parametrize("rgb, calls", [(False, 1), (True, 3)])
     def test_chain_entropy_codes_last_stage_only(
         self, monkeypatch, dct_codec, gray_images, rgb, calls
@@ -208,3 +235,96 @@ class TestStage:
         levels = sample_quality_sequence(1, 8, 50, "literal", derive_rng(51))
         compress_chain(x, levels, dct_codec)
         assert len(seen) == calls
+
+
+def _random_image(width, height, channels, seed):
+    rng = np.random.default_rng(seed)
+    n = width * height * channels
+    return ImageBuffer(width, height, channels, rng.integers(0, 256, n, dtype=np.uint8))
+
+
+class TestInPlaceKernel:
+    @pytest.mark.parametrize("height, width", [(8, 40), (40, 8), (8, 8), (9, 8), (21, 37)])
+    def test_pad_matches_np_pad(self, height, width):
+        plane = np.random.default_rng(height * width).integers(0, 256, (height, width))
+        plane = plane.astype(np.float64)
+        expected = np.pad(plane - 128.0, ((0, -height % 8), (0, -width % 8)), mode="edge")
+        assert np.array_equal(_pad_to_blocks(plane), expected)
+
+    # one block row or column: _to_blocks returns a view of the padded
+    # buffer, so the kernel's in-place steps write into that buffer
+    @pytest.mark.parametrize("width, height", [(8, 40), (40, 8), (8, 8), (9, 8)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_single_block_row_or_column(self, dct_codec, width, height, channels):
+        x = _random_image(width, height, channels, width * height + channels)
+        padded = _pad_to_blocks(x.planes()[0])
+        assert np.shares_memory(_to_blocks(padded), padded)
+        before = x.samples.copy()
+        plane = x.planes()[0]
+        for q in range(1, dct_codec.num_levels + 1):
+            dct_codec._channel_indices(plane, dct_codec._tables[q - 1])
+            assert np.array_equal(plane, x.planes()[0])
+            dct_codec.encode(x, q)
+            assert dct_codec.stage(x, q).same_as(dct_codec.reconstruct(x, q)[0])
+            assert np.array_equal(x.samples, before)
+
+
+def _entropy_bits_loop(indices):
+    """The per-position loop that _entropy_bits replaced, kept as its reference."""
+    nblocks = indices.shape[0]
+    total = 0.0
+    for pos in range(64):
+        col = indices[:, pos].astype(np.int64)
+        counts = np.bincount(col - col.min())
+        counts = counts[counts > 0]
+        p = counts / nblocks
+        total -= nblocks * float((p * np.log2(p)).sum())
+    return total
+
+
+def _entropy_cases():
+    rng = np.random.default_rng(64)
+    decay = np.linspace(40.0, 0.5, 64)  # DC-like spread down to almost constant
+    extremes = rng.integers(-3, 4, (50, 64))
+    extremes[::2, 5] = 32767
+    extremes[1::2, 5] = -32767
+    extremes[:, 9] = 32767
+    extremes[:, 10] = -32767
+    constant = np.zeros((20, 64), np.int64)
+    constant[:, 3] = -7
+    return {
+        "one-block": rng.integers(-50, 50, (1, 64)),
+        "laplacian-384": np.round(rng.laplace(0.0, decay, (384, 64))),
+        "laplacian-3072": np.round(rng.laplace(0.0, decay, (3072, 64))),
+        "uniform-wide": rng.integers(-2000, 2000, (777, 64)),
+        "negative": rng.integers(-300, -1, (129, 64)),
+        "constant-columns": constant,
+        "plus-minus-32767": extremes,
+    }
+
+
+class TestEntropyBits:
+    @pytest.mark.parametrize("name", list(_entropy_cases()))
+    def test_equals_per_position_loop(self, name):
+        indices = _entropy_cases()[name].astype(np.int16)
+        assert _entropy_bits(indices) == _entropy_bits_loop(indices)
+
+    def test_equals_loop_on_codec_indices(self, dct_codec, gray_images):
+        for q in range(1, dct_codec.num_levels + 1):
+            for img in [*gray_images, _rgb_37x21()]:
+                for plane in img.planes():
+                    idx = dct_codec._channel_indices(plane, dct_codec._tables[q - 1])
+                    idx = idx.astype(np.int16).reshape(-1, 64)
+                    assert _entropy_bits(idx) == _entropy_bits_loop(idx)
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(1, 600))
+            spread = rng.uniform(0.1, 300.0, 64)
+            indices = np.clip(np.round(rng.laplace(0.0, spread, (n, 64))), -32767, 32767)
+            indices = indices.astype(np.int16)
+            assert _entropy_bits(indices) == _entropy_bits_loop(indices)
+
+    def test_constant_is_zero_bits(self):
+        assert _entropy_bits(np.full((10, 64), 5, np.int16)) == 0.0

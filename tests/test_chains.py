@@ -55,6 +55,25 @@ class TestDistortion:
         with pytest.raises(ValueError):
             distortion(SourceVector(np.zeros(4) + 0.5), ImageBuffer(2, 2, 1, np.zeros(4, np.uint8)))
 
+    @pytest.mark.parametrize(
+        "width, height, channels", [(1, 1, 1), (1, 1, 3), (37, 21, 3), (64, 48, 1), (512, 384, 3)]
+    )
+    def test_image_mse_equals_float_mean(self, width, height, channels):
+        n = width * height * channels
+        rng = np.random.default_rng(n)
+        near = rng.integers(0, 256, n, dtype=np.uint8)
+        pairs = [
+            (np.zeros(n, np.uint8), np.full(n, 255, np.uint8)),
+            (rng.integers(0, 256, n, dtype=np.uint8), rng.integers(0, 256, n, dtype=np.uint8)),
+            (near, np.clip(near + rng.integers(-3, 4, n), 0, 255).astype(np.uint8)),
+        ]
+        for a, b in pairs:
+            diff = a.astype(np.float64) - b.astype(np.float64)
+            expected = float(np.mean(diff * diff))
+            x, y = (ImageBuffer(width, height, channels, s) for s in (a, b))
+            assert distortion(x, y) == expected
+            assert distortion(y, x) == expected
+
 
 class TestSampleQualitySequence:
     def test_singleton_support(self):
@@ -200,3 +219,46 @@ class TestEstimateRho:
             lhs = math.sqrt(o.mse_x_vs_chain)
             rhs = math.sqrt(o.mse_x_vs_single) + math.sqrt(o.mse_single_vs_chain)
             assert lhs <= rhs
+
+
+class TestEvaluateCellRates:
+    @pytest.mark.parametrize("image", [False, True])
+    def test_without_rates_same_distortions(self, source_ds, gray_images, dct_codec, image):
+        if image:
+            ds = Dataset(items=gray_images[:2], source_path="<in-memory>", item_names=["a", "b"])
+            codec = dct_codec
+        else:
+            ds, codec = source_ds, midpoint_scalar_codec(3)
+        with_rates = evaluate_cell(ds, codec, 2, [1, 4], 2, master_seed=5)
+        without = evaluate_cell(ds, codec, 2, [1, 4], 2, master_seed=5, rates=False)
+        for k, outcomes in with_rates.items():
+            assert len(without[k]) == len(outcomes)
+            for o, lean in zip(outcomes, without[k]):
+                assert o.single_bpp > 0 and o.chain_final_bpp > 0
+                assert lean.single_bpp is None and lean.chain_final_bpp is None
+                lean.single_bpp, lean.chain_final_bpp = o.single_bpp, o.chain_final_bpp
+                assert lean == o
+
+    def test_without_rates_no_reconstruct(self, source_ds):
+        codec = midpoint_scalar_codec(3)
+        calls = []
+
+        class Counting(Codec):
+            codec_id = "counting"
+            signal_kind = "source"
+            num_levels = 3
+
+            def reconstruct(self, x, q):
+                calls.append(q)
+                return codec.reconstruct(x, q)
+
+            def bpp(self, bs, x):
+                return codec.bpp(bs, x)
+
+            def stage(self, x, q):
+                return codec.stage(x, q)
+
+        evaluate_cell(source_ds, Counting(), 1, [3, 5], 2, rates=False)
+        assert calls == []
+        evaluate_cell(source_ds, Counting(), 1, [3, 5], 2)
+        assert len(calls) == 1 + 2 * 2

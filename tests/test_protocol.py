@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import codeclab.blockdct
 from codeclab import (
     ConfigError,
     EvalConfig,
+    ImageBuffer,
     SourceVector,
     compute_rd_curves,
     generate_uniform_source,
@@ -13,6 +15,7 @@ from codeclab import (
     midpoint_scalar_codec,
     nested_scalar_codec,
     run_protocol,
+    serialize_pnm,
     verify_strong_idempotence,
 )
 from codeclab.chains import evaluate_cell
@@ -85,6 +88,31 @@ class TestRunProtocol:
         for key in ("codec", "q_min_list", "k_list", "b", "mode", "distortion",
                     "master_seed", "decisions"):
             assert key in rep.config
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_grid_computes_no_rate(tmp_path, monkeypatch, channels):
+    """Only the RD sweep reads rates: one entropy pass per plane of each of
+    its single passes and chains, and none from the grid."""
+    rng = np.random.default_rng(channels)
+    for i in range(2):
+        img = ImageBuffer(24, 16, channels, rng.integers(0, 256, 24 * 16 * channels))
+        (tmp_path / f"img{i}.pnm").write_bytes(serialize_pnm(img))
+    entropy_bits = codeclab.blockdct._entropy_bits
+    calls = []
+
+    def counting(indices):
+        calls.append(indices.shape)
+        return entropy_bits(indices)
+
+    monkeypatch.setattr(codeclab.blockdct, "_entropy_bits", counting)
+    b, k_list = 2, [1, 3]
+    run_protocol(EvalConfig.from_json(json.dumps({
+        "codec": "block-dct", "dataset": str(tmp_path), "q_min_list": [1, 4, 8],
+        "k_list": k_list, "b": b,
+    })))
+    levels, items = 8, 2
+    assert len(calls) == levels * items * (1 + b * len(k_list)) * channels
 
 
 def _theorem1(ds, codec, q_min, k, b):

@@ -2,8 +2,8 @@
 
     python3 tools/cmp_reports.py --base REF
 
-Extracts `git archive REF` into a temporary directory, writes a small image
-corpus (perfbench/corpus.py), the configs and a `cp` external codec spec into
+Extracts `git archive REF` into a temporary directory, writes small image
+corpora (perfbench/corpus.py), the configs and a `cp` external codec spec into
 the same directory, and runs one fixed set of `python3 -m codeclab.cli`
 commands against each tree's `src/`.  Prints `same` or `DIFFERS` for every
 artefact (a report or SVG file, or a command's exit code and stdout) and exits
@@ -39,6 +39,11 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
     gray, rgb = work / "gray", work / "rgb"
     _corpus(gray, "gray", 2, 131, 77)
     _corpus(rgb, "rgb", 1, 37, 21)
+    # whole-block planes: one taken as a view by the blocking reshape (one
+    # block row), one copied by it
+    row, rgb_aligned = work / "gray-block-row", work / "rgb-aligned"
+    _corpus(row, "gray", 2, 40, 8)
+    _corpus(rgb_aligned, "rgb", 1, 64, 48)
     spec = work / "cp.json"
     spec.write_text(json.dumps({
         "encode_cmd": "cp {input} {output}",
@@ -50,6 +55,10 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
                      "k_list": [3, 1, 3], "b": 2, "distortion": "PSNR", "master_seed": 3},
         "dct-rgb": {"codec": "block-dct", "dataset": str(rgb), "k_list": [1, 2], "b": 2,
                     "distortion": "PSNR", "master_seed": 1},
+        "dct-gray-block-row": {"codec": "block-dct", "dataset": str(row), "k_list": [1, 4],
+                               "b": 2, "master_seed": 5},
+        "dct-rgb-aligned": {"codec": "block-dct", "dataset": str(rgb_aligned),
+                            "k_list": [1, 3], "b": 2, "distortion": "RMSE", "master_seed": 7},
         "nested-scalar": {"codec": "nested-scalar:4", "k_list": [2, 10], "b": 2,
                           "distortion": "PSNR"},
         "midpoint-scalar": {"codec": "midpoint-scalar", "codec_options": {"levels": 4},
