@@ -6,6 +6,11 @@ per-coefficient-position zero-order entropy of the quantized indices, which
 reports rate consistently without affecting reconstruction.
 
 Rounding everywhere is half-away-from-zero.
+
+A codec instance owns the scratch buffers of one plane shape (_Workspace):
+uint8 samples are level-shifted straight into its block buffer, and decoded
+pixels go from it straight into a fresh uint8 image, so a stage allocates no
+full-plane float temporary.  One instance must not run two stages at once.
 """
 from __future__ import annotations
 
@@ -47,11 +52,15 @@ _DCT_T = np.ascontiguousarray(_DCT.T)
 
 
 def dct2_8x8(
-    blocks: np.ndarray, direction: str = "forward", out: np.ndarray | None = None
+    blocks: np.ndarray,
+    direction: str = "forward",
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Orthonormal 2-D DCT-II ('forward') or its inverse of each 8x8 block in
     an array of shape (..., 8, 8).  out, a float64 array of that shape, takes
-    the result and may be blocks itself."""
+    the result and may be blocks itself; scratch, another such array distinct
+    from both, takes the intermediate product."""
     b = np.asarray(blocks, dtype=np.float64)
     if b.shape[-2:] != (8, 8):
         raise ValueError(f"expected (..., 8, 8) blocks, got {b.shape}")
@@ -61,7 +70,7 @@ def dct2_8x8(
         left, right = _DCT_T, _DCT
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return np.matmul(np.matmul(left, b), right, out=out)
+    return np.matmul(np.matmul(left, b, out=scratch), right, out=out)
 
 
 def scale_quant_table(q_native: int) -> np.ndarray:
@@ -82,51 +91,68 @@ def scale_quant_table(q_native: int) -> np.ndarray:
     return np.clip(scaled, 1, 255)
 
 
-def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """trunc(x + copysign(0.5, x)), in one temporary; out may be x itself."""
-    y = np.copysign(0.5, x)
+def round_half_away(
+    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """trunc(x + copysign(0.5, x)); out may be x itself, and scratch, an array
+    of x's shape distinct from both, takes the signed halves."""
+    y = np.copysign(0.5, x, out=scratch)
     if out is None:
         out = y
     np.add(x, y, out=out)
     return np.trunc(out, out=out)
 
 
-def _pad_to_blocks(plane: np.ndarray) -> np.ndarray:
-    """plane - 128 in a fresh buffer, edge-padded to whole 8x8 blocks."""
+def _pad_to_blocks(plane: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out, a uint8 (H, W) buffer with H, W the plane's sides rounded up to
+    multiples of 8, holding the plane edge-padded."""
     h, w = plane.shape
-    out = np.empty((h + (-h) % 8, w + (-w) % 8))
-    np.subtract(plane, 128.0, out=out[:h, :w])
+    out[:h, :w] = plane
     out[h:, :w] = out[h - 1, :w]
     out[:, w:] = out[:, w - 1 : w]
     return out
 
 
-def _to_blocks(plane: np.ndarray) -> np.ndarray:
-    """(H, W) with H, W multiples of 8 -> (H//8 * W//8, 8, 8), row-major."""
-    h, w = plane.shape
-    return (
-        plane.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
-    )
+class _Workspace:
+    """Scratch buffers for planes of one (height, width), padded to hb x wb
+    blocks: the uint8 edge-padded plane; the (blocks, 8, 8) coefficients; and
+    a second such buffer for the DCT intermediate, the rounding signs and the
+    decoded padded plane."""
+
+    def __init__(self, height: int, width: int):
+        self.shape = (height, width)
+        self.hb, self.wb = -(-height // 8), -(-width // 8)
+        self.padded = np.empty((8 * self.hb, 8 * self.wb), np.uint8)
+        self.coeffs = np.empty((self.hb * self.wb, 8, 8))
+        self.scratch = np.empty_like(self.coeffs)
+
+    def as_plane(self, blocks: np.ndarray) -> np.ndarray:
+        """A (blocks, 8, 8) buffer viewed as the padded plane, (hb, 8, wb, 8)."""
+        return blocks.reshape(self.hb, self.wb, 8, 8).transpose(0, 2, 1, 3)
 
 
-def _from_blocks(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
-    return (
-        blocks.reshape(h // 8, w // 8, 8, 8).transpose(0, 2, 1, 3).reshape(h, w)
-    )
+def _round_to_pixels(t: np.ndarray, out: np.ndarray) -> None:
+    """clip(round_half_away(t), 0, 255) into the uint8 array out; t, float64
+    of out's shape, is overwritten.
+
+    Computed as clip(t, 0, 255) + 0.5, truncated by the cast to uint8, which
+    is equal for every finite t: for 0 <= t <= 255 both are trunc(t + 0.5);
+    below 0 both are 0 (round_half_away gives at most 0); above 255 both are
+    255 (it gives at least 255)."""
+    np.clip(t, 0, 255, out=t)
+    t += 0.5
+    out[...] = t
 
 
-def _plane_from_indices(
-    idx: np.ndarray, table: np.ndarray, height: int, width: int
-) -> np.ndarray:
-    """Dequantise (blocks, 8, 8) indices, inverse DCT, level-shift, round and
-    clip to [0, 255]: the decoded (height, width) plane, padding cropped."""
-    coeffs = idx * table
-    dct2_8x8(coeffs, "inverse", out=coeffs)
-    plane = _from_blocks(coeffs, height + (-height) % 8, width + (-width) % 8)
-    plane = plane[:height, :width]
-    plane += 128.0
-    round_half_away(plane, out=plane)
-    return np.clip(plane, 0, 255, out=plane)
+def _pixels_from_coeffs(ws: _Workspace, out: np.ndarray) -> None:
+    """Inverse DCT of the dequantized coefficients in ws.coeffs, level-shifted,
+    rounded and clipped into out, a uint8 (height, width) view."""
+    dct2_8x8(ws.coeffs, "inverse", out=ws.coeffs, scratch=ws.scratch)
+    # the unblocking transpose rides on the level shift into the padded plane
+    pixels = ws.scratch.reshape(8 * ws.hb, 8 * ws.wb)
+    np.add(ws.as_plane(ws.coeffs), 128.0, out=pixels.reshape(ws.hb, 8, ws.wb, 8))
+    h, w = ws.shape
+    _round_to_pixels(pixels[:h, :w], out)
 
 
 def _entropy_bits(indices: np.ndarray) -> float:
@@ -173,18 +199,29 @@ class BlockDctCodec(Codec):
             raise ValueError("native qualities must be strictly increasing")
         self.native_qualities = qs
         self._tables = [scale_quant_table(q).astype(np.float64) for q in qs]
+        self._ws: _Workspace | None = None
 
     @property
     def num_levels(self) -> int:
         return len(self.native_qualities)
 
+    def _workspace(self, height: int, width: int) -> _Workspace:
+        """This instance's workspace, rebuilt when the plane shape changes."""
+        ws = self._ws
+        if ws is None or ws.shape != (height, width):
+            ws = self._ws = _Workspace(height, width)
+        return ws
+
     def _channel_indices(self, plane: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Quantization indices of one plane, (blocks, 8, 8), as float64
-        integers in int16 range."""
-        blocks = _to_blocks(_pad_to_blocks(plane))
-        coeffs = dct2_8x8(blocks, out=blocks)
+        """Quantization indices of one uint8 (height, width) plane, (blocks,
+        8, 8), as float64 integers in int16 range.  They live in the
+        workspace's coefficient buffer, which the next call overwrites."""
+        ws = self._workspace(*plane.shape)
+        padded = _pad_to_blocks(plane, ws.padded)
+        np.subtract(padded.reshape(ws.hb, 8, ws.wb, 8), 128.0, out=ws.as_plane(ws.coeffs))
+        coeffs = dct2_8x8(ws.coeffs, out=ws.coeffs, scratch=ws.scratch)
         coeffs /= table
-        round_half_away(coeffs, out=coeffs)
+        round_half_away(coeffs, out=coeffs, scratch=ws.scratch)
         if coeffs.max() > 32767 or coeffs.min() < -32767:
             raise CodecError("quantized coefficient out of int16 range")
         return coeffs
@@ -194,8 +231,9 @@ class BlockDctCodec(Codec):
         table = self._tables[q - 1]
         bits = 0.0
         parts = [_HEADER.pack(_MAGIC, q, img.channels, img.width, img.height)]
-        for plane in img.planes():
-            idx = self._channel_indices(plane, table).astype("<i2")
+        pixels = img.samples.reshape(img.height, img.width, img.channels)
+        for c in range(img.channels):
+            idx = self._channel_indices(pixels[:, :, c], table).astype("<i2")
             bits += _entropy_bits(idx.reshape(-1, 64))
             parts.append(idx.tobytes())
         return Bitstream(payload=b"".join(parts), bits_used=bits)
@@ -211,25 +249,29 @@ class BlockDctCodec(Codec):
             raise CodecError("corrupt header: bad geometry")
         self.check_quality(q)
         table = self._tables[q - 1]
-        ph, pw = height + (-height) % 8, width + (-width) % 8
-        nblocks = (ph // 8) * (pw // 8)
+        nblocks = -(-height // 8) * -(-width // 8)
         expected, got = 2 * channels * nblocks * 64, len(bs.payload) - _HEADER.size
         if got != expected:
             raise CodecError(f"corrupt payload: expected {expected} body bytes, got {got}")
         body = np.frombuffer(bs.payload, "<i2", offset=_HEADER.size)
         body = body.reshape(channels, nblocks, 8, 8)
-        planes = np.empty((channels, height, width), dtype=np.float64)
+        out = np.empty((height, width, channels), np.uint8)
+        ws = self._workspace(height, width)
         for c in range(channels):
-            planes[c] = _plane_from_indices(body[c], table, height, width)
-        return ImageBuffer.from_planes(planes)
+            np.multiply(body[c], table, out=ws.coeffs)
+            _pixels_from_coeffs(ws, out[:, :, c])
+        return ImageBuffer(width, height, channels, out)
 
     def stage(self, img: ImageBuffer, q: int) -> ImageBuffer:
         """reconstruct(img, q)[0] with no rate and no payload: each plane's
         indices go straight to the inverse, not through int16 bytes."""
         self.check_quality(q)
         table = self._tables[q - 1]
-        planes = img.planes()
+        pixels = img.samples.reshape(img.height, img.width, img.channels)
+        out = np.empty_like(pixels)
+        ws = self._workspace(img.height, img.width)
         for c in range(img.channels):
-            idx = self._channel_indices(planes[c], table)
-            planes[c] = _plane_from_indices(idx, table, img.height, img.width)
-        return ImageBuffer.from_planes(planes)
+            coeffs = self._channel_indices(pixels[:, :, c], table)
+            coeffs *= table
+            _pixels_from_coeffs(ws, out[:, :, c])
+        return ImageBuffer(img.width, img.height, img.channels, out)

@@ -128,6 +128,12 @@ class ScalarQuantizerCodec(Codec):
             raise CodecError("scalar index out of codebook range")
         return SourceVector(codewords[indices])
 
+    def stage(self, x: SourceVector, q: int) -> SourceVector:
+        """reconstruct(x, q)[0] with no uint16 payload and no parse."""
+        self.check_quality(q)
+        _, values = quantize_array(x.values, self.ladder.level(q))
+        return SourceVector(values)
+
 
 def nested_scalar_codec(levels: int = 3) -> ScalarQuantizerCodec:
     return ScalarQuantizerCodec(build_nested_ladder(levels))

@@ -52,18 +52,6 @@ class ImageBuffer:
     def pixel_count(self) -> int:
         return self.width * self.height
 
-    def planes(self) -> np.ndarray:
-        """Float64 copy of shape (channels, height, width)."""
-        a = self.samples.reshape(self.height, self.width, self.channels)
-        return np.moveaxis(a, 2, 0).astype(np.float64)
-
-    @classmethod
-    def from_planes(cls, planes: np.ndarray) -> "ImageBuffer":
-        """Build from a (channels, height, width) array already in [0, 255]."""
-        c, h, w = planes.shape
-        interleaved = np.moveaxis(planes, 0, 2)
-        return cls(w, h, c, interleaved.astype(np.uint8, order="C"))
-
     def same_as(self, other: "ImageBuffer") -> bool:
         return (
             self.width == other.width

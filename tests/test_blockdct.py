@@ -8,11 +8,12 @@ from codeclab.blockdct import (
     BASE_QUANT_TABLE,
     _entropy_bits,
     _pad_to_blocks,
-    _to_blocks,
+    _round_to_pixels,
     round_half_away,
 )
 from codeclab.chains import derive_rng, sample_quality_sequence
 from codeclab.codecs import CodecError
+from codeclab.signals import parse_pnm, serialize_pnm
 
 
 def _rgb_37x21():
@@ -202,13 +203,15 @@ class TestStage:
             codec.stage(gray_images[0], 1)
 
     @pytest.mark.parametrize("value, dc_index, in_range", [(0, -32768, False), (255, 32512, True)])
-    def test_int16_bound_on_dc_index(self, value, dc_index, in_range):
+    @pytest.mark.parametrize("width, channels", [(8, 1), (9, 1), (8, 3)])
+    def test_int16_bound_on_dc_index(self, value, dc_index, in_range, width, channels):
         """A constant block has only a DC coefficient, 8 * (value - 128); a
-        DC step of 1/32 puts its index at 32 times that."""
+        DC step of 1/32 puts its index at 32 times that.  Width 9 is padded on
+        the right, and its padded block is constant too."""
         codec = BlockDctCodec()
         codec._tables[0] = np.ones((8, 8))
         codec._tables[0][0, 0] = 1 / 32
-        x = ImageBuffer(8, 8, 1, np.full(64, value, np.uint8))
+        x = ImageBuffer(width, 8, channels, np.full(8 * width * channels, value, np.uint8))
         if in_range:
             body = codec.encode(x, 1).payload[-128:]
             assert np.frombuffer(body, "<i2")[0] == dc_index
@@ -243,30 +246,165 @@ def _random_image(width, height, channels, seed):
     return ImageBuffer(width, height, channels, rng.integers(0, 256, n, dtype=np.uint8))
 
 
-class TestInPlaceKernel:
-    @pytest.mark.parametrize("height, width", [(8, 40), (40, 8), (8, 8), (9, 8), (21, 37)])
-    def test_pad_matches_np_pad(self, height, width):
-        plane = np.random.default_rng(height * width).integers(0, 256, (height, width))
-        plane = plane.astype(np.float64)
-        expected = np.pad(plane - 128.0, ((0, -height % 8), (0, -width % 8)), mode="edge")
-        assert np.array_equal(_pad_to_blocks(plane), expected)
+def _planes(img):
+    """The image's (height, width) uint8 planes, views of its samples."""
+    pixels = img.samples.reshape(img.height, img.width, img.channels)
+    return [pixels[:, :, c] for c in range(img.channels)]
 
-    # one block row or column: _to_blocks returns a view of the padded
-    # buffer, so the kernel's in-place steps write into that buffer
-    @pytest.mark.parametrize("width, height", [(8, 40), (40, 8), (8, 8), (9, 8)])
-    @pytest.mark.parametrize("channels", [1, 3])
-    def test_single_block_row_or_column(self, dct_codec, width, height, channels):
+
+def _reference_indices(plane, table):
+    """The per-plane forward path that the workspace replaced, kept as its
+    reference: a float64 copy, np.pad, a blocking copy, the DCT, quantize."""
+    h, w = plane.shape
+    padded = np.pad(plane.astype(np.float64) - 128.0, ((0, -h % 8), (0, -w % 8)), mode="edge")
+    ph, pw = padded.shape
+    blocks = padded.reshape(ph // 8, 8, pw // 8, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
+    idx = round_half_away(dct2_8x8(blocks) / table)
+    if idx.max() > 32767 or idx.min() < -32767:
+        raise CodecError("quantized coefficient out of int16 range")
+    return idx
+
+
+def _reference_plane(idx, table, h, w):
+    """The per-plane inverse path that the workspace replaced."""
+    ph, pw = h + -h % 8, w + -w % 8
+    coeffs = dct2_8x8(idx * table, "inverse")
+    plane = coeffs.reshape(ph // 8, pw // 8, 8, 8).transpose(0, 2, 1, 3).reshape(ph, pw)
+    return np.clip(round_half_away(plane[:h, :w] + 128.0), 0, 255).astype(np.uint8)
+
+
+def _reference_stage(codec, img, q):
+    """(reconstruction samples, payload, bits) of the reference paths."""
+    table = codec._tables[q - 1]
+    out = np.empty((img.height, img.width, img.channels), np.uint8)
+    body, bits = [], 0.0
+    for c, plane in enumerate(_planes(img)):
+        idx = _reference_indices(plane, table)
+        body.append(idx.astype("<i2").tobytes())
+        bits += _entropy_bits(idx.astype(np.int16).reshape(-1, 64))
+        out[:, :, c] = _reference_plane(idx, table, img.height, img.width)
+    return out.ravel(), b"".join(body), bits
+
+
+# (width, height, channels): aligned, one block row or column, padded on one
+# or both axes, down to a single pixel
+MIXED_SHAPES = [(1, 1, 1), (8, 8, 1), (9, 8, 1), (8, 9, 1), (40, 8, 1), (8, 40, 1),
+                (37, 21, 3), (64, 48, 3), (8, 8, 3), (9, 8, 3), (40, 8, 3), (8, 40, 3),
+                (1, 1, 3)]
+
+
+class TestPadToBlocks:
+    @pytest.mark.parametrize("height, width", [(8, 40), (40, 8), (8, 8), (9, 8), (21, 37), (1, 1)])
+    def test_matches_np_pad(self, height, width):
+        plane = np.random.default_rng(height * width).integers(0, 256, (height, width))
+        plane = plane.astype(np.uint8)
+        expected = np.pad(plane, ((0, -height % 8), (0, -width % 8)), mode="edge")
+        out = np.full(expected.shape, 7, np.uint8)
+        assert _pad_to_blocks(plane, out) is out
+        assert np.array_equal(out, expected)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("width, height, channels", MIXED_SHAPES)
+    def test_matches_reference_path(self, dct_codec, width, height, channels):
         x = _random_image(width, height, channels, width * height + channels)
-        padded = _pad_to_blocks(x.planes()[0])
-        assert np.shares_memory(_to_blocks(padded), padded)
         before = x.samples.copy()
-        plane = x.planes()[0]
         for q in range(1, dct_codec.num_levels + 1):
-            dct_codec._channel_indices(plane, dct_codec._tables[q - 1])
-            assert np.array_equal(plane, x.planes()[0])
-            dct_codec.encode(x, q)
-            assert dct_codec.stage(x, q).same_as(dct_codec.reconstruct(x, q)[0])
+            samples, body, bits = _reference_stage(dct_codec, x, q)
+            y, bs = dct_codec.reconstruct(x, q)
+            assert np.array_equal(y.samples, samples)
+            assert bs.payload[codeclab.blockdct._HEADER.size:] == body
+            assert bs.bits_used == bits
+            assert np.array_equal(dct_codec.stage(x, q).samples, samples)
             assert np.array_equal(x.samples, before)
+
+    def test_one_instance_across_shapes(self):
+        """Gray, RGB, aligned and unaligned images in turn through one
+        instance: each stage equals a fresh instance's and the reference's."""
+        shared = BlockDctCodec()
+        images = [_random_image(w, h, c, 100 + i) for i, (w, h, c) in enumerate(MIXED_SHAPES)]
+        for q in (1, 4, 8):
+            for x in images + images[::-1]:
+                y = shared.stage(x, q)
+                assert y.same_as(BlockDctCodec().stage(x, q))
+                assert np.array_equal(y.samples, _reference_stage(shared, x, q)[0])
+                assert shared.decode(shared.encode(x, q)).same_as(y)
+
+    def test_results_share_no_memory_and_stay_put(self):
+        codec = BlockDctCodec()
+        x = _rgb_37x21()
+        staged = codec.stage(x, 3)
+        decoded = codec.decode(codec.encode(x, 5))
+        recon, _ = codec.reconstruct(x, 7)
+        results = [staged, decoded, recon]
+        kept = [r.samples.copy() for r in results]
+        ws = codec._ws
+        for r in results:
+            assert r.samples.flags.c_contiguous
+            assert not np.shares_memory(r.samples, x.samples)
+            for buf in (ws.coeffs, ws.scratch, ws.padded):
+                assert not np.shares_memory(r.samples, buf)
+        # later stages on the same shape and on others reuse or replace the
+        # workspace; the earlier results must not move
+        for q in range(1, 9):
+            codec.stage(staged, q)
+            codec.reconstruct(decoded, q)
+            codec.stage(_random_image(64, 48, 3, q), q)
+        for r, k in zip(results, kept):
+            assert np.array_equal(r.samples, k)
+
+    @pytest.mark.parametrize("width, height, channels", MIXED_SHAPES)
+    def test_inputs_left_unchanged(self, dct_codec, width, height, channels):
+        x = _random_image(width, height, channels, 7)
+        before = x.samples.copy()
+        frozen = parse_pnm(serialize_pnm(x))  # samples are a read-only buffer
+        assert not frozen.samples.flags.writeable
+        for q in range(1, dct_codec.num_levels + 1):
+            for img in (x, frozen):
+                bs = dct_codec.encode(img, q)
+                payload = bytes(bs.payload)
+                assert dct_codec.stage(img, q).same_as(dct_codec.decode(bs))
+                assert bs.payload == payload
+                dct_codec.reconstruct(img, q)
+                for plane in _planes(img):
+                    dct_codec._channel_indices(plane, dct_codec._tables[q - 1])
+                assert np.array_equal(img.samples, before)
+
+    def test_channel_indices_live_in_the_workspace(self, dct_codec):
+        x = _rgb_37x21()
+        table = dct_codec._tables[2]
+        for plane in _planes(x):
+            idx = dct_codec._channel_indices(plane, table)
+            assert idx is dct_codec._ws.coeffs
+            assert np.array_equal(idx, _reference_indices(plane, table))
+
+
+class TestPixelRounding:
+    def test_equals_clipped_half_away_rounding(self):
+        ties = np.arange(-300, 300) + 0.5
+        big = np.array([2.0**52, 2.0**53 - 1, 1e15 + 0.5, 1e300, np.finfo(float).max])
+        t = np.concatenate([
+            ties,
+            np.nextafter(ties, np.inf),
+            np.nextafter(ties, -np.inf),
+            [-0.5, -0.0, 0.0, 0.5, 254.5, 255.5, 255.0, 256.0, -1.0],
+            np.nextafter([-0.5, 0.5, 254.5, 255.5], np.inf),
+            np.nextafter([-0.5, 0.5, 254.5, 255.5], -np.inf),
+            big,
+            -big,
+            np.random.default_rng(9).normal(128.0, 100.0, 100_000),
+        ])
+        expected = np.clip(round_half_away(t), 0, 255).astype(np.uint8)
+        out = np.empty(t.shape, np.uint8)
+        _round_to_pixels(t.copy(), out)
+        assert np.array_equal(out, expected)
+
+    def test_writes_a_strided_view(self):
+        t = np.array([[-3.2, 17.5], [255.5, 100.49]])
+        out = np.zeros((2, 2, 3), np.uint8)
+        _round_to_pixels(t.copy(), out[:, :, 1])
+        assert out[:, :, 1].tolist() == [[0, 18], [255, 100]]
+        assert not out[:, :, [0, 2]].any()
 
 
 def _entropy_bits_loop(indices):
@@ -312,7 +450,7 @@ class TestEntropyBits:
     def test_equals_loop_on_codec_indices(self, dct_codec, gray_images):
         for q in range(1, dct_codec.num_levels + 1):
             for img in [*gray_images, _rgb_37x21()]:
-                for plane in img.planes():
+                for plane in _planes(img):
                     idx = dct_codec._channel_indices(plane, dct_codec._tables[q - 1])
                     idx = idx.astype(np.int16).reshape(-1, 64)
                     assert _entropy_bits(idx) == _entropy_bits_loop(idx)

@@ -204,9 +204,7 @@ class TestEstimateRho:
 
     def test_std_err_shrinks_with_b(self, gray_images, dct_codec):
         # Monte Carlo: quadrupling b should roughly halve the standard error
-        small = ImageBuffer(
-            64, 64, 1, gray_images[0].planes()[0][:64, :64].astype(np.uint8)
-        )
+        small = ImageBuffer(64, 64, 1, gray_images[0].samples.reshape(128, 192)[:64, :64])
         ds = Dataset(items=[small], source_path="<mem>", item_names=["a"])
         e10 = _rho(ds, dct_codec, 2, 5, 10, master_seed=3)
         e40 = _rho(ds, dct_codec, 2, 5, 40, master_seed=3)

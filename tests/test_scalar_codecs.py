@@ -128,3 +128,21 @@ def test_index_roundtrip_every_midpoint_level():
 def test_claims_flag():
     assert nested_scalar_codec(3).claims_strong_idempotence
     assert not midpoint_scalar_codec(3).claims_strong_idempotence
+
+
+@pytest.mark.parametrize("make", [nested_scalar_codec, midpoint_scalar_codec])
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_stage_is_reconstruct_without_payload(monkeypatch, source, make, levels):
+    codec = make(levels)
+    expected = {q: codec.reconstruct(source, q)[0] for q in range(1, levels + 1)}
+
+    def no_payload(*args):
+        raise AssertionError("stage built or parsed a payload")
+
+    monkeypatch.setattr(ScalarQuantizerCodec, "encode", no_payload)
+    monkeypatch.setattr(ScalarQuantizerCodec, "decode", no_payload)
+    for q, recon in expected.items():
+        assert codec.stage(source, q).same_as(recon)
+        assert codec.stage(recon, q).same_as(recon)
+    with pytest.raises(CodecError, match="outside ladder"):
+        codec.stage(source, levels + 1)

@@ -134,12 +134,3 @@ class TestImageBuffer:
         img = ImageBuffer(2, 1, 1, [12, 255])
         assert img.samples.dtype == np.uint8
         assert list(img.samples) == [12, 255]
-
-    @pytest.mark.parametrize("channels", [1, 3])
-    def test_from_planes_contiguous_roundtrip(self, channels):
-        planes = np.random.default_rng(channels).integers(0, 256, (channels, 5, 7))
-        img = ImageBuffer.from_planes(planes.astype(np.float64))
-        assert img.samples.dtype == np.uint8
-        assert img.samples.flags.c_contiguous
-        assert np.array_equal(img.samples.reshape(5, 7, channels), np.moveaxis(planes, 0, 2))
-        assert np.array_equal(img.planes(), planes)

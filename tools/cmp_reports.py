@@ -39,11 +39,18 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
     gray, rgb = work / "gray", work / "rgb"
     _corpus(gray, "gray", 2, 131, 77)
     _corpus(rgb, "rgb", 1, 37, 21)
-    # whole-block planes: one taken as a view by the blocking reshape (one
-    # block row), one copied by it
+    # whole-block planes, which skip the edge padding: a single block row,
+    # and several block rows and columns
     row, rgb_aligned = work / "gray-block-row", work / "rgb-aligned"
     _corpus(row, "gray", 2, 40, 8)
     _corpus(rgb_aligned, "rgb", 1, 64, 48)
+    # sizes and channel counts alternating within one dataset, so one codec
+    # instance switches plane shape from item to item
+    mixed = work / "mixed"
+    mixed.mkdir()
+    for name, src in [("a-gray-131x77", gray / "img0.pnm"), ("b-rgb-37x21", rgb / "img0.pnm"),
+                      ("c-gray-40x8", row / "img1.pnm"), ("d-rgb-64x48", rgb_aligned / "img0.pnm")]:
+        shutil.copyfile(src, mixed / f"{name}.pnm")
     spec = work / "cp.json"
     spec.write_text(json.dumps({
         "encode_cmd": "cp {input} {output}",
@@ -59,6 +66,8 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
                                "b": 2, "master_seed": 5},
         "dct-rgb-aligned": {"codec": "block-dct", "dataset": str(rgb_aligned),
                             "k_list": [1, 3], "b": 2, "distortion": "RMSE", "master_seed": 7},
+        "dct-mixed": {"codec": "block-dct", "dataset": str(mixed), "q_min_list": [2, 6],
+                      "k_list": [1, 3], "b": 2, "distortion": "PSNR", "master_seed": 9},
         "nested-scalar": {"codec": "nested-scalar:4", "k_list": [2, 10], "b": 2,
                           "distortion": "PSNR"},
         "midpoint-scalar": {"codec": "midpoint-scalar", "codec_options": {"levels": 4},
@@ -87,6 +96,9 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
         ("check-theorem1-dct", ["check-theorem1", "--codec", "block-dct", "--dataset",
                                 str(gray), "--qmin", "3", "--k", "3", "--b", "2",
                                 "--seed", "6"], None),
+        ("check-theorem1-dct-mixed", ["check-theorem1", "--codec", "block-dct", "--dataset",
+                                      str(mixed), "--qmin", "4", "--k", "3", "--b", "2",
+                                      "--seed", "8"], None),
         ("check-theorem1-midpoint", ["check-theorem1", "--codec", "midpoint-scalar",
                                      "--qmin", "1", "--k", "5", "--b", "3", "--seed", "1"],
          None),
