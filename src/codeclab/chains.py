@@ -7,11 +7,15 @@ over (item, trial) pairs with a fresh quality sequence per pair.
 Every random draw comes from a stream derived deterministically from
 (master_seed, purpose, q_min, k, item, trial).  evaluate_cell is the one
 place that runs Monte Carlo chains: the rho grid, the theorem-1 check and
-the RD curves all read its PairOutcomes.
+the RD curves all read its PairOutcomes.  It relies on the Codec contract
+that f is deterministic: a chain that starts at q_min continues from the
+single pass f(x, q_min), and the chain (q_min,) is that single pass.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +30,7 @@ DISTORTION_KINDS = ("MSE", "RMSE", "PSNR")
 STREAM_RHO = 0
 STREAM_RD = 1
 STREAM_SOURCE = 2
+STREAM_NAMES = {STREAM_RHO: "grid", STREAM_RD: "RD"}
 
 
 def derive_rng(master_seed: int, *coords: int) -> np.random.Generator:
@@ -92,18 +97,23 @@ def sample_quality_sequence(
     return tuple(int(q) for q in levels)
 
 
-def compress_chain(x: Signal, levels: tuple[int, ...], codec: Codec, rate: bool = True):
+def compress_chain(
+    x: Signal, levels: tuple[int, ...], codec: Codec, rate: bool = True, applied: int = 0
+):
     """Apply the codec sequentially, y_i = f(y_{i-1}, q_i), and return the
     last stage's (reconstruction, bitstream), as Codec.reconstruct does.
 
     Only the last stage's rate can be read, so stages 1..k-1 run Codec.stage,
     which computes no bitstream.  With rate=False the last stage runs
-    Codec.stage too, and the bitstream is None."""
+    Codec.stage too, and the bitstream is None.  With applied=n, x is already
+    the output of the first n stages: only levels[n:] run, still numbered
+    from the chain's start in error messages, and with no stage left x is
+    returned as it is."""
     if not levels:
         raise ValueError("empty quality sequence")
     y, bs = x, None
     last = len(levels) if rate else 0
-    for stage, q in enumerate(levels, start=1):
+    for stage, q in enumerate(levels[applied:], start=applied + 1):
         try:
             if stage == last:
                 y, bs = codec.reconstruct(y, q)
@@ -127,9 +137,19 @@ class PairOutcome:
     mse_single_vs_chain: float  # d(f(x, q_min), chain final) -- the rho term
     mse_x_vs_single: float
     mse_x_vs_chain: float
-    single_bpp: float | None  # None when evaluate_cell ran with rates=False
+    single_bpp: float | None  # None in a stream that reads no rates
     chain_final_bpp: float | None
     peak: float
+
+
+@contextlib.contextmanager
+def _failing_in(stream: int, q_min: int):
+    """Name the stream and q_min in any failure, as a CodecError."""
+    try:
+        yield
+    except Exception as e:
+        name = STREAM_NAMES.get(stream, f"stream {stream}")
+        raise CodecError(f"{name} cell (q_min={q_min}) failed: {e}") from e
 
 
 def evaluate_cell(
@@ -140,44 +160,64 @@ def evaluate_cell(
     b: int,
     mode: str = "forced-min",
     master_seed: int = 0,
-    stream: int = STREAM_RHO,
-    rates: bool = True,
-) -> dict[int, list[PairOutcome]]:
-    """Run b independent chains per dataset item for each k at one q_min.
+    streams: dict[int, bool] | None = None,
+) -> dict[int, dict[int, list[PairOutcome]]]:
+    """Run b independent chains per dataset item for each k at one q_min, in
+    each stream of streams, {stream: whether its chains read rates}.
 
-    Each item's single pass at q_min is computed once and shared by every k.
-    Returns {k: outcomes}, ordered by (item, trial) within each k.  stream is
-    STREAM_RHO for the rho grid and STREAM_RD for the RD curves.  rates=False
-    is for callers that read no bpp: the single pass and every chain stage
-    then run Codec.stage, and single_bpp and chain_final_bpp are None.
+    streams defaults to {STREAM_RHO: True}; STREAM_RHO is the rho grid and
+    STREAM_RD the RD curves.  Returns {stream: {k: outcomes}}, ordered by
+    (item, trial) within each k.  Each item's single pass at q_min is
+    computed once and shared by every stream and k: with Codec.reconstruct
+    when some stream reads rates, else with Codec.stage.  A chain that
+    starts at q_min continues from it, and the chain (q_min,) is it.  A
+    stream that reads no rates runs Codec.stage only, and its single_bpp and
+    chain_final_bpp are None.  A failure raises CodecError naming the stream.
     """
+    if streams is None:
+        streams = {STREAM_RHO: True}
     codec.check_quality(q_min)
     if b < 1:
         raise ValueError("b must be >= 1")
     q_max = codec.num_levels
-    cells: dict[int, list[PairOutcome]] = {k: [] for k in k_list}
+    rated = any(streams.values())
+    # the single pass runs in the form that the first stream of its kind asks for
+    single_stream = next(s for s, rates in streams.items() if rates == rated)
+    cells = {stream: {k: [] for k in k_list} for stream in streams}
     for i, x in enumerate(ds.items):
-        single, single_bs = compress_chain(x, (q_min,), codec, rates)
-        single_bpp = codec.bpp(single_bs, x) if rates else None
-        mse_x_single = _mse(x, single)
-        for k, outcomes in cells.items():
-            for t in range(b):
-                rng = derive_rng(master_seed, stream, q_min, k, i, t)
-                levels = sample_quality_sequence(q_min, q_max, k, mode, rng)
-                y, bs = compress_chain(x, levels, codec, rates)
-                outcomes.append(
-                    PairOutcome(
-                        item=i,
-                        trial=t,
-                        levels=levels,
-                        mse_single_vs_chain=_mse(single, y),
-                        mse_x_vs_single=mse_x_single,
-                        mse_x_vs_chain=_mse(x, y),
-                        single_bpp=single_bpp,
-                        chain_final_bpp=codec.bpp(bs, x) if rates else None,
-                        peak=signal_peak(x),
+        peak = signal_peak(x)
+        with _failing_in(single_stream, q_min):
+            single, single_bs = compress_chain(x, (q_min,), codec, rated)
+            single_bpp = codec.bpp(single_bs, x) if rated else None
+            mse_x_single = _mse(x, single)
+        for stream, rates in streams.items():
+            stream_bpp = single_bpp if rates else None
+            with _failing_in(stream, q_min):
+                for k, t in itertools.product(cells[stream], range(b)):
+                    rng = derive_rng(master_seed, stream, q_min, k, i, t)
+                    levels = sample_quality_sequence(q_min, q_max, k, mode, rng)
+                    if levels == (q_min,):
+                        # _mse(single, single) and _mse(x, single), exactly
+                        mse_single_chain, mse_x_chain = 0.0, mse_x_single
+                        chain_bpp = stream_bpp
+                    else:
+                        start, applied = (single, 1) if levels[0] == q_min else (x, 0)
+                        y, bs = compress_chain(start, levels, codec, rates, applied)
+                        mse_single_chain, mse_x_chain = _mse(single, y), _mse(x, y)
+                        chain_bpp = codec.bpp(bs, x) if rates else None
+                    cells[stream][k].append(
+                        PairOutcome(
+                            item=i,
+                            trial=t,
+                            levels=levels,
+                            mse_single_vs_chain=mse_single_chain,
+                            mse_x_vs_single=mse_x_single,
+                            mse_x_vs_chain=mse_x_chain,
+                            single_bpp=stream_bpp,
+                            chain_final_bpp=chain_bpp,
+                            peak=peak,
+                        )
                     )
-                )
     return cells
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import evaluate_cell
+from .chains import STREAM_RHO, evaluate_cell
 from .codecs import CodecError
 from .external import ExternalCodecError
 from .protocol import (
@@ -96,9 +96,9 @@ def _cmd_check_theorem1(args) -> int:
     cfg, codec, ds = _cell_inputs(args, "forced-min", [args.qmin])
     (q_min,) = resolve_q_min_list(cfg, codec)
     cells = evaluate_cell(
-        ds, codec, q_min, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed, rates=False
+        ds, codec, q_min, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed, {STREAM_RHO: False}
     )
-    rec = theorem1_from_outcomes(cells[args.k], q_min, args.k)
+    rec = theorem1_from_outcomes(cells[STREAM_RHO][args.k], q_min, args.k)
     print(f"q_min={rec.q_min} k={rec.k}")
     print(f"mean MSE single-pass: {rec.mean_single!r} (SE {rec.std_err_single!r})")
     print(f"mean MSE chain:       {rec.mean_chain!r} (SE {rec.std_err_chain!r})")

@@ -16,6 +16,7 @@ from .chains import (
     PairOutcome,
     RhoEstimate,
     STREAM_RD,
+    STREAM_RHO,
     STREAM_SOURCE,
     compress_chain,
     evaluate_cell,
@@ -197,6 +198,42 @@ def _rd_point(q: int, bpps: list[float], mses: list[float], peak: float) -> RdPo
     return RdPoint(q, float(np.mean(bpps)), mean_psnr, float(np.mean(mses)))
 
 
+def _sweep_levels(
+    ds: Dataset,
+    codec: Codec,
+    k_list: list[int],
+    b: int,
+    mode: str,
+    master_seed: int,
+    grid_q_mins: set[int],
+) -> tuple[list[RdPoint], dict[int, list[RdPoint]], dict[int, dict[int, list[PairOutcome]]]]:
+    """Evaluate each ladder level once: the RD stream at every level, and the
+    rho-grid stream beside it where the level is in grid_q_mins, sharing the
+    level's single pass.  Returns rd_single, rd_multi and the grid's
+    {q_min: {k: outcomes}}."""
+    rd_single: list[RdPoint] = []
+    rd_multi: dict[int, list[RdPoint]] = {k: [] for k in k_list}
+    grid: dict[int, dict[int, list[PairOutcome]]] = {}
+    for q in range(1, codec.num_levels + 1):
+        in_grid = q in grid_q_mins
+        streams = {STREAM_RHO: False, STREAM_RD: True} if in_grid else {STREAM_RD: True}
+        cells = evaluate_cell(ds, codec, q, k_list, b, mode, master_seed, streams)
+        if in_grid:
+            grid[q] = cells[STREAM_RHO]
+        rd = cells[STREAM_RD]
+        singles = [o for o in rd[k_list[0]] if o.trial == 0]
+        peak = singles[0].peak
+        rd_single.append(_rd_point(
+            q, [o.single_bpp for o in singles], [o.mse_x_vs_single for o in singles], peak
+        ))
+        for k, outcomes in rd.items():
+            rd_multi[k].append(_rd_point(
+                q, [o.chain_final_bpp for o in outcomes],
+                [o.mse_x_vs_chain for o in outcomes], peak,
+            ))
+    return rd_single, rd_multi, grid
+
+
 def compute_rd_curves(
     ds: Dataset,
     codec: Codec,
@@ -211,26 +248,15 @@ def compute_rd_curves(
     rd_multi PSNR compares the chain final against the ORIGINAL signal; its
     bitrate is the final stage's (what a downstream consumer would hold).
     """
-    rd_single: list[RdPoint] = []
-    rd_multi: dict[int, list[RdPoint]] = {k: [] for k in k_list}
-    for q in range(1, codec.num_levels + 1):
-        cells = evaluate_cell(ds, codec, q, k_list, b, mode, master_seed, STREAM_RD)
-        singles = [o for o in cells[k_list[0]] if o.trial == 0]
-        peak = singles[0].peak
-        rd_single.append(_rd_point(
-            q, [o.single_bpp for o in singles], [o.mse_x_vs_single for o in singles], peak
-        ))
-        for k, outcomes in cells.items():
-            rd_multi[k].append(_rd_point(
-                q, [o.chain_final_bpp for o in outcomes],
-                [o.mse_x_vs_chain for o in outcomes], peak,
-            ))
+    rd_single, rd_multi, _ = _sweep_levels(ds, codec, k_list, b, mode, master_seed, set())
     return rd_single, rd_multi
 
 
 def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> IdempotenceSweep:
     """Enumerate every quality sequence up to max_len and compare each chain
-    against the single pass at the sequence minimum."""
+    against the single pass at the sequence minimum.  No rate is read, so
+    every stage runs Codec.stage, and each chain continues from the single
+    pass at its first level."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     q_levels = codec.num_levels
@@ -244,10 +270,13 @@ def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> Idemp
     singles = {}
     for x in inputs:
         for q in range(1, q_levels + 1):
-            singles[q], _ = codec.reconstruct(x, q)
+            singles[q] = codec.stage(x, q)
         for length in range(1, max_len + 1):
             for seq_levels in itertools.product(range(1, q_levels + 1), repeat=length):
-                y, _ = compress_chain(x, seq_levels, codec)
+                # the first stage is the single pass at seq_levels[0]
+                y, _ = compress_chain(
+                    singles[seq_levels[0]], seq_levels, codec, rate=False, applied=1
+                )
                 dev = _mse(singles[min(seq_levels)], y)
                 sum_mse += dev
                 count += 1
@@ -264,26 +293,21 @@ def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> Idemp
 
 
 def run_protocol(cfg: EvalConfig) -> EvalReport:
-    """Dataset prep, (q_min, k) grid selection, per-cell Monte Carlo, aggregation."""
+    """Dataset prep, (q_min, k) grid selection, one Monte Carlo pass per
+    ladder level for the grid and the RD curves, aggregation."""
     cfg.validate()
     codec = make_codec(cfg.codec, cfg.codec_options)
     ds = resolve_dataset(cfg, codec)
     q_min_list = resolve_q_min_list(cfg, codec)
+    rd_single, rd_multi, cells = _sweep_levels(
+        ds, codec, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed, set(q_min_list)
+    )
     grid: list[RhoEstimate] = []
     theorem1: list[Theorem1Record] = []
     for q_min in q_min_list:
-        try:
-            cells = evaluate_cell(
-                ds, codec, q_min, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed, rates=False
-            )
-        except Exception as e:
-            raise RuntimeError(f"grid cell (q_min={q_min}) failed: {e}") from e
         for k in cfg.k_list:
-            grid.append(rho_from_outcomes(cells[k], q_min, k, cfg.b, cfg.distortion))
-            theorem1.append(theorem1_from_outcomes(cells[k], q_min, k))
-    rd_single, rd_multi = compute_rd_curves(
-        ds, codec, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed
-    )
+            grid.append(rho_from_outcomes(cells[q_min][k], q_min, k, cfg.b, cfg.distortion))
+            theorem1.append(theorem1_from_outcomes(cells[q_min][k], q_min, k))
     config_echo = {
         **dataclasses.asdict(cfg),
         "q_min_list": list(q_min_list),

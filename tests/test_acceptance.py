@@ -21,7 +21,7 @@ from codeclab import (
     run_protocol,
     verify_strong_idempotence,
 )
-from codeclab.chains import evaluate_cell, rho_from_outcomes
+from codeclab.chains import STREAM_RHO, evaluate_cell, rho_from_outcomes
 from codeclab.cli import main
 from codeclab.protocol import theorem1_from_outcomes
 from codeclab.signals import Dataset
@@ -45,7 +45,7 @@ def dct_cells(image_dataset, dct_codec):
         per_k = evaluate_cell(
             image_dataset, dct_codec, q_min, [10, 50], b=10, mode="forced-min",
             master_seed=2024,
-        )
+        )[STREAM_RHO]
         for k, outcomes in per_k.items():
             cells[(q_min, k)] = outcomes
     return cells
@@ -129,7 +129,7 @@ def test_criterion_7_bitrate_property():
     ds = Dataset.from_source(x)
     ok = True
     for q_min in (1, 2, 3):
-        for o in evaluate_cell(ds, codec, q_min, [6], b=5, master_seed=3)[6]:
+        for o in evaluate_cell(ds, codec, q_min, [6], b=5, master_seed=3)[STREAM_RHO][6]:
             y, _ = compress_chain(x, o.levels, codec)
             single, _ = codec.reconstruct(x, q_min)
             ok &= (

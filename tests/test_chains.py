@@ -13,8 +13,18 @@ from codeclab import (
     nested_scalar_codec,
     sample_quality_sequence,
 )
-from codeclab.chains import derive_rng, evaluate_cell, rho_from_outcomes
+import codeclab.protocol
+from codeclab.chains import (
+    STREAM_RD,
+    STREAM_RHO,
+    PairOutcome,
+    derive_rng,
+    evaluate_cell,
+    rho_from_outcomes,
+    signal_peak,
+)
 from codeclab.codecs import Codec, CodecError
+from codeclab.protocol import EvalConfig, _rd_point, run_protocol, theorem1_from_outcomes
 from codeclab.signals import Dataset
 
 
@@ -154,6 +164,11 @@ class TestCompressChain:
             compress_chain(x, (0, 3), Broken())
         with pytest.raises(ValueError, match="empty"):
             compress_chain(x, (), Broken())
+        # a chain continued after its first stage still numbers from its start
+        with pytest.raises(CodecError, match="stage 2 \\(quality 2\\) failed: kaput"):
+            compress_chain(x, (3, 2), Broken(), applied=1)
+        y, bs = compress_chain(x, (2,), Broken(), rate=False, applied=1)
+        assert y is x and bs is None
 
     def test_failure_in_lean_stage_annotated(self, gray_images, dct_codec):
         with pytest.raises(CodecError, match="stage 1 \\(quality 9\\)"):
@@ -162,14 +177,15 @@ class TestCompressChain:
 
 def _rho(ds, codec, q_min, k, b, master_seed=0):
     return rho_from_outcomes(
-        evaluate_cell(ds, codec, q_min, [k], b, master_seed=master_seed)[k], q_min, k, b
+        evaluate_cell(ds, codec, q_min, [k], b, master_seed=master_seed)[STREAM_RHO][k],
+        q_min, k, b,
     )
 
 
 def _per_trial(ds, codec, q_min, k, b, master_seed):
     return [
         o.mse_single_vs_chain
-        for o in evaluate_cell(ds, codec, q_min, [k], b, master_seed=master_seed)[k]
+        for o in evaluate_cell(ds, codec, q_min, [k], b, master_seed=master_seed)[STREAM_RHO][k]
     ]
 
 
@@ -212,7 +228,7 @@ class TestEstimateRho:
 
     def test_rmse_triangle_per_pair(self, source_ds):
         codec = midpoint_scalar_codec(3)
-        outcomes = evaluate_cell(source_ds, codec, 1, [6], 20, "forced-min", 11)[6]
+        outcomes = evaluate_cell(source_ds, codec, 1, [6], 20, "forced-min", 11)[STREAM_RHO][6]
         for o in outcomes:
             lhs = math.sqrt(o.mse_x_vs_chain)
             rhs = math.sqrt(o.mse_x_vs_single) + math.sqrt(o.mse_single_vs_chain)
@@ -227,8 +243,10 @@ class TestEvaluateCellRates:
             codec = dct_codec
         else:
             ds, codec = source_ds, midpoint_scalar_codec(3)
-        with_rates = evaluate_cell(ds, codec, 2, [1, 4], 2, master_seed=5)
-        without = evaluate_cell(ds, codec, 2, [1, 4], 2, master_seed=5, rates=False)
+        with_rates = evaluate_cell(ds, codec, 2, [1, 4], 2, master_seed=5)[STREAM_RHO]
+        without = evaluate_cell(
+            ds, codec, 2, [1, 4], 2, master_seed=5, streams={STREAM_RHO: False}
+        )[STREAM_RHO]
         for k, outcomes in with_rates.items():
             assert len(without[k]) == len(outcomes)
             for o, lean in zip(outcomes, without[k]):
@@ -256,7 +274,117 @@ class TestEvaluateCellRates:
             def stage(self, x, q):
                 return codec.stage(x, q)
 
-        evaluate_cell(source_ds, Counting(), 1, [3, 5], 2, rates=False)
+        evaluate_cell(source_ds, Counting(), 1, [3, 5], 2, streams={STREAM_RHO: False})
         assert calls == []
         evaluate_cell(source_ds, Counting(), 1, [3, 5], 2)
         assert len(calls) == 1 + 2 * 2
+
+
+def _reference_evaluate_cell(ds, codec, q_min, k_list, b, mode, master_seed, stream, rates):
+    """One stream of one cell, evaluated on its own: every chain runs all of
+    its stages from x, and the single pass is its own codec call."""
+    q_max = codec.num_levels
+    cells = {k: [] for k in k_list}
+    for i, x in enumerate(ds.items):
+        single, single_bs = compress_chain(x, (q_min,), codec, rates)
+        single_bpp = codec.bpp(single_bs, x) if rates else None
+        mse_x_single = distortion(x, single)
+        for k, outcomes in cells.items():
+            for t in range(b):
+                rng = derive_rng(master_seed, stream, q_min, k, i, t)
+                levels = sample_quality_sequence(q_min, q_max, k, mode, rng)
+                y, bs = compress_chain(x, levels, codec, rates)
+                outcomes.append(PairOutcome(
+                    item=i, trial=t, levels=levels,
+                    mse_single_vs_chain=distortion(single, y),
+                    mse_x_vs_single=mse_x_single,
+                    mse_x_vs_chain=distortion(x, y),
+                    single_bpp=single_bpp,
+                    chain_final_bpp=codec.bpp(bs, x) if rates else None,
+                    peak=signal_peak(x),
+                ))
+    return cells
+
+
+def _rgb_dataset():
+    rng = np.random.default_rng(12)
+    yy, xx = np.mgrid[0:24, 0:40]
+    items = []
+    for n in range(2):
+        planes = [np.clip(90 + 60 * np.sin((xx + 7 * c + n) / 5.0) + 20 * np.cos(yy / 3.0)
+                          + rng.normal(0, 6, (24, 40)), 0, 255).astype(np.uint8)
+                  for c in range(3)]
+        items.append(ImageBuffer(40, 24, 3, np.stack(planes, axis=-1).reshape(-1)))
+    return Dataset(items=items, source_path="<in-memory>", item_names=["a", "b"])
+
+
+class TestSharedSinglePass:
+    """Streams that share one single pass give the outcomes each stream gives
+    on its own, chain for chain."""
+
+    @pytest.fixture(params=["midpoint", "nested", "dct-gray", "dct-rgb"])
+    def case(self, request, source_ds, gray_images, dct_codec):
+        if request.param == "midpoint":
+            return source_ds, midpoint_scalar_codec(4)
+        if request.param == "nested":
+            return source_ds, nested_scalar_codec(4)
+        if request.param == "dct-gray":
+            small = [ImageBuffer(48, 40, 1, img.samples.reshape(128, 192)[:40, :48])
+                     for img in gray_images[:2]]
+            ds = Dataset(items=small, source_path="<in-memory>", item_names=["a", "b"])
+            return ds, dct_codec
+        return _rgb_dataset(), dct_codec
+
+    @pytest.mark.parametrize("mode", ["forced-min", "literal"])
+    def test_outcomes_equal_per_stream(self, case, mode):
+        ds, codec = case
+        k_list, b = [1, 3, 2], 3
+        for q_min in (3, 1, 3, codec.num_levels):
+            streams = {STREAM_RHO: False, STREAM_RD: True}
+            cells = evaluate_cell(ds, codec, q_min, k_list, b, mode, 6, streams)
+            assert list(cells) == [STREAM_RHO, STREAM_RD]
+            for stream, rates in streams.items():
+                ref = _reference_evaluate_cell(
+                    ds, codec, q_min, k_list, b, mode, 6, stream, rates
+                )
+                assert cells[stream] == ref
+
+    def test_run_protocol_equals_per_stream_loops(self, case):
+        """The grid in q_min_list order (unsorted, with a repeat) and the RD
+        curves of one run_protocol equal those of a grid loop and an RD loop
+        that each run every cell on its own."""
+        ds, codec = case
+        k_list, b, seed = [2, 1], 2, 4
+        q_min_list = [codec.num_levels, 2, 1, 2]
+        cfg = EvalConfig(codec="x", q_min_list=q_min_list, k_list=k_list, b=b,
+                         mode="literal", distortion="PSNR", master_seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codeclab.protocol, "make_codec", lambda *args: codec)
+            mp.setattr(codeclab.protocol, "resolve_dataset", lambda *args: ds)
+            report = run_protocol(cfg)
+        grid, theorem1 = [], []
+        for q_min in q_min_list:
+            cell = _reference_evaluate_cell(
+                ds, codec, q_min, k_list, b, "literal", seed, STREAM_RHO, False
+            )
+            for k in k_list:
+                grid.append(rho_from_outcomes(cell[k], q_min, k, b, "PSNR"))
+                theorem1.append(theorem1_from_outcomes(cell[k], q_min, k))
+        rd_single, rd_multi = [], {k: [] for k in k_list}
+        for q in range(1, codec.num_levels + 1):
+            cell = _reference_evaluate_cell(
+                ds, codec, q, k_list, b, "literal", seed, STREAM_RD, True
+            )
+            singles = [o for o in cell[k_list[0]] if o.trial == 0]
+            rd_single.append(_rd_point(q, [o.single_bpp for o in singles],
+                                       [o.mse_x_vs_single for o in singles], singles[0].peak))
+            for k in k_list:
+                rd_multi[k].append(_rd_point(q, [o.chain_final_bpp for o in cell[k]],
+                                             [o.mse_x_vs_chain for o in cell[k]],
+                                             singles[0].peak))
+        assert [(g.q_min, g.k) for g in report.grid] == [(q, k) for q in q_min_list
+                                                          for k in k_list]
+        assert report.grid == grid
+        assert report.theorem1 == theorem1
+        assert report.rd_single == rd_single
+        assert report.rd_multi == rd_multi

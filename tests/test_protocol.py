@@ -18,7 +18,15 @@ from codeclab import (
     serialize_pnm,
     verify_strong_idempotence,
 )
-from codeclab.chains import evaluate_cell
+import codeclab.protocol
+from codeclab.chains import (
+    STREAM_RD,
+    STREAM_RHO,
+    derive_rng,
+    evaluate_cell,
+    sample_quality_sequence,
+)
+from codeclab.codecs import Codec
 from codeclab.protocol import theorem1_from_outcomes
 from codeclab.report import emit_report
 from codeclab.signals import Dataset
@@ -93,7 +101,8 @@ class TestRunProtocol:
 @pytest.mark.parametrize("channels", [1, 3])
 def test_grid_computes_no_rate(tmp_path, monkeypatch, channels):
     """Only the RD sweep reads rates: one entropy pass per plane of each of
-    its single passes and chains, and none from the grid."""
+    its single passes and of each chain longer than one stage, and none from
+    the grid.  A forced-min k = 1 chain is the single pass and reads its rate."""
     rng = np.random.default_rng(channels)
     for i in range(2):
         img = ImageBuffer(24, 16, channels, rng.integers(0, 256, 24 * 16 * channels))
@@ -112,11 +121,81 @@ def test_grid_computes_no_rate(tmp_path, monkeypatch, channels):
         "k_list": k_list, "b": b,
     })))
     levels, items = 8, 2
-    assert len(calls) == levels * items * (1 + b * len(k_list)) * channels
+    assert len(calls) == levels * items * (1 + b * len([k for k in k_list if k > 1])) * channels
+
+
+class _Counting(Codec):
+    """Forwards to a codec and logs (method, item index or None, q) per call;
+    the item index says the input is that dataset item itself."""
+
+    def __init__(self, inner, items):
+        self.inner, self.items, self.calls = inner, items, []
+        self.codec_id, self.signal_kind = inner.codec_id, inner.signal_kind
+
+    @property
+    def num_levels(self):
+        return self.inner.num_levels
+
+    def _log(self, method, x, q):
+        item = next((i for i, it in enumerate(self.items) if it is x), None)
+        self.calls.append((method, item, q))
+
+    def reconstruct(self, x, q):
+        self._log("reconstruct", x, q)
+        return self.inner.reconstruct(x, q)
+
+    def stage(self, x, q):
+        self._log("stage", x, q)
+        return self.inner.stage(x, q)
+
+    def bpp(self, bs, x):
+        return self.inner.bpp(bs, x)
+
+
+@pytest.mark.parametrize("mode", ["forced-min", "literal"])
+def test_one_single_pass_per_item_and_level(monkeypatch, mode):
+    """One run_protocol runs each (item, q) single pass once, shared by the
+    grid and the RD sweep, and each chain runs k - (levels[0] == q_min)
+    stages: a chain that starts at q_min continues from the single pass."""
+    rng = np.random.default_rng(3)
+    items = [ImageBuffer(16, 8, 1, rng.integers(0, 256, 128)) for _ in range(2)]
+    ds = Dataset(items=items, source_path="<in-memory>", item_names=["a", "b"])
+    codec = _Counting(make_codec("block-dct"), items)
+    monkeypatch.setattr(codeclab.protocol, "make_codec", lambda *args: codec)
+    monkeypatch.setattr(codeclab.protocol, "resolve_dataset", lambda *args: ds)
+    k_list, b, seed, q_min_list = [1, 3], 2, 7, [5, 2, 5]
+    run_protocol(EvalConfig(codec="block-dct", q_min_list=q_min_list, k_list=k_list, b=b,
+                            mode=mode, master_seed=seed))
+    levels = codec.num_levels
+    on_item = {(i, q): 1 for i in range(len(items)) for q in range(1, levels + 1)}
+    stages = {"reconstruct": levels * len(items), "stage": 0}
+    for q_min in range(1, levels + 1):
+        streams = {STREAM_RD: True}
+        if q_min in q_min_list:
+            streams[STREAM_RHO] = False
+        for stream, rates in streams.items():
+            for k in k_list:
+                for i in range(len(items)):
+                    for t in range(b):
+                        chain = sample_quality_sequence(
+                            q_min, levels, k, mode, derive_rng(seed, stream, q_min, k, i, t))
+                        if chain[0] != q_min:
+                            on_item[i, chain[0]] += 1
+                        runs = k - (chain[0] == q_min)
+                        rated = rates and runs > 0  # the last stage gives the rate
+                        stages["reconstruct"] += rated
+                        stages["stage"] += runs - rated
+    seen = {key: 0 for key in on_item}
+    for _, item, q in codec.calls:
+        if item is not None:
+            seen[item, q] += 1
+    assert seen == on_item
+    methods = [method for method, _, _ in codec.calls]
+    assert {m: methods.count(m) for m in stages} == stages
 
 
 def _theorem1(ds, codec, q_min, k, b):
-    return theorem1_from_outcomes(evaluate_cell(ds, codec, q_min, [k], b)[k], q_min, k)
+    return theorem1_from_outcomes(evaluate_cell(ds, codec, q_min, [k], b)[STREAM_RHO][k], q_min, k)
 
 
 class TestTheorem1:
@@ -162,6 +241,20 @@ class TestRdCurves:
 
 
 class TestVerifySweep:
+    def test_no_rate_and_first_stage_shared(self):
+        """The sweep reads no rate, and each sequence continues from the
+        single pass at its first level: one stage fewer per sequence."""
+        inputs = [SourceVector(np.linspace(0, 1, 201)), SourceVector(np.linspace(0.2, 0.4, 50))]
+        codec = _Counting(midpoint_scalar_codec(3), inputs)
+        sweep = verify_strong_idempotence(codec, inputs, 3)
+        assert sweep == verify_strong_idempotence(midpoint_scalar_codec(3), inputs, 3)
+        methods = [method for method, _, _ in codec.calls]
+        assert methods.count("reconstruct") == 0
+        per_input = 3 + sum(3**length * (length - 1) for length in (1, 2, 3))
+        assert methods.count("stage") == len(inputs) * per_input
+        singles = [(item, q) for _, item, q in codec.calls if item is not None]
+        assert singles == [(i, q) for i in range(len(inputs)) for q in (1, 2, 3)]
+
     def test_nested_zero(self):
         codec = nested_scalar_codec(3)
         inputs = [SourceVector(np.linspace(0, 1, 2001))]

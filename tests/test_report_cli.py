@@ -6,6 +6,7 @@ import pytest
 from codeclab import EvalConfig, ImageBuffer, run_protocol, serialize_pnm
 from codeclab.cli import main
 from codeclab.chains import RhoEstimate
+from codeclab.codecs import ScalarQuantizerCodec
 from codeclab.protocol import EvalReport, RdPoint, Theorem1Record
 from codeclab.report import emit_report, render_svg
 
@@ -254,6 +255,27 @@ class TestCli:
         assert main(["check-theorem1", "--codec", "midpoint-scalar", "--qmin", qmin,
                      "--k", "2", "--b", "1"]) == 2
         assert f"q_min {qmin} outside codec ladder [1, 3]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, names", [
+        ("stage", "grid cell (q_min=1) failed: chain stage"),
+        ("reconstruct", "RD cell (q_min=1) failed: chain stage 1 (quality 1) failed: boom"),
+    ])
+    def test_evaluate_codec_failure_exit_3(self, tmp_path, capsys, monkeypatch, method, names):
+        """A codec failing in stage or in reconstruct alone stops the one loop
+        over levels with exit 3, naming the level and the grid or the RD."""
+        def boom(self, x, q):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(ScalarQuantizerCodec, method, boom)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"codec": "midpoint-scalar",
+                                        "codec_options": {"source_n": 50},
+                                        "k_list": [2], "b": 1}))
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: " + names) and err.rstrip().endswith("boom")
+        assert not out.exists()
 
     def test_runtime_error_exit_3(self, tmp_path, tiny_image_dir):
         spec = tmp_path / "ext.json"

@@ -68,6 +68,10 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
                             "k_list": [1, 3], "b": 2, "distortion": "RMSE", "master_seed": 7},
         "dct-mixed": {"codec": "block-dct", "dataset": str(mixed), "q_min_list": [2, 6],
                       "k_list": [1, 3], "b": 2, "distortion": "PSNR", "master_seed": 9},
+        # literal draws, k = 1 and an unsorted q_min_list with a repeat: the
+        # grid's order, and chains that are or start with the single pass
+        "dct-literal": {"codec": "block-dct", "dataset": str(gray), "q_min_list": [6, 3, 6],
+                        "k_list": [2, 1], "b": 3, "mode": "literal", "master_seed": 11},
         "nested-scalar": {"codec": "nested-scalar:4", "k_list": [2, 10], "b": 2,
                           "distortion": "PSNR"},
         "midpoint-scalar": {"codec": "midpoint-scalar", "codec_options": {"levels": 4},
