@@ -262,16 +262,19 @@ class BlockDctCodec(Codec):
             _pixels_from_coeffs(ws, out[:, :, c])
         return ImageBuffer(width, height, channels, out)
 
-    def stage(self, img: ImageBuffer, q: int) -> ImageBuffer:
-        """reconstruct(img, q)[0] with no rate and no payload: each plane's
-        indices go straight to the inverse, not through int16 bytes."""
+    def stage(self, img: ImageBuffer, q: int, rate: bool = False):
+        """Codec.stage with no payload: each plane's indices go straight to
+        the rate and the inverse, not through int16 bytes."""
         self.check_quality(q)
         table = self._tables[q - 1]
         pixels = img.samples.reshape(img.height, img.width, img.channels)
         out = np.empty_like(pixels)
         ws = self._workspace(img.height, img.width)
+        bits = 0.0 if rate else None
         for c in range(img.channels):
             coeffs = self._channel_indices(pixels[:, :, c], table)
+            if rate:
+                bits += _entropy_bits(coeffs.reshape(-1, 64).astype(np.int16))
             coeffs *= table
             _pixels_from_coeffs(ws, out[:, :, c])
-        return ImageBuffer(img.width, img.height, img.channels, out)
+        return ImageBuffer(img.width, img.height, img.channels, out), bits

@@ -59,6 +59,11 @@ def signal_peak(a: Signal) -> float:
     return 255.0 if isinstance(a, ImageBuffer) else 1.0
 
 
+def signal_samples(a: Signal) -> int:
+    """What a rate is counted per: pixels of an image, values of a source vector."""
+    return a.pixel_count if isinstance(a, ImageBuffer) else len(a)
+
+
 def psnr_from_mse(mse: float, peak: float) -> float:
     if mse == 0.0:
         return math.inf
@@ -101,27 +106,20 @@ def compress_chain(
     x: Signal, levels: tuple[int, ...], codec: Codec, rate: bool = True, applied: int = 0
 ):
     """Apply the codec sequentially, y_i = f(y_{i-1}, q_i), and return the
-    last stage's (reconstruction, bitstream), as Codec.reconstruct does.
-
-    Only the last stage's rate can be read, so stages 1..k-1 run Codec.stage,
-    which computes no bitstream.  With rate=False the last stage runs
-    Codec.stage too, and the bitstream is None.  With applied=n, x is already
-    the output of the first n stages: only levels[n:] run, still numbered
-    from the chain's start in error messages, and with no stage left x is
-    returned as it is."""
+    last stage's (reconstruction, bits) from Codec.stage: only that stage
+    asks for its rate, and only when rate is true.  With applied=n, x is
+    already the output of the first n stages: only levels[n:] run, still
+    numbered from the chain's start in error messages, and with no stage
+    left x is returned as it is, with bits None."""
     if not levels:
         raise ValueError("empty quality sequence")
-    y, bs = x, None
-    last = len(levels) if rate else 0
+    y, bits = x, None
     for stage, q in enumerate(levels[applied:], start=applied + 1):
         try:
-            if stage == last:
-                y, bs = codec.reconstruct(y, q)
-            else:
-                y = codec.stage(y, q)
+            y, bits = codec.stage(y, q, rate and stage == len(levels))
         except Exception as e:
             raise CodecError(f"chain stage {stage} (quality {q}) failed: {e}") from e
-    return y, bs
+    return y, bits
 
 
 @dataclasses.dataclass
@@ -168,10 +166,10 @@ def evaluate_cell(
     streams defaults to {STREAM_RHO: True}; STREAM_RHO is the rho grid and
     STREAM_RD the RD curves.  Returns {stream: {k: outcomes}}, ordered by
     (item, trial) within each k.  Each item's single pass at q_min is
-    computed once and shared by every stream and k: with Codec.reconstruct
-    when some stream reads rates, else with Codec.stage.  A chain that
-    starts at q_min continues from it, and the chain (q_min,) is it.  A
-    stream that reads no rates runs Codec.stage only, and its single_bpp and
+    computed once and shared by every stream and k, with its rate when some
+    stream reads rates.  A chain that starts at q_min continues from it, and
+    the chain (q_min,) is it.  Every codec call is Codec.stage; a stream
+    that reads no rates asks for none, and its single_bpp and
     chain_final_bpp are None.  A failure raises CodecError naming the stream.
     """
     if streams is None:
@@ -185,10 +183,10 @@ def evaluate_cell(
     single_stream = next(s for s, rates in streams.items() if rates == rated)
     cells = {stream: {k: [] for k in k_list} for stream in streams}
     for i, x in enumerate(ds.items):
-        peak = signal_peak(x)
+        peak, samples = signal_peak(x), signal_samples(x)
         with _failing_in(single_stream, q_min):
-            single, single_bs = compress_chain(x, (q_min,), codec, rated)
-            single_bpp = codec.bpp(single_bs, x) if rated else None
+            single, single_bits = compress_chain(x, (q_min,), codec, rated)
+            single_bpp = single_bits / samples if rated else None
             mse_x_single = _mse(x, single)
         for stream, rates in streams.items():
             stream_bpp = single_bpp if rates else None
@@ -202,9 +200,9 @@ def evaluate_cell(
                         chain_bpp = stream_bpp
                     else:
                         start, applied = (single, 1) if levels[0] == q_min else (x, 0)
-                        y, bs = compress_chain(start, levels, codec, rates, applied)
+                        y, bits = compress_chain(start, levels, codec, rates, applied)
                         mse_single_chain, mse_x_chain = _mse(single, y), _mse(x, y)
-                        chain_bpp = codec.bpp(bs, x) if rates else None
+                        chain_bpp = bits / samples if rates else None
                     cells[stream][k].append(
                         PairOutcome(
                             item=i,

@@ -2,8 +2,8 @@
 
 A codec exposes reconstruct(x, q): apply the encoder-decoder pair at
 quality level q (1 = lowest).  Reconstruction is deterministic and pure.
-stage(x, q) returns the same reconstruction without the bitstream.  Every
-payload is a struct header, then fixed-width little-endian indices.
+stage(x, q, rate) returns it and, if rate, its bits, with no bitstream.
+Every payload is a struct header, then fixed-width little-endian indices.
 """
 from __future__ import annotations
 
@@ -62,14 +62,11 @@ class Codec:
         bs = self.encode(x, q)
         return self.decode(bs), bs
 
-    def stage(self, x, q: int):
-        """Return reconstruct(x, q)[0] alone, for chain stages whose rate
-        nobody reads.  An override must return an identical result."""
-        return self.reconstruct(x, q)[0]
-
-    def bpp(self, bs: Bitstream, x) -> float:
-        """Bits per sample: per pixel for images, per value for source vectors."""
-        return bs.bits_used / (len(x) if isinstance(x, SourceVector) else x.pixel_count)
+    def stage(self, x, q: int, rate: bool = False):
+        """(reconstruct(x, q)[0], its bits_used if rate else None).  An
+        override must return identical samples and identical bits."""
+        y, bs = self.reconstruct(x, q)
+        return y, bs.bits_used if rate else None
 
 
 _SCALAR_MAGIC = b"SQ"
@@ -107,12 +104,16 @@ class ScalarQuantizerCodec(Codec):
     def num_levels(self) -> int:
         return self.ladder.num_levels
 
-    def encode(self, x: SourceVector, q: int) -> Bitstream:
+    def _quantize(self, x: SourceVector, q: int):
+        """(indices, values, bits) of x quantised at level q."""
         self.check_quality(q)
         codewords = self.ladder.level(q)
-        indices, _ = quantize_array(x.values, codewords)
+        return *quantize_array(x.values, codewords), len(x) * math.log2(len(codewords))
+
+    def encode(self, x: SourceVector, q: int) -> Bitstream:
+        indices, _, bits = self._quantize(x, q)
         payload = _SCALAR_HEADER.pack(_SCALAR_MAGIC, q, len(x)) + _pack_indices(indices)
-        return Bitstream(payload=payload, bits_used=len(x) * math.log2(len(codewords)))
+        return Bitstream(payload=payload, bits_used=bits)
 
     def decode(self, bs: Bitstream) -> SourceVector:
         try:
@@ -128,11 +129,10 @@ class ScalarQuantizerCodec(Codec):
             raise CodecError("scalar index out of codebook range")
         return SourceVector(codewords[indices])
 
-    def stage(self, x: SourceVector, q: int) -> SourceVector:
-        """reconstruct(x, q)[0] with no uint16 payload and no parse."""
-        self.check_quality(q)
-        _, values = quantize_array(x.values, self.ladder.level(q))
-        return SourceVector(values)
+    def stage(self, x: SourceVector, q: int, rate: bool = False):
+        """Codec.stage with no uint16 payload and no parse."""
+        _, values, bits = self._quantize(x, q)
+        return SourceVector(values), bits if rate else None
 
 
 def nested_scalar_codec(levels: int = 3) -> ScalarQuantizerCodec:

@@ -254,9 +254,8 @@ def compute_rd_curves(
 
 def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> IdempotenceSweep:
     """Enumerate every quality sequence up to max_len and compare each chain
-    against the single pass at the sequence minimum.  No rate is read, so
-    every stage runs Codec.stage, and each chain continues from the single
-    pass at its first level."""
+    against the single pass at the sequence minimum.  No rate is read, and
+    each chain continues from the single pass at its first level."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     q_levels = codec.num_levels
@@ -270,7 +269,7 @@ def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> Idemp
     singles = {}
     for x in inputs:
         for q in range(1, q_levels + 1):
-            singles[q] = codec.stage(x, q)
+            singles[q], _ = codec.stage(x, q)
         for length in range(1, max_len + 1):
             for seq_levels in itertools.product(range(1, q_levels + 1), repeat=length):
                 # the first stage is the single pass at seq_levels[0]

@@ -181,18 +181,18 @@ class TestStage:
     @pytest.mark.parametrize("q", range(1, 9))
     def test_stage_is_reconstruct_image(self, dct_codec, gray_images, q):
         for img in [*gray_images, _rgb_37x21()]:
-            assert dct_codec.stage(img, q).same_as(dct_codec.reconstruct(img, q)[0])
+            assert dct_codec.stage(img, q)[0].same_as(dct_codec.reconstruct(img, q)[0])
 
     @pytest.mark.parametrize("rgb", [False, True])
     def test_chain_matches_reconstruct_loop(self, dct_codec, gray_images, rgb):
         x = _rgb_37x21() if rgb else gray_images[0]
         levels = sample_quality_sequence(1, 8, 50, "literal", derive_rng(50, rgb))
-        y, bs = compress_chain(x, levels, dct_codec)
+        y, bits = compress_chain(x, levels, dct_codec)
         ref = x
         for q in levels:
             ref, ref_bs = dct_codec.reconstruct(ref, q)
         assert y.same_as(ref)
-        assert bs == ref_bs
+        assert bits == ref_bs.bits_used
 
     def test_int16_range_checked_on_both_paths(self, gray_images):
         codec = BlockDctCodec()
@@ -315,7 +315,11 @@ class TestWorkspace:
             assert np.array_equal(y.samples, samples)
             assert bs.payload[codeclab.blockdct._HEADER.size:] == body
             assert bs.bits_used == bits
-            assert np.array_equal(dct_codec.stage(x, q).samples, samples)
+            staged, no_bits = dct_codec.stage(x, q)
+            assert np.array_equal(staged.samples, samples) and no_bits is None
+            rated, rated_bits = dct_codec.stage(x, q, rate=True)
+            assert np.array_equal(rated.samples, samples)
+            assert rated_bits == bs.bits_used
             assert np.array_equal(x.samples, before)
 
     def test_one_instance_across_shapes(self):
@@ -325,15 +329,15 @@ class TestWorkspace:
         images = [_random_image(w, h, c, 100 + i) for i, (w, h, c) in enumerate(MIXED_SHAPES)]
         for q in (1, 4, 8):
             for x in images + images[::-1]:
-                y = shared.stage(x, q)
-                assert y.same_as(BlockDctCodec().stage(x, q))
+                y, _ = shared.stage(x, q)
+                assert y.same_as(BlockDctCodec().stage(x, q)[0])
                 assert np.array_equal(y.samples, _reference_stage(shared, x, q)[0])
                 assert shared.decode(shared.encode(x, q)).same_as(y)
 
     def test_results_share_no_memory_and_stay_put(self):
         codec = BlockDctCodec()
         x = _rgb_37x21()
-        staged = codec.stage(x, 3)
+        staged, _ = codec.stage(x, 3)
         decoded = codec.decode(codec.encode(x, 5))
         recon, _ = codec.reconstruct(x, 7)
         results = [staged, decoded, recon]
@@ -363,7 +367,7 @@ class TestWorkspace:
             for img in (x, frozen):
                 bs = dct_codec.encode(img, q)
                 payload = bytes(bs.payload)
-                assert dct_codec.stage(img, q).same_as(dct_codec.decode(bs))
+                assert dct_codec.stage(img, q)[0].same_as(dct_codec.decode(bs))
                 assert bs.payload == payload
                 dct_codec.reconstruct(img, q)
                 for plane in _planes(img):

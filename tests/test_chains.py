@@ -22,6 +22,7 @@ from codeclab.chains import (
     evaluate_cell,
     rho_from_outcomes,
     signal_peak,
+    signal_samples,
 )
 from codeclab.codecs import Codec, CodecError
 from codeclab.protocol import EvalConfig, _rd_point, run_protocol, theorem1_from_outcomes
@@ -120,10 +121,10 @@ class TestCompressChain:
     def test_single_stage_equals_reconstruct(self, source_ds):
         codec = midpoint_scalar_codec(3)
         x = source_ds.items[0]
-        y, chain_bs = compress_chain(x, (2,), codec)
+        y, bits = compress_chain(x, (2,), codec)
         direct, bs = codec.reconstruct(x, 2)
         assert np.array_equal(y.values, direct.values)
-        assert chain_bs == bs
+        assert bits == bs.bits_used
 
     def test_midpoint_1_then_3_lands_on_five_eighths(self, source_ds):
         codec = midpoint_scalar_codec(3)
@@ -147,13 +148,10 @@ class TestCompressChain:
             codec_id = "broken"
             num_levels = 3
 
-            def reconstruct(self, x, q):
+            def stage(self, x, q, rate=False):
                 if q == 2:
                     raise RuntimeError("kaput")
-                return codec.reconstruct(x, q)
-
-            def bpp(self, bs, x):
-                return codec.bpp(bs, x)
+                return codec.stage(x, q, rate)
 
         x = source_ds.items[0]
         with pytest.raises(CodecError, match="stage 2"):
@@ -264,15 +262,10 @@ class TestEvaluateCellRates:
             signal_kind = "source"
             num_levels = 3
 
-            def reconstruct(self, x, q):
-                calls.append(q)
-                return codec.reconstruct(x, q)
-
-            def bpp(self, bs, x):
-                return codec.bpp(bs, x)
-
-            def stage(self, x, q):
-                return codec.stage(x, q)
+            def stage(self, x, q, rate=False):
+                if rate:
+                    calls.append(q)
+                return codec.stage(x, q, rate)
 
         evaluate_cell(source_ds, Counting(), 1, [3, 5], 2, streams={STREAM_RHO: False})
         assert calls == []
@@ -286,21 +279,21 @@ def _reference_evaluate_cell(ds, codec, q_min, k_list, b, mode, master_seed, str
     q_max = codec.num_levels
     cells = {k: [] for k in k_list}
     for i, x in enumerate(ds.items):
-        single, single_bs = compress_chain(x, (q_min,), codec, rates)
-        single_bpp = codec.bpp(single_bs, x) if rates else None
+        single, single_bits = compress_chain(x, (q_min,), codec, rates)
+        single_bpp = single_bits / signal_samples(x) if rates else None
         mse_x_single = distortion(x, single)
         for k, outcomes in cells.items():
             for t in range(b):
                 rng = derive_rng(master_seed, stream, q_min, k, i, t)
                 levels = sample_quality_sequence(q_min, q_max, k, mode, rng)
-                y, bs = compress_chain(x, levels, codec, rates)
+                y, bits = compress_chain(x, levels, codec, rates)
                 outcomes.append(PairOutcome(
                     item=i, trial=t, levels=levels,
                     mse_single_vs_chain=distortion(single, y),
                     mse_x_vs_single=mse_x_single,
                     mse_x_vs_chain=distortion(x, y),
                     single_bpp=single_bpp,
-                    chain_final_bpp=codec.bpp(bs, x) if rates else None,
+                    chain_final_bpp=bits / signal_samples(x) if rates else None,
                     peak=signal_peak(x),
                 ))
     return cells

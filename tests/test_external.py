@@ -25,9 +25,8 @@ def copy_spec():
 
 
 def _reconstruct_bpp(img, q, spec):
-    codec = ExternalCodec(spec)
-    out, bs = codec.reconstruct(img, q)
-    return out, codec.bpp(bs, img)
+    out, bs = ExternalCodec(spec).reconstruct(img, q)
+    return out, bs.bits_used / img.pixel_count
 
 
 def _random_image(seed=0, w=24, h=16):
@@ -41,6 +40,11 @@ def test_identity_pipeline(copy_spec):
     assert out.same_as(img)
     # encoded file is the PNM itself
     assert bpp == 8.0 * len(serialize_pnm(img)) / (img.width * img.height)
+    # the base class's stage counts the same file bytes, and only on request
+    staged, bits = ExternalCodec(copy_spec).stage(img, 2, True)
+    assert staged.same_as(img) and bits == 8.0 * len(serialize_pnm(img))
+    staged, bits = ExternalCodec(copy_spec).stage(img, 2)
+    assert staged.same_as(img) and bits is None
 
 
 def test_bpp_arithmetic(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 import codeclab.blockdct
 from codeclab import (
+    BlockDctCodec,
     ConfigError,
     EvalConfig,
     ImageBuffer,
@@ -26,7 +27,7 @@ from codeclab.chains import (
     evaluate_cell,
     sample_quality_sequence,
 )
-from codeclab.codecs import Codec
+from codeclab.codecs import Codec, ScalarQuantizerCodec
 from codeclab.protocol import theorem1_from_outcomes
 from codeclab.report import emit_report
 from codeclab.signals import Dataset
@@ -125,8 +126,9 @@ def test_grid_computes_no_rate(tmp_path, monkeypatch, channels):
 
 
 class _Counting(Codec):
-    """Forwards to a codec and logs (method, item index or None, q) per call;
-    the item index says the input is that dataset item itself."""
+    """Forwards Codec.stage to a codec and logs (rate, item index or None, q)
+    per call; the item index says the input is that dataset item itself.
+    Any other codec call fails: encode is the base class's."""
 
     def __init__(self, inner, items):
         self.inner, self.items, self.calls = inner, items, []
@@ -136,27 +138,19 @@ class _Counting(Codec):
     def num_levels(self):
         return self.inner.num_levels
 
-    def _log(self, method, x, q):
+    def stage(self, x, q, rate=False):
         item = next((i for i, it in enumerate(self.items) if it is x), None)
-        self.calls.append((method, item, q))
-
-    def reconstruct(self, x, q):
-        self._log("reconstruct", x, q)
-        return self.inner.reconstruct(x, q)
-
-    def stage(self, x, q):
-        self._log("stage", x, q)
-        return self.inner.stage(x, q)
-
-    def bpp(self, bs, x):
-        return self.inner.bpp(bs, x)
+        self.calls.append((rate, item, q))
+        return self.inner.stage(x, q, rate)
 
 
 @pytest.mark.parametrize("mode", ["forced-min", "literal"])
 def test_one_single_pass_per_item_and_level(monkeypatch, mode):
     """One run_protocol runs each (item, q) single pass once, shared by the
     grid and the RD sweep, and each chain runs k - (levels[0] == q_min)
-    stages: a chain that starts at q_min continues from the single pass."""
+    stages: a chain that starts at q_min continues from the single pass.
+    Every call is Codec.stage, asking for a rate at single passes and at the
+    last stage of each RD chain alone."""
     rng = np.random.default_rng(3)
     items = [ImageBuffer(16, 8, 1, rng.integers(0, 256, 128)) for _ in range(2)]
     ds = Dataset(items=items, source_path="<in-memory>", item_names=["a", "b"])
@@ -168,7 +162,7 @@ def test_one_single_pass_per_item_and_level(monkeypatch, mode):
                             mode=mode, master_seed=seed))
     levels = codec.num_levels
     on_item = {(i, q): 1 for i in range(len(items)) for q in range(1, levels + 1)}
-    stages = {"reconstruct": levels * len(items), "stage": 0}
+    stages = {True: levels * len(items), False: 0}  # stage calls by rate
     for q_min in range(1, levels + 1):
         streams = {STREAM_RD: True}
         if q_min in q_min_list:
@@ -183,15 +177,45 @@ def test_one_single_pass_per_item_and_level(monkeypatch, mode):
                             on_item[i, chain[0]] += 1
                         runs = k - (chain[0] == q_min)
                         rated = rates and runs > 0  # the last stage gives the rate
-                        stages["reconstruct"] += rated
-                        stages["stage"] += runs - rated
+                        stages[True] += rated
+                        stages[False] += runs - rated
     seen = {key: 0 for key in on_item}
     for _, item, q in codec.calls:
         if item is not None:
             seen[item, q] += 1
     assert seen == on_item
-    methods = [method for method, _, _ in codec.calls]
-    assert {m: methods.count(m) for m in stages} == stages
+    rates = [rate for rate, _, _ in codec.calls]
+    assert {rate: rates.count(rate) for rate in stages} == stages
+
+
+@pytest.mark.parametrize("case", ["dct-rgb", "dct-gray", "nested-scalar", "midpoint-scalar"])
+def test_protocol_builds_no_payload(tmp_path, monkeypatch, case):
+    """run_protocol calls no codec method but Codec.stage: with encode,
+    decode and reconstruct raising, each report emits the same bytes."""
+    doc = {"codec": case, "codec_options": {"levels": 3, "source_n": 500},
+           "k_list": [1, 3], "b": 2, "master_seed": 4}
+    if case.startswith("dct"):
+        width, height, channels = (21, 13, 3) if case == "dct-rgb" else (24, 16, 1)
+        samples = np.random.default_rng(6).integers(0, 256, width * height * channels)
+        img = ImageBuffer(width, height, channels, samples.astype(np.uint8))
+        (tmp_path / "img.pnm").write_bytes(serialize_pnm(img))
+        doc.update(codec="block-dct", codec_options={}, dataset=str(tmp_path))
+    cfg = EvalConfig.from_json(json.dumps(doc))
+
+    def reports():
+        rep = run_protocol(cfg)
+        return emit_report(rep, "json"), emit_report(rep, "csv")
+
+    expected = reports()
+
+    def no_payload(*args):
+        raise AssertionError("the protocol built or parsed a payload")
+
+    monkeypatch.setattr(Codec, "reconstruct", no_payload)
+    for cls in (ScalarQuantizerCodec, BlockDctCodec):
+        monkeypatch.setattr(cls, "encode", no_payload)
+        monkeypatch.setattr(cls, "decode", no_payload)
+    assert reports() == expected
 
 
 def _theorem1(ds, codec, q_min, k, b):
@@ -248,10 +272,10 @@ class TestVerifySweep:
         codec = _Counting(midpoint_scalar_codec(3), inputs)
         sweep = verify_strong_idempotence(codec, inputs, 3)
         assert sweep == verify_strong_idempotence(midpoint_scalar_codec(3), inputs, 3)
-        methods = [method for method, _, _ in codec.calls]
-        assert methods.count("reconstruct") == 0
+        rates = [rate for rate, _, _ in codec.calls]
+        assert rates.count(True) == 0
         per_input = 3 + sum(3**length * (length - 1) for length in (1, 2, 3))
-        assert methods.count("stage") == len(inputs) * per_input
+        assert rates.count(False) == len(inputs) * per_input
         singles = [(item, q) for _, item, q in codec.calls if item is not None]
         assert singles == [(i, q) for i in range(len(inputs)) for q in (1, 2, 3)]
 

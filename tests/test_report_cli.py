@@ -256,17 +256,24 @@ class TestCli:
                      "--k", "2", "--b", "1"]) == 2
         assert f"q_min {qmin} outside codec ladder [1, 3]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method, names", [
-        ("stage", "grid cell (q_min=1) failed: chain stage"),
-        ("reconstruct", "RD cell (q_min=1) failed: chain stage 1 (quality 1) failed: boom"),
+    @pytest.mark.parametrize("failing_rate, names", [
+        (False, "grid cell (q_min=1) failed: chain stage"),
+        (True, "RD cell (q_min=1) failed: chain stage 1 (quality 1) failed: boom"),
     ])
-    def test_evaluate_codec_failure_exit_3(self, tmp_path, capsys, monkeypatch, method, names):
-        """A codec failing in stage or in reconstruct alone stops the one loop
-        over levels with exit 3, naming the level and the grid or the RD."""
-        def boom(self, x, q):
-            raise RuntimeError("boom")
+    def test_evaluate_codec_failure_exit_3(
+        self, tmp_path, capsys, monkeypatch, failing_rate, names
+    ):
+        """A codec failing only in stages that read no rate, or only in those
+        that do, stops the one loop over levels with exit 3, naming the level
+        and the grid or the RD."""
+        stage = ScalarQuantizerCodec.stage
 
-        monkeypatch.setattr(ScalarQuantizerCodec, method, boom)
+        def boom(self, x, q, rate=False):
+            if rate == failing_rate:
+                raise RuntimeError("boom")
+            return stage(self, x, q, rate)
+
+        monkeypatch.setattr(ScalarQuantizerCodec, "stage", boom)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"codec": "midpoint-scalar",
                                         "codec_options": {"source_n": 50},

@@ -134,15 +134,19 @@ def test_claims_flag():
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
 def test_stage_is_reconstruct_without_payload(monkeypatch, source, make, levels):
     codec = make(levels)
-    expected = {q: codec.reconstruct(source, q)[0] for q in range(1, levels + 1)}
+    expected = {q: codec.reconstruct(source, q) for q in range(1, levels + 1)}
 
     def no_payload(*args):
         raise AssertionError("stage built or parsed a payload")
 
     monkeypatch.setattr(ScalarQuantizerCodec, "encode", no_payload)
     monkeypatch.setattr(ScalarQuantizerCodec, "decode", no_payload)
-    for q, recon in expected.items():
-        assert codec.stage(source, q).same_as(recon)
-        assert codec.stage(recon, q).same_as(recon)
+    for q, (recon, bs) in expected.items():
+        staged, bits = codec.stage(source, q)
+        assert staged.same_as(recon) and bits is None
+        assert codec.stage(recon, q)[0].same_as(recon)
+        rated, bits = codec.stage(source, q, rate=True)
+        assert rated.same_as(recon)
+        assert bits == bs.bits_used
     with pytest.raises(CodecError, match="outside ladder"):
         codec.stage(source, levels + 1)
