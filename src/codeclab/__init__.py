@@ -33,21 +33,21 @@ from .external import (  # noqa: F401
 )
 from .chains import (  # noqa: F401
     RhoEstimate,
+    Theorem1Record,
     compress_chain,
     distortion,
     evaluate_cell,
     rho_from_outcomes,
     sample_quality_sequence,
+    theorem1_from_outcomes,
 )
 from .registry import make_codec  # noqa: F401
 from .protocol import (  # noqa: F401
     ConfigError,
     EvalConfig,
     EvalReport,
-    Theorem1Record,
     compute_rd_curves,
     run_protocol,
-    theorem1_from_outcomes,
     verify_strong_idempotence,
 )
 from .report import emit_report, render_svg  # noqa: F401

@@ -1,4 +1,5 @@
-"""Re-compression chains, distortion metrics, and Monte Carlo rho estimation.
+"""Re-compression chains, distortion metrics, and the per-cell statistics:
+the Monte Carlo rho estimate and the theorem-1 check.
 
 rho(q_min, k) is the expected distortion between the single-pass
 reconstruction at q_min and the k-round chained reconstruction, estimated
@@ -126,16 +127,19 @@ def compress_chain(
 class PairOutcome:
     """Per-(item, trial) measurements shared by rho, theorem-1, and RD checks.
 
-    All distortions are stored as MSE; other kinds are derived.
+    All distortions are stored as MSE; other kinds are derived.  The stream
+    decides which fields are measured: a STREAM_RHO outcome has None for
+    single_bpp and chain_final_bpp, and a STREAM_RD outcome None for
+    mse_single_vs_chain.
     """
 
     item: int
     trial: int
     levels: tuple[int, ...]
-    mse_single_vs_chain: float  # d(f(x, q_min), chain final) -- the rho term
+    mse_single_vs_chain: float | None  # d(f(x, q_min), chain final) -- the rho term
     mse_x_vs_single: float
     mse_x_vs_chain: float
-    single_bpp: float | None  # None in a stream that reads no rates
+    single_bpp: float | None
     chain_final_bpp: float | None
     peak: float
 
@@ -158,61 +162,55 @@ def evaluate_cell(
     b: int,
     mode: str = "forced-min",
     master_seed: int = 0,
-    streams: dict[int, bool] | None = None,
+    streams: tuple[int, ...] = (STREAM_RHO,),
 ) -> dict[int, dict[int, list[PairOutcome]]]:
     """Run b independent chains per dataset item for each k at one q_min, in
-    each stream of streams, {stream: whether its chains read rates}.
+    each stream of streams, and return {stream: {k: outcomes}}, ordered by
+    (item, trial) within each k.
 
-    streams defaults to {STREAM_RHO: True}; STREAM_RHO is the rho grid and
-    STREAM_RD the RD curves.  Returns {stream: {k: outcomes}}, ordered by
-    (item, trial) within each k.  Each item's single pass at q_min is
-    computed once and shared by every stream and k, with its rate when some
-    stream reads rates.  A chain that starts at q_min continues from it, and
-    the chain (q_min,) is it.  Every codec call is Codec.stage; a stream
-    that reads no rates asks for none, and its single_bpp and
-    chain_final_bpp are None.  A failure raises CodecError naming the stream.
+    The stream decides what a chain measures: STREAM_RHO (the rho grid)
+    reads d(f(x, q_min), chain) and no rate, STREAM_RD (the RD curves) reads
+    the rates and d(x, chain).  Each item's single pass at q_min is computed
+    once and shared by every stream and k, with its rate when STREAM_RD is
+    in streams.  A chain that starts at q_min continues from it, and the
+    chain (q_min,) is it.  Every codec call is Codec.stage.  A failure raises
+    CodecError naming the stream.
     """
-    if streams is None:
-        streams = {STREAM_RHO: True}
     codec.check_quality(q_min)
     if b < 1:
         raise ValueError("b must be >= 1")
     q_max = codec.num_levels
-    rated = any(streams.values())
-    # the single pass runs in the form that the first stream of its kind asks for
-    single_stream = next(s for s, rates in streams.items() if rates == rated)
+    rated = STREAM_RD in streams
     cells = {stream: {k: [] for k in k_list} for stream in streams}
     for i, x in enumerate(ds.items):
         peak, samples = signal_peak(x), signal_samples(x)
-        with _failing_in(single_stream, q_min):
+        with _failing_in(STREAM_RD if rated else STREAM_RHO, q_min):
             single, single_bits = compress_chain(x, (q_min,), codec, rated)
-            single_bpp = single_bits / samples if rated else None
             mse_x_single = _mse(x, single)
-        for stream, rates in streams.items():
-            stream_bpp = single_bpp if rates else None
+        for stream in streams:
+            rd = stream == STREAM_RD
             with _failing_in(stream, q_min):
                 for k, t in itertools.product(cells[stream], range(b)):
                     rng = derive_rng(master_seed, stream, q_min, k, i, t)
                     levels = sample_quality_sequence(q_min, q_max, k, mode, rng)
                     if levels == (q_min,):
-                        # _mse(single, single) and _mse(x, single), exactly
-                        mse_single_chain, mse_x_chain = 0.0, mse_x_single
-                        chain_bpp = stream_bpp
+                        y, bits = single, single_bits
                     else:
                         start, applied = (single, 1) if levels[0] == q_min else (x, 0)
-                        y, bits = compress_chain(start, levels, codec, rates, applied)
-                        mse_single_chain, mse_x_chain = _mse(single, y), _mse(x, y)
-                        chain_bpp = bits / samples if rates else None
+                        y, bits = compress_chain(start, levels, codec, rd, applied)
+                    # the single pass is 0 from itself and mse_x_single from x: no _mse
                     cells[stream][k].append(
                         PairOutcome(
                             item=i,
                             trial=t,
                             levels=levels,
-                            mse_single_vs_chain=mse_single_chain,
+                            mse_single_vs_chain=(
+                                None if rd else 0.0 if y is single else _mse(single, y)
+                            ),
                             mse_x_vs_single=mse_x_single,
-                            mse_x_vs_chain=mse_x_chain,
-                            single_bpp=stream_bpp,
-                            chain_final_bpp=chain_bpp,
+                            mse_x_vs_chain=mse_x_single if y is single else _mse(x, y),
+                            single_bpp=single_bits / samples if rd else None,
+                            chain_final_bpp=bits / samples if rd else None,
                             peak=peak,
                         )
                     )
@@ -254,3 +252,32 @@ def rho_from_outcomes(
         mean=mean, sample_std=std, std_err=se, n_pairs=len(vals),
     )
 
+
+@dataclasses.dataclass
+class Theorem1Record:
+    """Statistical check that single-pass distortion <= chained distortion."""
+
+    q_min: int
+    k: int
+    mean_single: float
+    mean_chain: float
+    std_err_single: float
+    std_err_chain: float
+    satisfied: bool
+
+
+def theorem1_from_outcomes(
+    outcomes: list[PairOutcome], q_min: int, k: int
+) -> Theorem1Record:
+    mean_s, _, se_s = _aggregate([o.mse_x_vs_single for o in outcomes])
+    mean_c, _, se_c = _aggregate([o.mse_x_vs_chain for o in outcomes])
+    slack = 3.0 * math.sqrt(se_s**2 + se_c**2)
+    return Theorem1Record(
+        q_min=q_min,
+        k=k,
+        mean_single=mean_s,
+        mean_chain=mean_c,
+        std_err_single=se_s,
+        std_err_chain=se_c,
+        satisfied=mean_c >= mean_s - slack,
+    )

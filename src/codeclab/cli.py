@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import STREAM_RHO, evaluate_cell
+from .chains import STREAM_RHO, evaluate_cell, theorem1_from_outcomes
 from .codecs import CodecError
 from .external import ExternalCodecError
 from .protocol import (
@@ -21,7 +21,6 @@ from .protocol import (
     resolve_dataset,
     resolve_q_min_list,
     run_protocol,
-    theorem1_from_outcomes,
     verify_strong_idempotence,
 )
 from .registry import make_codec
@@ -95,9 +94,7 @@ def _cmd_rd_curve(args) -> int:
 def _cmd_check_theorem1(args) -> int:
     cfg, codec, ds = _cell_inputs(args, "forced-min", [args.qmin])
     (q_min,) = resolve_q_min_list(cfg, codec)
-    cells = evaluate_cell(
-        ds, codec, q_min, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed, {STREAM_RHO: False}
-    )
+    cells = evaluate_cell(ds, codec, q_min, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed)
     rec = theorem1_from_outcomes(cells[STREAM_RHO][args.k], q_min, args.k)
     print(f"q_min={rec.q_min} k={rec.k}")
     print(f"mean MSE single-pass: {rec.mean_single!r} (SE {rec.std_err_single!r})")

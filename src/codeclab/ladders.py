@@ -135,7 +135,7 @@ def quantize_array(xs: np.ndarray, codewords) -> tuple[np.ndarray, np.ndarray]:
     go to the LARGER codeword."""
     cw = np.asarray(codewords, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
-    if not np.all((xs >= 0.0) & (xs <= 1.0)):  # NaN fails both comparisons
+    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):  # NaN fails too
         raise ValueError("values outside [0, 1]")
     # digitize(x, mids) maps x == midpoint into the upper bin
     idx = np.digitize(xs, (cw[:-1] + cw[1:]) / 2)

@@ -18,12 +18,13 @@ from .chains import (
     STREAM_RD,
     STREAM_RHO,
     STREAM_SOURCE,
+    Theorem1Record,
     compress_chain,
+    distortion,
     evaluate_cell,
     psnr_from_mse,
     rho_from_outcomes,
-    _aggregate,
-    _mse,
+    theorem1_from_outcomes,
 )
 from .codecs import Codec
 from .registry import _is_int, make_codec
@@ -109,19 +110,6 @@ class EvalConfig:
 
 
 @dataclasses.dataclass
-class Theorem1Record:
-    """Statistical check that single-pass distortion <= chained distortion."""
-
-    q_min: int
-    k: int
-    mean_single: float
-    mean_chain: float
-    std_err_single: float
-    std_err_chain: float
-    satisfied: bool
-
-
-@dataclasses.dataclass
 class RdPoint:
     quality: int
     mean_bpp: float
@@ -175,23 +163,6 @@ def resolve_q_min_list(cfg: EvalConfig, codec: Codec) -> list[int]:
     return q_min_list
 
 
-def theorem1_from_outcomes(
-    outcomes: list[PairOutcome], q_min: int, k: int
-) -> Theorem1Record:
-    mean_s, _, se_s = _aggregate([o.mse_x_vs_single for o in outcomes])
-    mean_c, _, se_c = _aggregate([o.mse_x_vs_chain for o in outcomes])
-    slack = 3.0 * math.sqrt(se_s**2 + se_c**2)
-    return Theorem1Record(
-        q_min=q_min,
-        k=k,
-        mean_single=mean_s,
-        mean_chain=mean_c,
-        std_err_single=se_s,
-        std_err_chain=se_c,
-        satisfied=mean_c >= mean_s - slack,
-    )
-
-
 def _rd_point(q: int, bpps: list[float], mses: list[float], peak: float) -> RdPoint:
     psnrs = [psnr_from_mse(m, peak) for m in mses]
     mean_psnr = math.inf if any(math.isinf(p) for p in psnrs) else float(np.mean(psnrs))
@@ -216,7 +187,7 @@ def _sweep_levels(
     grid: dict[int, dict[int, list[PairOutcome]]] = {}
     for q in range(1, codec.num_levels + 1):
         in_grid = q in grid_q_mins
-        streams = {STREAM_RHO: False, STREAM_RD: True} if in_grid else {STREAM_RD: True}
+        streams = (STREAM_RHO, STREAM_RD) if in_grid else (STREAM_RD,)
         cells = evaluate_cell(ds, codec, q, k_list, b, mode, master_seed, streams)
         if in_grid:
             grid[q] = cells[STREAM_RHO]
@@ -276,7 +247,7 @@ def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> Idemp
                 y, _ = compress_chain(
                     singles[seq_levels[0]], seq_levels, codec, rate=False, applied=1
                 )
-                dev = _mse(singles[min(seq_levels)], y)
+                dev = distortion(singles[min(seq_levels)], y)
                 sum_mse += dev
                 count += 1
                 if dev > max_mse:

@@ -4,7 +4,8 @@ Ids: "nested-scalar", "midpoint-scalar", "block-dct", "external".
 Options (all optional): levels and source_n (scalar codecs),
 native_qualities (block-dct), spec / spec_path (external).
 An id of the form "name:arg" is shorthand for the obvious option
-(ladder size for the scalar codecs, spec path for external).
+(ladder size for the scalar codecs, spec path for external; block-dct
+takes none).
 Option values are type-checked, never coerced; a bad value raises ValueError.
 """
 from __future__ import annotations
@@ -29,6 +30,8 @@ def make_codec(codec_id: str, options: dict | None = None) -> Codec:
         builder = nested_scalar_codec if name == "nested-scalar" else midpoint_scalar_codec
         return builder(levels)
     if name == "block-dct":
+        if arg:
+            raise ValueError(f"codec 'block-dct' takes no argument, got {codec_id!r}")
         native = options.pop("native_qualities", DEFAULT_NATIVE_QUALITIES)
         if not isinstance(native, (list, tuple)) or not all(_is_int(q) for q in native):
             raise ValueError(f"native_qualities must be a list of integers, got {native!r}")

@@ -71,7 +71,7 @@ class SourceVector:
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
         if self.values.size == 0:
             raise ValueError("empty source vector")
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
+        if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):  # NaN fails too
             raise ValueError("source values must lie in [0, 1]")
 
     def __len__(self) -> int:

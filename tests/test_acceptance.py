@@ -21,9 +21,8 @@ from codeclab import (
     run_protocol,
     verify_strong_idempotence,
 )
-from codeclab.chains import STREAM_RHO, evaluate_cell, rho_from_outcomes
+from codeclab.chains import STREAM_RHO, evaluate_cell, rho_from_outcomes, theorem1_from_outcomes
 from codeclab.cli import main
-from codeclab.protocol import theorem1_from_outcomes
 from codeclab.signals import Dataset
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,9 +24,10 @@ from codeclab.chains import (
     rho_from_outcomes,
     signal_peak,
     signal_samples,
+    theorem1_from_outcomes,
 )
 from codeclab.codecs import Codec, CodecError
-from codeclab.protocol import EvalConfig, _rd_point, run_protocol, theorem1_from_outcomes
+from codeclab.protocol import EvalConfig, _rd_point, run_protocol
 from codeclab.signals import Dataset
 
 
@@ -241,10 +243,10 @@ class TestEvaluateCellRates:
             codec = dct_codec
         else:
             ds, codec = source_ds, midpoint_scalar_codec(3)
-        with_rates = evaluate_cell(ds, codec, 2, [1, 4], 2, master_seed=5)[STREAM_RHO]
-        without = evaluate_cell(
-            ds, codec, 2, [1, 4], 2, master_seed=5, streams={STREAM_RHO: False}
-        )[STREAM_RHO]
+        with_rates = _reference_evaluate_cell(
+            ds, codec, 2, [1, 4], 2, "forced-min", 5, STREAM_RHO, True
+        )
+        without = evaluate_cell(ds, codec, 2, [1, 4], 2, master_seed=5)[STREAM_RHO]
         for k, outcomes in with_rates.items():
             assert len(without[k]) == len(outcomes)
             for o, lean in zip(outcomes, without[k]):
@@ -267,9 +269,9 @@ class TestEvaluateCellRates:
                     calls.append(q)
                 return codec.stage(x, q, rate)
 
-        evaluate_cell(source_ds, Counting(), 1, [3, 5], 2, streams={STREAM_RHO: False})
+        evaluate_cell(source_ds, Counting(), 1, [3, 5], 2, streams=(STREAM_RHO,))
         assert calls == []
-        evaluate_cell(source_ds, Counting(), 1, [3, 5], 2)
+        evaluate_cell(source_ds, Counting(), 1, [3, 5], 2, streams=(STREAM_RD,))
         assert len(calls) == 1 + 2 * 2
 
 
@@ -297,6 +299,15 @@ def _reference_evaluate_cell(ds, codec, q_min, k_list, b, mode, master_seed, str
                     peak=signal_peak(x),
                 ))
     return cells
+
+
+def _as_measured_in(stream, cells):
+    """Reference outcomes with the field that the stream does not measure
+    set to None: an RD chain reads no distortion from the single pass."""
+    if stream == STREAM_RHO:
+        return cells
+    return {k: [dataclasses.replace(o, mse_single_vs_chain=None) for o in outcomes]
+            for k, outcomes in cells.items()}
 
 
 def _rgb_dataset():
@@ -333,14 +344,13 @@ class TestSharedSinglePass:
         ds, codec = case
         k_list, b = [1, 3, 2], 3
         for q_min in (3, 1, 3, codec.num_levels):
-            streams = {STREAM_RHO: False, STREAM_RD: True}
-            cells = evaluate_cell(ds, codec, q_min, k_list, b, mode, 6, streams)
+            cells = evaluate_cell(ds, codec, q_min, k_list, b, mode, 6, (STREAM_RHO, STREAM_RD))
             assert list(cells) == [STREAM_RHO, STREAM_RD]
-            for stream, rates in streams.items():
+            for stream, rates in {STREAM_RHO: False, STREAM_RD: True}.items():
                 ref = _reference_evaluate_cell(
                     ds, codec, q_min, k_list, b, mode, 6, stream, rates
                 )
-                assert cells[stream] == ref
+                assert cells[stream] == _as_measured_in(stream, ref)
 
     def test_run_protocol_equals_per_stream_loops(self, case):
         """The grid in q_min_list order (unsorted, with a repeat) and the RD

@@ -20,15 +20,16 @@ from codeclab import (
     verify_strong_idempotence,
 )
 import codeclab.protocol
+import codeclab.chains
 from codeclab.chains import (
     STREAM_RD,
     STREAM_RHO,
     derive_rng,
     evaluate_cell,
     sample_quality_sequence,
+    theorem1_from_outcomes,
 )
 from codeclab.codecs import Codec, ScalarQuantizerCodec
-from codeclab.protocol import theorem1_from_outcomes
 from codeclab.report import emit_report
 from codeclab.signals import Dataset
 
@@ -150,24 +151,41 @@ def test_one_single_pass_per_item_and_level(monkeypatch, mode):
     grid and the RD sweep, and each chain runs k - (levels[0] == q_min)
     stages: a chain that starts at q_min continues from the single pass.
     Every call is Codec.stage, asking for a rate at single passes and at the
-    last stage of each RD chain alone."""
+    last stage of each RD chain alone.  Per (item, q), _mse runs once for
+    the single pass, twice per grid chain, once per RD chain and never for
+    a chain that is the single pass."""
     rng = np.random.default_rng(3)
     items = [ImageBuffer(16, 8, 1, rng.integers(0, 256, 128)) for _ in range(2)]
     ds = Dataset(items=items, source_path="<in-memory>", item_names=["a", "b"])
     codec = _Counting(make_codec("block-dct"), items)
     monkeypatch.setattr(codeclab.protocol, "make_codec", lambda *args: codec)
     monkeypatch.setattr(codeclab.protocol, "resolve_dataset", lambda *args: ds)
+    # an _mse call belongs to the cell's q_min and to the item last staged
+    cell_q, mse_calls = [], []
+    evaluate_cell_, mse = codeclab.protocol.evaluate_cell, codeclab.chains._mse
+
+    def counting_cell(ds, codec, q_min, *args):
+        cell_q.append(q_min)
+        return evaluate_cell_(ds, codec, q_min, *args)
+
+    def counting_mse(a, b):
+        item = next(it for _, it, _ in reversed(codec.calls) if it is not None)
+        mse_calls.append((item, cell_q[-1]))
+        return mse(a, b)
+
+    monkeypatch.setattr(codeclab.protocol, "evaluate_cell", counting_cell)
+    monkeypatch.setattr(codeclab.chains, "_mse", counting_mse)
     k_list, b, seed, q_min_list = [1, 3], 2, 7, [5, 2, 5]
     run_protocol(EvalConfig(codec="block-dct", q_min_list=q_min_list, k_list=k_list, b=b,
                             mode=mode, master_seed=seed))
     levels = codec.num_levels
     on_item = {(i, q): 1 for i in range(len(items)) for q in range(1, levels + 1)}
+    mses = dict(on_item)  # the single pass's d(x, single)
     stages = {True: levels * len(items), False: 0}  # stage calls by rate
     for q_min in range(1, levels + 1):
-        streams = {STREAM_RD: True}
-        if q_min in q_min_list:
-            streams[STREAM_RHO] = False
-        for stream, rates in streams.items():
+        streams = (STREAM_RHO, STREAM_RD) if q_min in q_min_list else (STREAM_RD,)
+        for stream in streams:
+            rates = stream == STREAM_RD
             for k in k_list:
                 for i in range(len(items)):
                     for t in range(b):
@@ -175,6 +193,8 @@ def test_one_single_pass_per_item_and_level(monkeypatch, mode):
                             q_min, levels, k, mode, derive_rng(seed, stream, q_min, k, i, t))
                         if chain[0] != q_min:
                             on_item[i, chain[0]] += 1
+                        if chain != (q_min,):
+                            mses[i, q_min] += 1 if rates else 2
                         runs = k - (chain[0] == q_min)
                         rated = rates and runs > 0  # the last stage gives the rate
                         stages[True] += rated
@@ -186,6 +206,8 @@ def test_one_single_pass_per_item_and_level(monkeypatch, mode):
     assert seen == on_item
     rates = [rate for rate, _, _ in codec.calls]
     assert {rate: rates.count(rate) for rate in stages} == stages
+    assert {key: mse_calls.count(key) for key in mses} == mses
+    assert len(mse_calls) == sum(mses.values())
 
 
 @pytest.mark.parametrize("case", ["dct-rgb", "dct-gray", "nested-scalar", "midpoint-scalar"])
@@ -332,6 +354,7 @@ def test_make_codec_ids():
     ("block-dct", {"native_qualities": [5.5, 20]}),
     ("external", {"spec": 5}),
     ("external", {"spec_path": 5}),
+    ("block-dct:5", None),
 ])
 def test_make_codec_rejects_bad_option_values(codec_id, options):
     with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ import pytest
 
 from codeclab import EvalConfig, ImageBuffer, run_protocol, serialize_pnm
 from codeclab.cli import main
-from codeclab.chains import RhoEstimate
+from codeclab.chains import RhoEstimate, Theorem1Record
 from codeclab.codecs import ScalarQuantizerCodec
-from codeclab.protocol import EvalReport, RdPoint, Theorem1Record
+from codeclab.protocol import EvalReport, RdPoint
 from codeclab.report import emit_report, render_svg
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from codeclab import (
     ImageBuffer,
     PnmError,
+    SourceVector,
     generate_uniform_source,
     load_dataset,
     parse_pnm,
@@ -134,3 +135,17 @@ class TestImageBuffer:
         img = ImageBuffer(2, 1, 1, [12, 255])
         assert img.samples.dtype == np.uint8
         assert list(img.samples) == [12, 255]
+
+
+class TestSourceVector:
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5, float("inf")])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SourceVector([0.5, bad])
+
+    def test_bounds_accepted(self):
+        assert list(SourceVector([0.0, 1.0]).values) == [0.0, 1.0]
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            SourceVector([])

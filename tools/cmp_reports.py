@@ -39,8 +39,8 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
     gray, rgb = work / "gray", work / "rgb"
     _corpus(gray, "gray", 2, 131, 77)
     _corpus(rgb, "rgb", 1, 37, 21)
-    # whole-block planes, which skip the edge padding: a single block row,
-    # and several block rows and columns
+    # whole-block planes, where the edge padding copies no row or column: a
+    # single block row, and several block rows and columns
     row, rgb_aligned = work / "gray-block-row", work / "rgb-aligned"
     _corpus(row, "gray", 2, 40, 8)
     _corpus(rgb_aligned, "rgb", 1, 64, 48)
