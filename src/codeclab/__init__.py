@@ -22,8 +22,6 @@ from .codecs import (  # noqa: F401
     Codec,
     CodecError,
     ScalarQuantizerCodec,
-    midpoint_scalar_codec,
-    nested_scalar_codec,
 )
 from .blockdct import BlockDctCodec, dct2_8x8, scale_quant_table  # noqa: F401
 from .external import (  # noqa: F401
@@ -46,8 +44,8 @@ from .protocol import (  # noqa: F401
     ConfigError,
     EvalConfig,
     EvalReport,
-    compute_rd_curves,
     run_protocol,
+    sweep_levels,
     verify_strong_idempotence,
 )
 from .report import emit_report, render_svg  # noqa: F401

@@ -150,8 +150,7 @@ def _failing_in(stream: int, q_min: int):
     try:
         yield
     except Exception as e:
-        name = STREAM_NAMES.get(stream, f"stream {stream}")
-        raise CodecError(f"{name} cell (q_min={q_min}) failed: {e}") from e
+        raise CodecError(f"{STREAM_NAMES[stream]} cell (q_min={q_min}) failed: {e}") from e
 
 
 def evaluate_cell(
@@ -174,8 +173,11 @@ def evaluate_cell(
     once and shared by every stream and k, with its rate when STREAM_RD is
     in streams.  A chain that starts at q_min continues from it, and the
     chain (q_min,) is it.  Every codec call is Codec.stage.  A failure raises
-    CodecError naming the stream.
+    CodecError naming the stream.  streams must be distinct ids of
+    STREAM_NAMES, at least one; anything else raises ValueError.
     """
+    if not streams or len(set(streams)) < len(streams) or not set(streams) <= set(STREAM_NAMES):
+        raise ValueError(f"streams must be distinct ids in {sorted(STREAM_NAMES)}: {streams!r}")
     codec.check_quality(q_min)
     if b < 1:
         raise ValueError("b must be >= 1")

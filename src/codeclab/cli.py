@@ -17,10 +17,10 @@ from .external import ExternalCodecError
 from .protocol import (
     ConfigError,
     EvalConfig,
-    compute_rd_curves,
     resolve_dataset,
     resolve_q_min_list,
     run_protocol,
+    sweep_levels,
     verify_strong_idempotence,
 )
 from .registry import make_codec
@@ -33,8 +33,13 @@ EXIT_RUNTIME = 3
 EXIT_VERIFY = 4
 
 
-def _grid_inputs(n: int) -> list[SourceVector]:
-    return [SourceVector(np.linspace(0.0, 1.0, n))]
+def _top_cell_inputs(codec) -> list[SourceVector]:
+    """i / n for each of the n top-level cells [i / n, (i + 1) / n).  Every
+    decision boundary of every level lies on that grid and ties go up, so
+    each input is quantised as its whole cell is: the sweep covers [0, 1]
+    exactly, and each sequence's deviation is its U[0, 1] expectation."""
+    n = len(codec.ladder.level(codec.num_levels))
+    return [SourceVector(np.arange(n) / n)]
 
 
 def _print_sweep(sweep, codec) -> int:
@@ -57,7 +62,7 @@ def _cmd_toy_demo(args) -> int:
     print(f"{args.ladder} ladder, {ladder.num_levels} level(s):")
     for q in range(1, ladder.num_levels + 1):
         print(f"  q={q}: {list(ladder.level(q))}")
-    sweep = verify_strong_idempotence(codec, _grid_inputs(args.n), max_len=4)
+    sweep = verify_strong_idempotence(codec, _top_cell_inputs(codec), max_len=4)
     return _print_sweep(sweep, codec)
 
 
@@ -82,7 +87,7 @@ def _cell_inputs(args, mode: str, q_min_list: list[int] | None = None):
 
 def _cmd_rd_curve(args) -> int:
     cfg, codec, ds = _cell_inputs(args, args.mode)
-    rd_single, rd_multi = compute_rd_curves(
+    rd_single, rd_multi, _ = sweep_levels(
         ds, codec, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed
     )
     svg = render_svg(rd_single, rd_multi[args.k], title=f"{codec.codec_id} RD, k={args.k}")
@@ -107,7 +112,7 @@ def _cmd_verify(args) -> int:
     codec = make_codec(args.codec)
     if codec.signal_kind != "source":
         raise ConfigError("verify sweeps are exhaustive; scalar codecs only")
-    sweep = verify_strong_idempotence(codec, _grid_inputs(args.grid), args.max_len)
+    sweep = verify_strong_idempotence(codec, _top_cell_inputs(codec), args.max_len)
     return _print_sweep(sweep, codec)
 
 
@@ -121,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toy-demo", help="print a scalar ladder and sweep it")
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--ladder", choices=("nested", "midpoint"), required=True)
-    p.add_argument("--n", type=int, default=10_000)
     p.set_defaults(func=_cmd_toy_demo)
 
     p = sub.add_parser("evaluate", help="run the full protocol from a JSON config")
@@ -152,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive strong-idempotence sweep")
     p.add_argument("--codec", required=True)
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--grid", type=int, default=10_000)
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .ladders import CodebookLadder, build_midpoint_ladder, build_nested_ladder, quantize_array
+from .ladders import CodebookLadder, quantize_array
 from .signals import SourceVector
 
 
@@ -134,10 +134,3 @@ class ScalarQuantizerCodec(Codec):
         _, values, bits = self._quantize(x, q)
         return SourceVector(values), bits if rate else None
 
-
-def nested_scalar_codec(levels: int = 3) -> ScalarQuantizerCodec:
-    return ScalarQuantizerCodec(build_nested_ladder(levels))
-
-
-def midpoint_scalar_codec(levels: int = 3) -> ScalarQuantizerCodec:
-    return ScalarQuantizerCodec(build_midpoint_ladder(levels))

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import math
+from collections.abc import Collection
 from pathlib import Path
 
 import numpy as np
@@ -169,19 +170,24 @@ def _rd_point(q: int, bpps: list[float], mses: list[float], peak: float) -> RdPo
     return RdPoint(q, float(np.mean(bpps)), mean_psnr, float(np.mean(mses)))
 
 
-def _sweep_levels(
+def sweep_levels(
     ds: Dataset,
     codec: Codec,
     k_list: list[int],
     b: int,
-    mode: str,
-    master_seed: int,
-    grid_q_mins: set[int],
+    mode: str = "forced-min",
+    master_seed: int = 0,
+    grid_q_mins: Collection[int] = (),
 ) -> tuple[list[RdPoint], dict[int, list[RdPoint]], dict[int, dict[int, list[PairOutcome]]]]:
     """Evaluate each ladder level once: the RD stream at every level, and the
     rho-grid stream beside it where the level is in grid_q_mins, sharing the
-    level's single pass.  Returns rd_single, rd_multi and the grid's
-    {q_min: {k: outcomes}}."""
+    level's single pass.  Returns the single-pass RD points per level, the
+    multi-round points per q_min for each k, and the grid's
+    {q_min: {k: outcomes}}.
+
+    rd_multi PSNR compares the chain final against the ORIGINAL signal; its
+    bitrate is the final stage's (what a downstream consumer would hold).
+    """
     rd_single: list[RdPoint] = []
     rd_multi: dict[int, list[RdPoint]] = {k: [] for k in k_list}
     grid: dict[int, dict[int, list[PairOutcome]]] = {}
@@ -203,24 +209,6 @@ def _sweep_levels(
                 [o.mse_x_vs_chain for o in outcomes], peak,
             ))
     return rd_single, rd_multi, grid
-
-
-def compute_rd_curves(
-    ds: Dataset,
-    codec: Codec,
-    k_list: list[int],
-    b: int,
-    mode: str = "forced-min",
-    master_seed: int = 0,
-) -> tuple[list[RdPoint], dict[int, list[RdPoint]]]:
-    """Single-pass RD points per ladder level, and multi-round points per q_min
-    for each k.
-
-    rd_multi PSNR compares the chain final against the ORIGINAL signal; its
-    bitrate is the final stage's (what a downstream consumer would hold).
-    """
-    rd_single, rd_multi, _ = _sweep_levels(ds, codec, k_list, b, mode, master_seed, set())
-    return rd_single, rd_multi
 
 
 def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> IdempotenceSweep:
@@ -269,8 +257,8 @@ def run_protocol(cfg: EvalConfig) -> EvalReport:
     codec = make_codec(cfg.codec, cfg.codec_options)
     ds = resolve_dataset(cfg, codec)
     q_min_list = resolve_q_min_list(cfg, codec)
-    rd_single, rd_multi, cells = _sweep_levels(
-        ds, codec, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed, set(q_min_list)
+    rd_single, rd_multi, cells = sweep_levels(
+        ds, codec, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed, q_min_list
     )
     grid: list[RhoEstimate] = []
     theorem1: list[Theorem1Record] = []

@@ -5,19 +5,22 @@ Options (all optional): levels and source_n (scalar codecs),
 native_qualities (block-dct), spec / spec_path (external).
 An id of the form "name:arg" is shorthand for the obvious option
 (ladder size for the scalar codecs, spec path for external; block-dct
-takes none).
+takes none); "name:" with an empty arg is refused.
 Option values are type-checked, never coerced; a bad value raises ValueError.
 """
 from __future__ import annotations
 
-from .codecs import Codec, midpoint_scalar_codec, nested_scalar_codec
+from .codecs import Codec, ScalarQuantizerCodec
 from .blockdct import BlockDctCodec, DEFAULT_NATIVE_QUALITIES
 from .external import ExternalCodec, ExternalCodecSpec
+from .ladders import build_midpoint_ladder, build_nested_ladder
 
 
 def make_codec(codec_id: str, options: dict | None = None) -> Codec:
     options = dict(options or {})
-    name, _, arg = codec_id.partition(":")
+    name, sep, arg = codec_id.partition(":")
+    if sep and not arg:
+        raise ValueError(f"codec id {codec_id!r} has an empty argument after ':'")
     if name in ("nested-scalar", "midpoint-scalar"):
         if arg:
             levels = int(arg) if arg.isascii() and arg.isdigit() else arg
@@ -27,8 +30,8 @@ def make_codec(codec_id: str, options: dict | None = None) -> Codec:
         if "source_n" in options:
             _check_count("source_n", options.pop("source_n"))
         _reject_unknown(name, options)
-        builder = nested_scalar_codec if name == "nested-scalar" else midpoint_scalar_codec
-        return builder(levels)
+        build = build_nested_ladder if name == "nested-scalar" else build_midpoint_ladder
+        return ScalarQuantizerCodec(build(levels))
     if name == "block-dct":
         if arg:
             raise ValueError(f"codec 'block-dct' takes no argument, got {codec_id!r}")

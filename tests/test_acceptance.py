@@ -13,12 +13,11 @@ from codeclab import (
     ExternalCodec,
     SourceVector,
     compress_chain,
-    compute_rd_curves,
     distortion,
     generate_uniform_source,
-    midpoint_scalar_codec,
-    nested_scalar_codec,
+    make_codec,
     run_protocol,
+    sweep_levels,
     verify_strong_idempotence,
 )
 from codeclab.chains import STREAM_RHO, evaluate_cell, rho_from_outcomes, theorem1_from_outcomes
@@ -52,7 +51,7 @@ def dct_cells(image_dataset, dct_codec):
 
 def test_criterion_1_exhaustive_strong_idempotence(grid_source):
     start = time.monotonic()
-    sweep = verify_strong_idempotence(nested_scalar_codec(3), grid_source, max_len=4)
+    sweep = verify_strong_idempotence(make_codec("nested-scalar:3"), grid_source, max_len=4)
     elapsed = time.monotonic() - start
     ok = sweep.sequences_checked == 120 and sweep.max_mse == 0.0 and elapsed < 60
     _verdict(1, ok, f"nested codec max deviation {sweep.max_mse!r} over "
@@ -60,7 +59,7 @@ def test_criterion_1_exhaustive_strong_idempotence(grid_source):
 
 
 def test_criterion_2_midpoint_witness(grid_source):
-    codec = midpoint_scalar_codec(3)
+    codec = make_codec("midpoint-scalar:3")
     rhos = []
     for x in (grid_source[0], generate_uniform_source(5000, 77)):
         single, _ = codec.reconstruct(x, 1)
@@ -123,7 +122,7 @@ def test_criterion_6_rmse_triangle(dct_cells):
 
 
 def test_criterion_7_bitrate_property():
-    codec = nested_scalar_codec(3)
+    codec = make_codec("nested-scalar:3")
     x = generate_uniform_source(4000, 13)
     ds = Dataset.from_source(x)
     ok = True
@@ -213,6 +212,6 @@ def test_criterion_10_external_jpeg(image_dataset, tmp_path):
         source_path=image_dataset.source_path,
         item_names=image_dataset.item_names[:1],
     )
-    rd_single, rd_multi = compute_rd_curves(ds, codec, [5], b=2, master_seed=5)
+    rd_single, rd_multi, _ = sweep_levels(ds, codec, [5], b=2, master_seed=5)
     ok = all(m.mean_psnr <= s.mean_psnr for s, m in zip(rd_single, rd_multi[5]))
     _verdict(10, ok, "multi-round JPEG curve at or below single-pass in PSNR")

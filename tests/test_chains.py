@@ -10,8 +10,7 @@ from codeclab import (
     compress_chain,
     distortion,
     generate_uniform_source,
-    midpoint_scalar_codec,
-    nested_scalar_codec,
+    make_codec,
     sample_quality_sequence,
 )
 import codeclab.protocol
@@ -121,7 +120,7 @@ class TestSampleQualitySequence:
 
 class TestCompressChain:
     def test_single_stage_equals_reconstruct(self, source_ds):
-        codec = midpoint_scalar_codec(3)
+        codec = make_codec("midpoint-scalar:3")
         x = source_ds.items[0]
         y, bits = compress_chain(x, (2,), codec)
         direct, bs = codec.reconstruct(x, 2)
@@ -129,12 +128,12 @@ class TestCompressChain:
         assert bits == bs.bits_used
 
     def test_midpoint_1_then_3_lands_on_five_eighths(self, source_ds):
-        codec = midpoint_scalar_codec(3)
+        codec = make_codec("midpoint-scalar:3")
         y, _ = compress_chain(source_ds.items[0], (1, 3), codec)
         assert np.all(y.values == 0.625)
 
     def test_nested_chain_collapses_to_min(self, source_ds):
-        codec = nested_scalar_codec(3)
+        codec = make_codec("nested-scalar:3")
         x = source_ds.items[0]
         rng = np.random.default_rng(8)
         for _ in range(50):
@@ -144,7 +143,7 @@ class TestCompressChain:
             assert np.array_equal(y.values, single.values)
 
     def test_failure_annotated_with_stage(self, source_ds):
-        codec = nested_scalar_codec(3)
+        codec = make_codec("nested-scalar:3")
 
         class Broken(Codec):
             codec_id = "broken"
@@ -191,7 +190,7 @@ def _per_trial(ds, codec, q_min, k, b, master_seed):
 
 class TestEstimateRho:
     def test_nested_forced_min_is_exactly_zero(self, source_ds):
-        codec = nested_scalar_codec(3)
+        codec = make_codec("nested-scalar:3")
         for q_min in (1, 2, 3):
             est = _rho(source_ds, codec, q_min, k=10, b=5)
             assert est.mean == 0.0
@@ -199,21 +198,21 @@ class TestEstimateRho:
 
     def test_midpoint_fixed_chain_mse(self, source_ds):
         # deterministic two-step oracle: f(x,1)=1/2, then quality 3 gives 5/8
-        codec = midpoint_scalar_codec(3)
+        codec = make_codec("midpoint-scalar:3")
         x = source_ds.items[0]
         y, _ = compress_chain(x, (1, 3), codec)
         single, _ = codec.reconstruct(x, 1)
         assert distortion(single, y, "MSE") == 1 / 64
 
     def test_deterministic_per_trial(self, source_ds):
-        codec = midpoint_scalar_codec(3)
+        codec = make_codec("midpoint-scalar:3")
         a = _per_trial(source_ds, codec, 1, 5, 8, master_seed=77)
         b = _per_trial(source_ds, codec, 1, 5, 8, master_seed=77)
         assert a == b
         assert _rho(source_ds, codec, 1, 5, 8, master_seed=77).n_pairs == 8
 
     def test_seed_changes_draws(self, source_ds):
-        codec = midpoint_scalar_codec(3)
+        codec = make_codec("midpoint-scalar:3")
         a = _per_trial(source_ds, codec, 1, 8, 10, master_seed=1)
         b = _per_trial(source_ds, codec, 1, 8, 10, master_seed=2)
         assert a != b
@@ -227,7 +226,7 @@ class TestEstimateRho:
         assert 0.3 <= e40.std_err / e10.std_err <= 0.7
 
     def test_rmse_triangle_per_pair(self, source_ds):
-        codec = midpoint_scalar_codec(3)
+        codec = make_codec("midpoint-scalar:3")
         outcomes = evaluate_cell(source_ds, codec, 1, [6], 20, "forced-min", 11)[STREAM_RHO][6]
         for o in outcomes:
             lhs = math.sqrt(o.mse_x_vs_chain)
@@ -242,7 +241,7 @@ class TestEvaluateCellRates:
             ds = Dataset(items=gray_images[:2], source_path="<in-memory>", item_names=["a", "b"])
             codec = dct_codec
         else:
-            ds, codec = source_ds, midpoint_scalar_codec(3)
+            ds, codec = source_ds, make_codec("midpoint-scalar:3")
         with_rates = _reference_evaluate_cell(
             ds, codec, 2, [1, 4], 2, "forced-min", 5, STREAM_RHO, True
         )
@@ -256,7 +255,7 @@ class TestEvaluateCellRates:
                 assert lean == o
 
     def test_without_rates_no_reconstruct(self, source_ds):
-        codec = midpoint_scalar_codec(3)
+        codec = make_codec("midpoint-scalar:3")
         calls = []
 
         class Counting(Codec):
@@ -273,6 +272,15 @@ class TestEvaluateCellRates:
         assert calls == []
         evaluate_cell(source_ds, Counting(), 1, [3, 5], 2, streams=(STREAM_RD,))
         assert len(calls) == 1 + 2 * 2
+
+
+@pytest.mark.parametrize("streams", [(7,), (STREAM_RHO, STREAM_RHO), ()],
+                         ids=["unknown", "repeated", "empty"])
+def test_evaluate_cell_refuses_bad_streams(source_ds, streams):
+    # the base Codec raises NotImplementedError on any call, so the
+    # ValueError must come before the first one
+    with pytest.raises(ValueError, match="streams must be distinct ids"):
+        evaluate_cell(source_ds, Codec(), 1, [3], 2, streams=streams)
 
 
 def _reference_evaluate_cell(ds, codec, q_min, k_list, b, mode, master_seed, stream, rates):
@@ -329,9 +337,9 @@ class TestSharedSinglePass:
     @pytest.fixture(params=["midpoint", "nested", "dct-gray", "dct-rgb"])
     def case(self, request, source_ds, gray_images, dct_codec):
         if request.param == "midpoint":
-            return source_ds, midpoint_scalar_codec(4)
+            return source_ds, make_codec("midpoint-scalar:4")
         if request.param == "nested":
-            return source_ds, nested_scalar_codec(4)
+            return source_ds, make_codec("nested-scalar:4")
         if request.param == "dct-gray":
             small = [ImageBuffer(48, 40, 1, img.samples.reshape(128, 192)[:40, :48])
                      for img in gray_images[:2]]

@@ -109,6 +109,24 @@ class TestNestedLadder:
             build_nested_ladder(5)
 
 
+class TestTopCellGrid:
+    """Every decision boundary of every level lies on the top level's grid
+    i / 2^(L-1), so a sample is quantised at every level as its top cell is."""
+
+    @pytest.mark.parametrize("build,levels", [
+        *((build_midpoint_ladder, n) for n in range(1, 17)),
+        *((build_nested_ladder, n) for n in range(1, 5)),
+    ])
+    def test_boundaries_on_top_grid(self, build, levels):
+        ladder = build(levels)
+        cells = 2 ** (levels - 1)
+        assert len(ladder.level(levels)) == cells
+        for q in range(1, levels + 1):
+            codewords = [Fraction(c) for c in ladder.level(q)]
+            for a, b in zip(codewords, codewords[1:]):
+                assert ((a + b) / 2 * cells).denominator == 1
+
+
 class TestQuantizeNearest:
     CODEWORDS = (0.125, 0.375, 0.625, 0.875)
 

@@ -10,13 +10,11 @@ from codeclab import (
     EvalConfig,
     ImageBuffer,
     SourceVector,
-    compute_rd_curves,
     generate_uniform_source,
     make_codec,
-    midpoint_scalar_codec,
-    nested_scalar_codec,
     run_protocol,
     serialize_pnm,
+    sweep_levels,
     verify_strong_idempotence,
 )
 import codeclab.protocol
@@ -29,6 +27,7 @@ from codeclab.chains import (
     sample_quality_sequence,
     theorem1_from_outcomes,
 )
+from codeclab.cli import _top_cell_inputs
 from codeclab.codecs import Codec, ScalarQuantizerCodec
 from codeclab.report import emit_report
 from codeclab.signals import Dataset
@@ -246,13 +245,13 @@ def _theorem1(ds, codec, q_min, k, b):
 
 class TestTheorem1:
     def test_nested_equality(self, source_ds):
-        codec = nested_scalar_codec(3)
+        codec = make_codec("nested-scalar:3")
         rec = _theorem1(source_ds, codec, 2, 10, 5)
         assert rec.mean_chain == rec.mean_single
         assert rec.satisfied
 
     def test_k1_forced_min_identical(self, source_ds):
-        codec = midpoint_scalar_codec(3)
+        codec = make_codec("midpoint-scalar:3")
         rec = _theorem1(source_ds, codec, 1, 1, 5)
         assert rec.mean_chain == rec.mean_single
         assert rec.satisfied
@@ -264,8 +263,8 @@ class TestTheorem1:
 
 class TestRdCurves:
     def test_nested_multi_matches_single_distortion(self, source_ds):
-        codec = nested_scalar_codec(3)
-        rd_single, rd_multi = compute_rd_curves(source_ds, codec, k_list=[10], b=5)
+        codec = make_codec("nested-scalar:3")
+        rd_single, rd_multi, _ = sweep_levels(source_ds, codec, k_list=[10], b=5)
         # per-chain equality is exact (see test_chains); the aggregate mean
         # re-sums identical values, so allow last-ulp float noise here
         for s, m in zip(rd_single, rd_multi[10]):
@@ -273,13 +272,13 @@ class TestRdCurves:
             assert m.mean_mse == pytest.approx(s.mean_mse, rel=1e-12)
 
     def test_nested_psnr_increases_with_level(self, source_ds):
-        rd_single, _ = compute_rd_curves(source_ds, nested_scalar_codec(3), [5], 3)
+        rd_single, _, _ = sweep_levels(source_ds, make_codec("nested-scalar:3"), [5], 3)
         psnrs = [p.mean_psnr for p in rd_single]
         assert all(a < b for a, b in zip(psnrs, psnrs[1:]))
 
     def test_k1_forced_min_collapses_for_any_codec(self, source_ds):
-        codec = midpoint_scalar_codec(3)
-        rd_single, rd_multi = compute_rd_curves(source_ds, codec, k_list=[1], b=4)
+        codec = make_codec("midpoint-scalar:3")
+        rd_single, rd_multi, _ = sweep_levels(source_ds, codec, k_list=[1], b=4)
         for s, m in zip(rd_single, rd_multi[1]):
             assert (m.mean_bpp, m.mean_psnr, m.mean_mse) == (
                 s.mean_bpp, s.mean_psnr, s.mean_mse,
@@ -291,9 +290,9 @@ class TestVerifySweep:
         """The sweep reads no rate, and each sequence continues from the
         single pass at its first level: one stage fewer per sequence."""
         inputs = [SourceVector(np.linspace(0, 1, 201)), SourceVector(np.linspace(0.2, 0.4, 50))]
-        codec = _Counting(midpoint_scalar_codec(3), inputs)
+        codec = _Counting(make_codec("midpoint-scalar:3"), inputs)
         sweep = verify_strong_idempotence(codec, inputs, 3)
-        assert sweep == verify_strong_idempotence(midpoint_scalar_codec(3), inputs, 3)
+        assert sweep == verify_strong_idempotence(make_codec("midpoint-scalar:3"), inputs, 3)
         rates = [rate for rate, _, _ in codec.calls]
         assert rates.count(True) == 0
         per_input = 3 + sum(3**length * (length - 1) for length in (1, 2, 3))
@@ -302,28 +301,49 @@ class TestVerifySweep:
         assert singles == [(i, q) for i in range(len(inputs)) for q in (1, 2, 3)]
 
     def test_nested_zero(self):
-        codec = nested_scalar_codec(3)
+        codec = make_codec("nested-scalar:3")
         inputs = [SourceVector(np.linspace(0, 1, 2001))]
         sweep = verify_strong_idempotence(codec, inputs, 4)
         assert sweep.sequences_checked == 120
         assert sweep.max_mse == 0.0
 
     def test_midpoint_nonzero(self):
-        codec = midpoint_scalar_codec(3)
+        codec = make_codec("midpoint-scalar:3")
         inputs = [SourceVector(np.linspace(0, 1, 2001))]
         sweep = verify_strong_idempotence(codec, inputs, 4)
         assert sweep.max_mse >= 1 / 64
 
     def test_max_len_1_always_zero(self, source_ds, image_dataset, dct_codec):
         for codec, inputs in (
-            (midpoint_scalar_codec(3), source_ds.items),
+            (make_codec("midpoint-scalar:3"), source_ds.items),
             (dct_codec, [image_dataset.items[0]]),
         ):
             sweep = verify_strong_idempotence(codec, inputs, 1)
             assert sweep.max_mse == 0.0
 
+    @pytest.mark.parametrize("codec_id", ["midpoint-scalar:3", "midpoint-scalar:4",
+                                          "nested-scalar:3", "nested-scalar:4"])
+    def test_top_cells_stand_for_their_cells(self, codec_id):
+        """verify's one input per top cell sweeps as 64 interior points of
+        every cell do."""
+        codec = make_codec(codec_id)
+        (top,) = _top_cell_inputs(codec)
+        n = len(top)
+        offsets = (np.arange(64) + 0.5) / 64
+        interior = SourceVector(((np.arange(n)[:, None] + offsets) / n).ravel())
+        cells = verify_strong_idempotence(codec, [top], 3)
+        dense = verify_strong_idempotence(codec, [interior], 3)
+        q = codec.num_levels
+        assert cells.sequences_checked == dense.sequences_checked == q + q**2 + q**3
+        if codec.claims_strong_idempotence:
+            assert cells.max_mse == dense.max_mse == cells.mean_mse == dense.mean_mse == 0.0
+        else:
+            assert cells.max_mse > 0
+            assert cells.max_mse == pytest.approx(dense.max_mse, rel=1e-12)
+            assert cells.mean_mse == pytest.approx(dense.mean_mse, rel=1e-12)
+
     def test_enumeration_guard(self):
-        codec = midpoint_scalar_codec(3)
+        codec = make_codec("midpoint-scalar:3")
         with pytest.raises(ValueError, match="guard"):
             verify_strong_idempotence(codec, [], 20)
 
@@ -355,6 +375,10 @@ def test_make_codec_ids():
     ("external", {"spec": 5}),
     ("external", {"spec_path": 5}),
     ("block-dct:5", None),
+    ("nested-scalar:", None),
+    ("midpoint-scalar:", None),
+    ("block-dct:", None),
+    ("external:", None),
 ])
 def test_make_codec_rejects_bad_option_values(codec_id, options):
     with pytest.raises(ValueError):

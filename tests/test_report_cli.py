@@ -123,26 +123,34 @@ class TestRenderSvg:
 
 class TestCli:
     def test_toy_demo_nested(self, capsys):
-        assert main(["toy-demo", "--levels", "3", "--ladder", "nested", "--n", "2001"]) == 0
+        assert main(["toy-demo", "--levels", "3", "--ladder", "nested"]) == 0
         out = capsys.readouterr().out
         assert "strong idempotent" in out
         assert "0.125" in out
 
     def test_toy_demo_midpoint(self, capsys):
-        assert main(["toy-demo", "--levels", "3", "--ladder", "midpoint", "--n", "2001"]) == 0
+        assert main(["toy-demo", "--levels", "3", "--ladder", "midpoint"]) == 0
         assert "NOT strong idempotent" in capsys.readouterr().out
 
     def test_verify_nested(self, capsys):
-        assert main(["verify", "--codec", "nested-scalar", "--max-len", "3",
-                     "--grid", "1001"]) == 0
+        assert main(["verify", "--codec", "nested-scalar", "--max-len", "3"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--codec", "nested-scalar", "--max-len", "2", "--grid", "11"],
+        ["toy-demo", "--levels", "3", "--ladder", "nested", "--n", "64"],
+    ])
+    def test_sample_size_flags_gone_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_verify_rejects_image_codec(self):
         assert main(["verify", "--codec", "block-dct", "--max-len", "2"]) == 2
 
     @pytest.mark.parametrize("max_len", ["0", "-2"])
     def test_verify_max_len_below_one_exit_2(self, capsys, max_len):
-        assert main(["verify", "--codec", "nested-scalar", "--max-len", max_len,
-                     "--grid", "11"]) == 2
+        assert main(["verify", "--codec", "nested-scalar", "--max-len", max_len]) == 2
         assert "max_len must be >= 1" in capsys.readouterr().err
 
     def test_evaluate_roundtrip(self, tmp_path, capsys):

@@ -4,8 +4,7 @@ import pytest
 from codeclab import (
     SourceVector,
     generate_uniform_source,
-    midpoint_scalar_codec,
-    nested_scalar_codec,
+    make_codec,
 )
 from codeclab.codecs import (
     CodecError,
@@ -22,7 +21,7 @@ def source():
 
 
 def test_rate_is_log2_codebook_size(source):
-    codec = nested_scalar_codec(3)
+    codec = make_codec("nested-scalar:3")
     sv = SourceVector(source.values[:100])
     assert codec.encode(sv, 3).bits_used == 200.0
     assert codec.encode(sv, 2).bits_used == 100.0
@@ -30,13 +29,13 @@ def test_rate_is_log2_codebook_size(source):
 
 
 def test_level1_output_constant(source):
-    codec = nested_scalar_codec(3)
+    codec = make_codec("nested-scalar:3")
     recon, _ = codec.reconstruct(source, 1)
     assert np.all(recon.values == recon.values[0])
 
 
 def test_fixed_quality_idempotent(source):
-    for codec in (nested_scalar_codec(3), midpoint_scalar_codec(3)):
+    for codec in (make_codec("nested-scalar:3"), make_codec("midpoint-scalar:3")):
         for q in (1, 2, 3):
             once, _ = codec.reconstruct(source, q)
             twice, _ = codec.reconstruct(once, q)
@@ -44,7 +43,7 @@ def test_fixed_quality_idempotent(source):
 
 
 def test_payload_roundtrip(source):
-    codec = midpoint_scalar_codec(3)
+    codec = make_codec("midpoint-scalar:3")
     for q in (1, 2, 3):
         bs = codec.encode(source, q)
         recon = codec.decode(bs)
@@ -55,7 +54,7 @@ def test_payload_roundtrip(source):
 def test_reencode_of_chain_final_is_byte_identical(source):
     # nested ladder: re-encoding any mixed-quality chain at its minimum gives
     # the very same payload as encoding the single pass at the minimum
-    codec = nested_scalar_codec(3)
+    codec = make_codec("nested-scalar:3")
     rng = np.random.default_rng(5)
     for _ in range(20):
         k = int(rng.integers(1, 6))
@@ -70,11 +69,11 @@ def test_reencode_of_chain_final_is_byte_identical(source):
 
 def test_quality_out_of_ladder(source):
     with pytest.raises(CodecError):
-        nested_scalar_codec(3).encode(source, 4)
+        make_codec("nested-scalar:3").encode(source, 4)
 
 
 def test_corrupt_header_rejected(source):
-    codec = nested_scalar_codec(3)
+    codec = make_codec("nested-scalar:3")
     bs = codec.encode(source, 2)
     bs.payload = b"XX" + bs.payload[2:]
     with pytest.raises(CodecError, match="header"):
@@ -91,7 +90,7 @@ HEADER_SIZE = 7  # "<2sBI": magic, quality, n
     (lambda body, size: size.to_bytes(2, "little") + body[2:], "out of codebook range"),
 ], ids=["two-trailing-bytes", "one-index-short", "odd-byte-count", "index-is-codebook-size"])
 def test_corrupt_body_rejected(source, corrupt, error):
-    codec = nested_scalar_codec(3)
+    codec = make_codec("nested-scalar:3")
     bs = codec.encode(source, 3)
     size = len(codec.ladder.level(3))
     bs.payload = bs.payload[:HEADER_SIZE] + corrupt(bs.payload[HEADER_SIZE:], size)
@@ -100,7 +99,7 @@ def test_corrupt_body_rejected(source, corrupt, error):
 
 
 def test_payload_is_header_then_uint16_indices(source):
-    codec = nested_scalar_codec(3)
+    codec = make_codec("nested-scalar:3")
     bs = codec.encode(source, 3)
     assert len(bs.payload) == HEADER_SIZE + 2 * len(source)
     assert bs.payload[:HEADER_SIZE] == b"SQ\x03" + len(source).to_bytes(4, "little")
@@ -119,21 +118,22 @@ def test_codebook_size_bounded_by_uint16():
 
 
 def test_index_roundtrip_every_midpoint_level():
-    codec = midpoint_scalar_codec(16)
+    codec = make_codec("midpoint-scalar:16")
     for q in range(1, 17):
         indices = np.arange(len(codec.ladder.level(q)))
         assert np.array_equal(_unpack_indices(_pack_indices(indices), len(indices)), indices)
 
 
 def test_claims_flag():
-    assert nested_scalar_codec(3).claims_strong_idempotence
-    assert not midpoint_scalar_codec(3).claims_strong_idempotence
+    assert make_codec("nested-scalar:3").claims_strong_idempotence
+    assert not make_codec("midpoint-scalar:3").claims_strong_idempotence
 
 
-@pytest.mark.parametrize("make", [nested_scalar_codec, midpoint_scalar_codec])
+@pytest.mark.parametrize("name", ["nested-scalar", "midpoint-scalar"],
+                         ids=["nested_scalar_codec", "midpoint_scalar_codec"])
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
-def test_stage_is_reconstruct_without_payload(monkeypatch, source, make, levels):
-    codec = make(levels)
+def test_stage_is_reconstruct_without_payload(monkeypatch, source, name, levels):
+    codec = make_codec(f"{name}:{levels}")
     expected = {q: codec.reconstruct(source, q) for q in range(1, levels + 1)}
 
     def no_payload(*args):

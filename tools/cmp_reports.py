@@ -95,8 +95,8 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
         ("rd-curve-midpoint.svg", ["rd-curve", "--codec", "midpoint-scalar", "--mode",
                                    "literal", "--k", "3", "--b", "2",
                                    "--out", "rd-curve-midpoint.svg"], "rd-curve-midpoint.svg"),
-        ("verify-nested-scalar:4", ["verify", "--codec", "nested-scalar:4", "--max-len", "3",
-                                    "--grid", "2001"], None),
+        ("verify-nested-scalar:4", ["verify", "--codec", "nested-scalar:4", "--max-len", "3"],
+         None),
         ("check-theorem1-dct", ["check-theorem1", "--codec", "block-dct", "--dataset",
                                 str(gray), "--qmin", "3", "--k", "3", "--b", "2",
                                 "--seed", "6"], None),
@@ -106,10 +106,8 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
         ("check-theorem1-midpoint", ["check-theorem1", "--codec", "midpoint-scalar",
                                      "--qmin", "1", "--k", "5", "--b", "3", "--seed", "1"],
          None),
-        ("toy-demo-nested", ["toy-demo", "--levels", "3", "--ladder", "nested",
-                             "--n", "2001"], None),
-        ("toy-demo-midpoint", ["toy-demo", "--levels", "4", "--ladder", "midpoint",
-                               "--n", "2001"], None),
+        ("toy-demo-nested", ["toy-demo", "--levels", "3", "--ladder", "nested"], None),
+        ("toy-demo-midpoint", ["toy-demo", "--levels", "4", "--ladder", "midpoint"], None),
     ]
     return cmds
 
