@@ -18,8 +18,6 @@ and chaining are bit-exact.
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from fractions import Fraction
 
 import numpy as np
 
@@ -56,10 +54,10 @@ class CodebookLadder:
 
 
 MAX_MIDPOINT_LEVELS = 16
-
-
-def _midpoint_level(q: int) -> list[Fraction]:
-    return [Fraction(2 * i - 1, 2**q) for i in range(1, 2 ** (q - 1) + 1)]
+# A nested level of n parent codewords takes O(n^3) DP steps, and n doubles
+# with each level: a build takes about 0.15 s at 8 levels, 1.3 s at 9 and
+# 15 s at 10 on one 2-vCPU Xeon.
+MAX_NESTED_LEVELS = 8
 
 
 def build_midpoint_ladder(q_levels: int) -> CodebookLadder:
@@ -73,27 +71,36 @@ def build_midpoint_ladder(q_levels: int) -> CodebookLadder:
             f" ({2 ** (MAX_MIDPOINT_LEVELS - 1)} top codewords), got {q_levels}"
         )
     levels = tuple(
-        tuple(float(c) for c in _midpoint_level(q)) for q in range(1, q_levels + 1)
+        tuple((2 * i - 1) / 2**q for i in range(1, 2 ** (q - 1) + 1))
+        for q in range(1, q_levels + 1)
     )
     return CodebookLadder(levels=levels, kind="midpoint")
 
 
-def _boundaries(codewords: list[Fraction]) -> set[Fraction]:
-    return {(a + b) / 2 for a, b in zip(codewords, codewords[1:])}
-
-
-def uniform_source_mse(codewords: list[Fraction]) -> Fraction:
-    """Exact E[(x - Q(x))^2] for x ~ U(0,1) under nearest-codeword rounding."""
-    cws = sorted(codewords)
-    bounds = [Fraction(0)] + sorted(_boundaries(cws)) + [Fraction(1)]
-    total = Fraction(0)
-    for c, lo, hi in zip(cws, bounds, bounds[1:]):
-        total += ((hi - c) ** 3 - (lo - c) ** 3) / 3
-    return total
+def _best_subset(parent: list[int], size: int, top: int) -> list[int]:
+    """The size-subset of parent (codeword numerators over top) that
+    build_nested_ladder keeps, by a suffix DP: on U(0,1) the MSE of sorted
+    codewords c_0 < ... < c_m is c_0^3/3 + sum(gap^3)/12 + (1 - c_m)^3/3, a sum
+    over consecutive codewords, and 12 top^3 MSE is an integer."""
+    twice_bounds = {a + b for a, b in zip(parent, parent[1:])}
+    # best[i]: least (cost, indices) of a run of codewords from parent[i] to
+    # the end, one codeword longer each round; each step's midpoint must be a
+    # parent boundary
+    best = {i: (4 * (top - c) ** 3, (i,)) for i, c in enumerate(parent)}
+    for _ in range(size - 1):
+        shorter, best = best, {}
+        for i, a in enumerate(parent):
+            steps = [((parent[j] - a) ** 3 + cost, (i,) + idxs)
+                     for j, (cost, idxs) in shorter.items()
+                     if j > i and a + parent[j] in twice_bounds]
+            if steps:
+                best[i] = min(steps)
+    _, idxs = min((4 * parent[i] ** 3 + cost, idxs) for i, (cost, idxs) in best.items())
+    return [parent[i] for i in idxs]
 
 
 def build_nested_ladder(q_levels: int) -> CodebookLadder:
-    """Nested ladder via exhaustive constrained subset search.
+    """Nested ladder via an exact constrained subset DP.
 
     Working down from the midpoint top level, each level q keeps the
     2^(q-1)-subset of level q+1 that minimizes the exact uniform-source MSE,
@@ -101,32 +108,19 @@ def build_nested_ladder(q_levels: int) -> CodebookLadder:
     boundaries (otherwise a parent codeword can land on or across a child
     boundary and chained quantization diverges from the single pass).
     Ties break on the lexicographically smallest index set.  MSE is
-    integrated exactly with rational arithmetic.
+    integrated exactly in integer arithmetic.
     """
     if q_levels < 1:
         raise ValueError("need at least one level")
-    if q_levels > 4:
-        # C(2^q, 2^(q-1)) candidates; beyond Q=4 the exhaustive search explodes
-        raise ValueError("nested ladder search is exhaustive; at most 4 levels supported")
-    exact_levels: dict[int, list[Fraction]] = {q_levels: _midpoint_level(q_levels)}
+    if q_levels > MAX_NESTED_LEVELS:
+        raise ValueError(
+            f"nested ladder holds at most {MAX_NESTED_LEVELS} levels, got {q_levels}"
+        )
+    top = 2**q_levels
+    numerators = [list(range(1, top, 2))]
     for q in range(q_levels - 1, 0, -1):
-        parent = exact_levels[q + 1]
-        parent_bounds = _boundaries(parent)
-        want = 2 ** (q - 1)
-        best: tuple[Fraction, tuple[int, ...]] | None = None
-        for idxs in itertools.combinations(range(len(parent)), want):
-            subset = [parent[i] for i in idxs]
-            if not _boundaries(subset) <= parent_bounds:
-                continue
-            key = (uniform_source_mse(subset), idxs)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            raise RuntimeError(f"no chain-consistent subset of size {want}")
-        exact_levels[q] = [parent[i] for i in best[1]]
-    levels = tuple(
-        tuple(float(c) for c in exact_levels[q]) for q in range(1, q_levels + 1)
-    )
+        numerators.insert(0, _best_subset(numerators[0], 2 ** (q - 1), top))
+    levels = tuple(tuple(c / top for c in level) for level in numerators)
     return CodebookLadder(levels=levels, kind="nested")
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codeclab import build_midpoint_ladder, build_nested_ladder
-from codeclab.ladders import quantize_array, uniform_source_mse
+from codeclab.ladders import quantize_array
 
 
 # --- independent oracle -------------------------------------------------
@@ -19,15 +19,39 @@ from codeclab.ladders import quantize_array, uniform_source_mse
 # MSE is the exact piecewise integral in rational arithmetic.
 
 
-def _oracle_mse(codewords):
-    cws = sorted(Fraction(c) for c in codewords)
-    bounds = [Fraction(0)]
-    bounds += [(a + b) / 2 for a, b in zip(cws, cws[1:])]
-    bounds.append(Fraction(1))
+def _boundaries(codewords):
+    return {(a + b) / 2 for a, b in zip(codewords, codewords[1:])}
+
+
+def _uniform_source_mse(codewords):
+    """Exact E[(x - Q(x))^2] for x ~ U(0,1) under nearest-codeword rounding."""
+    cws = sorted(codewords)
+    bounds = [Fraction(0)] + sorted(_boundaries(cws)) + [Fraction(1)]
     total = Fraction(0)
     for c, lo, hi in zip(cws, bounds, bounds[1:]):
         total += ((hi - c) ** 3 - (lo - c) ** 3) / 3
     return total
+
+
+def _reference_nested_levels(q_levels):
+    """The exhaustive subset search build_nested_ladder replaced, with no
+    level cap: every subset of the level above whose boundaries are parent
+    boundaries, scored by the rational MSE, ties to the smallest index set."""
+    exact = {q_levels: [Fraction(2 * i - 1, 2**q_levels)
+                        for i in range(1, 2 ** (q_levels - 1) + 1)]}
+    for q in range(q_levels - 1, 0, -1):
+        parent = exact[q + 1]
+        parent_bounds = _boundaries(parent)
+        best = None
+        for idxs in combinations(range(len(parent)), 2 ** (q - 1)):
+            subset = [parent[i] for i in idxs]
+            if not _boundaries(subset) <= parent_bounds:
+                continue
+            key = (_uniform_source_mse(subset), idxs)
+            if best is None or key < best:
+                best = key
+        exact[q] = [parent[i] for i in best[1]]
+    return tuple(tuple(float(c) for c in exact[q]) for q in range(1, q_levels + 1))
 
 
 def _q(xs, cw):
@@ -45,7 +69,7 @@ def _oracle_best_subset(parent, size, grid):
         subset = [parent[i] for i in idxs]
         if not _chain_consistent(parent, [float(c) for c in subset], grid):
             continue
-        key = (_oracle_mse(subset), idxs)
+        key = (_uniform_source_mse(subset), idxs)
         if best is None or key < best:
             best = key
     return [parent[i] for i in best[1]], best[0]
@@ -101,12 +125,17 @@ class TestNestedLadder:
 
     def test_exact_mse_helper(self):
         # spot values against the rational integral
-        assert uniform_source_mse([Fraction(1, 8), Fraction(5, 8)]) == Fraction(11, 384)
-        assert uniform_source_mse([Fraction(5, 8)]) == Fraction(152, 1536)
+        assert _uniform_source_mse([Fraction(1, 8), Fraction(5, 8)]) == Fraction(11, 384)
+        assert _uniform_source_mse([Fraction(5, 8)]) == Fraction(152, 1536)
+
+    @pytest.mark.parametrize("levels", range(1, 6))
+    def test_matches_exhaustive_search(self, levels):
+        assert build_nested_ladder(levels).levels == _reference_nested_levels(levels)
 
     def test_too_many_levels_guarded(self):
-        with pytest.raises(ValueError, match="at most 4"):
-            build_nested_ladder(5)
+        assert len(build_nested_ladder(8).level(8)) == 128
+        with pytest.raises(ValueError, match="at most 8"):
+            build_nested_ladder(9)
 
 
 class TestTopCellGrid:
@@ -115,7 +144,7 @@ class TestTopCellGrid:
 
     @pytest.mark.parametrize("build,levels", [
         *((build_midpoint_ladder, n) for n in range(1, 17)),
-        *((build_nested_ladder, n) for n in range(1, 5)),
+        *((build_nested_ladder, n) for n in range(1, 9)),
     ])
     def test_boundaries_on_top_grid(self, build, levels):
         ladder = build(levels)

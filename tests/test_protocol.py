@@ -379,6 +379,7 @@ def test_make_codec_ids():
     ("midpoint-scalar:", None),
     ("block-dct:", None),
     ("external:", None),
+    ("nested-scalar:9", None),
 ])
 def test_make_codec_rejects_bad_option_values(codec_id, options):
     with pytest.raises(ValueError):

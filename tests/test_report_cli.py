@@ -135,6 +135,12 @@ class TestCli:
     def test_verify_nested(self, capsys):
         assert main(["verify", "--codec", "nested-scalar", "--max-len", "3"]) == 0
 
+    def test_verify_nested_eight_levels(self, capsys):
+        assert main(["verify", "--codec", "nested-scalar:8", "--max-len", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "sequences checked: 584" in out
+        assert "max deviation  MSE=0.0 " in out
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--codec", "nested-scalar", "--max-len", "2", "--grid", "11"],
         ["toy-demo", "--levels", "3", "--ladder", "nested", "--n", "64"],

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codeclab import (
     SourceVector,
+    compress_chain,
     generate_uniform_source,
     make_codec,
 )
@@ -65,6 +68,21 @@ def test_reencode_of_chain_final_is_byte_identical(source):
             y, _ = codec.reconstruct(y, q)
         single, _ = codec.reconstruct(source, q_min)
         assert codec.encode(y, q_min).payload == codec.encode(single, q_min).payload
+
+
+@pytest.fixture(scope="module")
+def nested_codecs():
+    return {levels: make_codec(f"nested-scalar:{levels}") for levels in range(1, 9)}
+
+
+@given(data=st.data(), levels=st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_nested_chain_is_single_pass_at_min(source, nested_codecs, data, levels):
+    seq = data.draw(st.lists(st.integers(1, levels), min_size=1, max_size=50))
+    codec = nested_codecs[levels]
+    chained, _ = compress_chain(source, tuple(seq), codec, rate=False)
+    single, _ = codec.stage(source, min(seq))
+    assert np.array_equal(chained.values, single.values)
 
 
 def test_quality_out_of_ladder(source):

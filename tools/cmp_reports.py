@@ -107,6 +107,8 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
                                      "--qmin", "1", "--k", "5", "--b", "3", "--seed", "1"],
          None),
         ("toy-demo-nested", ["toy-demo", "--levels", "3", "--ladder", "nested"], None),
+        # the 4-level nested ladder's lowest level is 9/16, not a midpoint
+        ("toy-demo-nested-4", ["toy-demo", "--levels", "4", "--ladder", "nested"], None),
         ("toy-demo-midpoint", ["toy-demo", "--levels", "4", "--ladder", "midpoint"], None),
     ]
     return cmds
