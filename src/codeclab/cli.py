@@ -12,8 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from .chains import STREAM_RHO, evaluate_cell, theorem1_from_outcomes
-from .codecs import CodecError
-from .external import ExternalCodecError
 from .protocol import (
     ConfigError,
     EvalConfig,
@@ -80,7 +78,6 @@ def _cell_inputs(args, mode: str, q_min_list: list[int] | None = None):
         codec=args.codec, dataset=args.dataset, q_min_list=q_min_list, k_list=[args.k],
         b=args.b, mode=mode, master_seed=args.seed,
     )
-    cfg.validate()
     codec = make_codec(cfg.codec)
     return cfg, codec, resolve_dataset(cfg, codec)
 
@@ -165,10 +162,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CodecError, ExternalCodecError, RuntimeError) as e:
+    except RuntimeError as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import shlex
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -30,14 +30,30 @@ class ExternalCodecSpec:
     timeout_s: float = 60.0
 
     def __post_init__(self):
-        if not self.quality_map:
-            raise ValueError("quality_map must be non-empty")
-        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
-            raise ValueError("timeout_s must be finite and positive")
+        for name in ("encode_cmd", "decode_cmd"):
+            cmd = getattr(self, name)
+            if not isinstance(cmd, str):
+                raise ValueError(f"{name} must be a string")
+            if not cmd.split():
+                raise ValueError(f"{name} must not be blank")
+        if not (isinstance(self.quality_map, list) and self.quality_map):
+            raise ValueError("quality_map must be a non-empty list")
+        # a float or a bool has no one spelling on a command line
+        if not all(isinstance(q, (str, int)) and not isinstance(q, bool)
+                   for q in self.quality_map):
+            raise ValueError("quality_map entries must be strings or integers")
+        self.quality_map = [str(q) for q in self.quality_map]
+        t = self.timeout_s
+        is_number = isinstance(t, (int, float)) and not isinstance(t, bool)
+        # int-float comparisons are exact, so NaN, the infinities and the
+        # integers that float() would overflow on all fail the range test
+        if not (is_number and 0 < t <= sys.float_info.max):
+            raise ValueError("timeout_s must be a finite number > 0")
+        self.timeout_s = float(t)
 
     @classmethod
     def from_dict(cls, doc) -> "ExternalCodecSpec":
-        """Spec from a parsed JSON object, type-checked field by field."""
+        """Spec from a parsed JSON object; the constructor checks the values."""
         if not isinstance(doc, dict):
             raise ValueError("external codec spec must be a JSON object")
         unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
@@ -46,24 +62,7 @@ class ExternalCodecSpec:
         for field in ("encode_cmd", "decode_cmd", "quality_map"):
             if field not in doc:
                 raise ValueError(f"missing spec field: {field}")
-        for field in ("encode_cmd", "decode_cmd"):
-            if not isinstance(doc[field], str):
-                raise ValueError(f"{field} must be a string")
-        if not isinstance(doc["quality_map"], list):
-            raise ValueError("quality_map must be a list")
-        timeout = doc.get("timeout_s", 60.0)
-        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
-            raise ValueError("timeout_s must be a number")
-        try:
-            timeout = float(timeout)
-        except OverflowError:  # an integer past the float range
-            raise ValueError("timeout_s must be finite and positive") from None
-        return cls(
-            encode_cmd=doc["encode_cmd"],
-            decode_cmd=doc["decode_cmd"],
-            quality_map=[str(q) for q in doc["quality_map"]],
-            timeout_s=timeout,
-        )
+        return cls(**doc)
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "ExternalCodecSpec":
@@ -90,6 +89,8 @@ def _run(argv: list[str], timeout: float, cwd: Path, what: str) -> None:
         )
     except FileNotFoundError as e:
         raise ExternalCodecError(f"{what}: command not found: {e.filename}") from None
+    except OSError as e:
+        raise ExternalCodecError(f"{what}: cannot run {argv[0]}: {e.strerror}") from None
     except subprocess.TimeoutExpired:
         raise ExternalCodecError(f"{what}: timed out after {timeout}s") from None
     if proc.returncode != 0:
@@ -151,9 +152,10 @@ class ExternalCodec(Codec):
             if not dec.is_file():
                 raise ExternalCodecError("decoder produced no output file")
             out = parse_pnm(dec.read_bytes())
-        if (out.width, out.height) != (img.width, img.height):
+        if (out.width, out.height, out.channels) != (img.width, img.height, img.channels):
             raise ExternalCodecError(
-                f"decoded dims {out.width}x{out.height} != input {img.width}x{img.height}"
+                f"decoded dims {out.width}x{out.height}x{out.channels} "
+                f"!= input {img.width}x{img.height}x{img.channels}"
             )
         return out, Bitstream(payload=payload, bits_used=8.0 * len(payload))
 

@@ -54,8 +54,10 @@ DECISIONS_IN_FORCE = (
 )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class EvalConfig:
+    """One evaluate run's settings; checked once, when built, and immutable."""
+
     codec: str
     codec_options: dict = dataclasses.field(default_factory=dict)
     dataset: str | None = None
@@ -65,6 +67,30 @@ class EvalConfig:
     mode: str = DEFAULT_MODE
     distortion: str = DEFAULT_KIND
     master_seed: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.codec, str):
+            raise ConfigError("codec must be a string")
+        if not isinstance(self.codec_options, dict):
+            raise ConfigError("codec_options must be an object")
+        if self.dataset is not None and not isinstance(self.dataset, str):
+            raise ConfigError("dataset must be a string or null")
+        if not _is_int(self.b) or self.b < 1:
+            raise ConfigError("b must be an integer >= 1")
+        if not (isinstance(self.k_list, list) and self.k_list
+                and all(_is_int(k) and k >= 1 for k in self.k_list)):
+            raise ConfigError("k_list must be a non-empty list of positive integers")
+        if self.q_min_list is not None and not (
+            isinstance(self.q_min_list, list) and self.q_min_list
+            and all(_is_int(q) for q in self.q_min_list)
+        ):
+            raise ConfigError("q_min_list must be a non-empty list of integers when given")
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.distortion not in DISTORTION_KINDS:
+            raise ConfigError(f"unknown distortion kind {self.distortion!r}")
+        if not _is_int(self.master_seed) or self.master_seed < 0:
+            raise ConfigError("master_seed must be a non-negative integer")
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "EvalConfig":
@@ -79,35 +105,11 @@ class EvalConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "codec" not in doc:
             raise ConfigError("config missing required field 'codec'")
-        cfg = cls(**doc)
-        cfg.validate()
-        return cfg
+        return cls(**doc)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EvalConfig":
         return cls.from_json(Path(path).read_text())
-
-    def validate(self) -> None:
-        if not isinstance(self.codec, str):
-            raise ConfigError("codec must be a string")
-        if not isinstance(self.codec_options, dict):
-            raise ConfigError("codec_options must be an object")
-        if self.dataset is not None and not isinstance(self.dataset, str):
-            raise ConfigError("dataset must be a string or null")
-        if not _is_int(self.b) or self.b < 1:
-            raise ConfigError("b must be an integer >= 1")
-        if not self.k_list or not all(_is_int(k) and k >= 1 for k in self.k_list):
-            raise ConfigError("k_list must be non-empty positive integers")
-        if self.q_min_list is not None and not (
-            self.q_min_list and all(_is_int(q) for q in self.q_min_list)
-        ):
-            raise ConfigError("q_min_list must be non-empty integers when given")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.distortion not in DISTORTION_KINDS:
-            raise ConfigError(f"unknown distortion kind {self.distortion!r}")
-        if not _is_int(self.master_seed) or self.master_seed < 0:
-            raise ConfigError("master_seed must be a non-negative integer")
 
 
 @dataclasses.dataclass
@@ -253,7 +255,6 @@ def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> Idemp
 def run_protocol(cfg: EvalConfig) -> EvalReport:
     """Dataset prep, (q_min, k) grid selection, one Monte Carlo pass per
     ladder level for the grid and the RD curves, aggregation."""
-    cfg.validate()
     codec = make_codec(cfg.codec, cfg.codec_options)
     ds = resolve_dataset(cfg, codec)
     q_min_list = resolve_q_min_list(cfg, codec)

@@ -89,7 +89,6 @@ class Dataset:
     """Ordered evaluation inputs: images from disk, or one synthetic vector."""
 
     items: list
-    source_path: str
     item_names: list[str]
     warnings: list[str] = dataclasses.field(default_factory=list)
 
@@ -97,8 +96,8 @@ class Dataset:
         return len(self.items)
 
     @classmethod
-    def from_source(cls, vec: SourceVector, name: str = "uniform-source") -> "Dataset":
-        return cls(items=[vec], source_path="<synthetic>", item_names=[name])
+    def from_source(cls, vec: SourceVector) -> "Dataset":
+        return cls(items=[vec], item_names=["uniform-source"])
 
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -202,4 +201,4 @@ def load_dataset(path: str | Path) -> Dataset:
             warnings.append(f"skipped unreadable PNM {p.name}: {e}")
     if not items:
         raise ValueError(f"no loadable PNM images in {root}")
-    return Dataset(items=items, source_path=str(root), item_names=names, warnings=warnings)
+    return Dataset(items=items, item_names=names, warnings=warnings)

@@ -35,7 +35,6 @@ def gray_images():
 def image_dataset(gray_images):
     return Dataset(
         items=list(gray_images),
-        source_path="<in-memory>",
         item_names=[f"img{i}.pgm" for i in range(len(gray_images))],
     )
 

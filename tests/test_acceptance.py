@@ -209,7 +209,6 @@ def test_criterion_10_external_jpeg(image_dataset, tmp_path):
     codec = ExternalCodec(spec)
     ds = Dataset(
         items=image_dataset.items[:1],
-        source_path=image_dataset.source_path,
         item_names=image_dataset.item_names[:1],
     )
     rd_single, rd_multi, _ = sweep_levels(ds, codec, [5], b=2, master_seed=5)

@@ -220,7 +220,7 @@ class TestEstimateRho:
     def test_std_err_shrinks_with_b(self, gray_images, dct_codec):
         # Monte Carlo: quadrupling b should roughly halve the standard error
         small = ImageBuffer(64, 64, 1, gray_images[0].samples.reshape(128, 192)[:64, :64])
-        ds = Dataset(items=[small], source_path="<mem>", item_names=["a"])
+        ds = Dataset(items=[small], item_names=["a"])
         e10 = _rho(ds, dct_codec, 2, 5, 10, master_seed=3)
         e40 = _rho(ds, dct_codec, 2, 5, 40, master_seed=3)
         assert 0.3 <= e40.std_err / e10.std_err <= 0.7
@@ -238,7 +238,7 @@ class TestEvaluateCellRates:
     @pytest.mark.parametrize("image", [False, True])
     def test_without_rates_same_distortions(self, source_ds, gray_images, dct_codec, image):
         if image:
-            ds = Dataset(items=gray_images[:2], source_path="<in-memory>", item_names=["a", "b"])
+            ds = Dataset(items=gray_images[:2], item_names=["a", "b"])
             codec = dct_codec
         else:
             ds, codec = source_ds, make_codec("midpoint-scalar:3")
@@ -327,7 +327,7 @@ def _rgb_dataset():
                           + rng.normal(0, 6, (24, 40)), 0, 255).astype(np.uint8)
                   for c in range(3)]
         items.append(ImageBuffer(40, 24, 3, np.stack(planes, axis=-1).reshape(-1)))
-    return Dataset(items=items, source_path="<in-memory>", item_names=["a", "b"])
+    return Dataset(items=items, item_names=["a", "b"])
 
 
 class TestSharedSinglePass:
@@ -343,7 +343,7 @@ class TestSharedSinglePass:
         if request.param == "dct-gray":
             small = [ImageBuffer(48, 40, 1, img.samples.reshape(128, 192)[:40, :48])
                      for img in gray_images[:2]]
-            ds = Dataset(items=small, source_path="<in-memory>", item_names=["a", "b"])
+            ds = Dataset(items=small, item_names=["a", "b"])
             return ds, dct_codec
         return _rgb_dataset(), dct_codec
 

@@ -1,9 +1,12 @@
 import json
+import math
 import shutil
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codeclab import (
     ExternalCodec,
@@ -135,6 +138,62 @@ def test_missing_command():
         ExternalCodec(spec).reconstruct(_random_image(), 1)
 
 
+def test_non_executable_command(tmp_path):
+    enc = tmp_path / "enc"
+    enc.write_text("not a program\n")
+    enc.chmod(0o644)
+    spec = ExternalCodecSpec(encode_cmd=f"{enc} {{input}} {{output}}", decode_cmd="true",
+                             quality_map=["1"])
+    with pytest.raises(ExternalCodecError, match=f"encoder: cannot run {enc}"):
+        ExternalCodec(spec).reconstruct(_random_image(), 1)
+
+
+def test_channel_mismatch(tmp_path, copy_spec):
+    """A decoder that takes gray and writes RGB of the same size fails the
+    stage that ran it, naming both shapes."""
+    dec = tmp_path / "dec.py"
+    dec.write_text(
+        "import sys\nopen(sys.argv[2], 'wb').write(b'P6\\n24 16\\n255\\n' + b'\\x00' * 1152)\n"
+    )
+    spec = ExternalCodecSpec(
+        encode_cmd=copy_spec.encode_cmd,
+        decode_cmd=f"{sys.executable} {dec} {{input}} {{output}}",
+        quality_map=["1"],
+    )
+    with pytest.raises(ExternalCodecError, match="dims 24x16x3 != input 24x16x1"):
+        ExternalCodec(spec).reconstruct(_random_image(), 1)
+
+
+def test_constructor_checks_types():
+    with pytest.raises(ValueError):
+        ExternalCodecSpec(encode_cmd=7, decode_cmd=None, quality_map=[None])
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quality_map=st.lists(_JSON, max_size=4) | _JSON, timeout=_JSON)
+def test_spec_values_loaded_or_refused(quality_map, timeout):
+    """Any JSON quality_map and timeout_s either load as strings and a
+    finite positive float, or raise ValueError; only strings and integers
+    (not booleans) load, each as its own spelling."""
+    doc = {"encode_cmd": "a", "decode_cmd": "b", "quality_map": quality_map,
+           "timeout_s": timeout}
+    try:
+        spec = ExternalCodecSpec.from_dict(doc)
+    except ValueError:
+        return
+    assert all(type(q) in (str, int) for q in quality_map)
+    assert spec.quality_map == [str(q) for q in quality_map]
+    assert type(spec.timeout_s) is float
+    assert math.isfinite(spec.timeout_s) and spec.timeout_s > 0
+
+
 class TestSpecJson:
     def test_parse(self):
         spec = ExternalCodecSpec.from_json(
@@ -172,6 +231,12 @@ class TestSpecJson:
         '{"encode_cmd": "a", "decode_cmd": "b", "quality_map": ["1"], "timeout_s": 1%s}' % ("0" * 400),
         '{"encode_cmd": "a", "decode_cmd": "b", "quality_map": ["1"], "timeout_s": "9"}',
         '{"encode_cmd": "a", "decode_cmd": "b", "quality_map": ["1"], "timeout_s": true}',
+        '{"encode_cmd": "a", "decode_cmd": "b", "quality_map": [null]}',
+        '{"encode_cmd": "a", "decode_cmd": "b", "quality_map": [true]}',
+        '{"encode_cmd": "a", "decode_cmd": "b", "quality_map": [{"a": 1}]}',
+        '{"encode_cmd": "a", "decode_cmd": "b", "quality_map": [1.5]}',
+        '{"encode_cmd": "", "decode_cmd": "b", "quality_map": ["1"]}',
+        '{"encode_cmd": "a", "decode_cmd": "   ", "quality_map": ["1"]}',
     ])
     def test_bad_spec_rejected_at_load(self, text):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -70,6 +71,15 @@ class TestEvalConfig:
     def test_not_json(self):
         with pytest.raises(ConfigError, match="JSON"):
             EvalConfig.from_json("{nope")
+
+    def test_checked_when_built(self):
+        with pytest.raises(ConfigError, match="b must be"):
+            EvalConfig(codec="nested-scalar", b=0)
+
+    def test_frozen(self):
+        cfg = EvalConfig(codec="nested-scalar")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.b = 3
 
 
 class TestRunProtocol:
@@ -155,7 +165,7 @@ def test_one_single_pass_per_item_and_level(monkeypatch, mode):
     a chain that is the single pass."""
     rng = np.random.default_rng(3)
     items = [ImageBuffer(16, 8, 1, rng.integers(0, 256, 128)) for _ in range(2)]
-    ds = Dataset(items=items, source_path="<in-memory>", item_names=["a", "b"])
+    ds = Dataset(items=items, item_names=["a", "b"])
     codec = _Counting(make_codec("block-dct"), items)
     monkeypatch.setattr(codeclab.protocol, "make_codec", lambda *args: codec)
     monkeypatch.setattr(codeclab.protocol, "resolve_dataset", lambda *args: ds)

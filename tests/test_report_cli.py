@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import codeclab.external
 from codeclab import EvalConfig, ImageBuffer, run_protocol, serialize_pnm
 from codeclab.cli import main
 from codeclab.chains import RhoEstimate, Theorem1Record
@@ -200,6 +201,8 @@ class TestCli:
         {"codec_options": [1]},
         {"dataset": 3},
         {"codec_options": {"levels": 2.7, "source_n": 50}},
+        {"k_list": 5},
+        {"q_min_list": 2},
     ])
     def test_evaluate_config_types_exit_2(self, tmp_path, capsys, override):
         cfg_path = tmp_path / "cfg.json"
@@ -221,6 +224,59 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "r.json")]) == 2
         assert "encode_cmd must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["spec", "external:PATH"])
+    @pytest.mark.parametrize("override", [
+        {"quality_map": [None]},
+        {"quality_map": [True]},
+        {"quality_map": [{"a": 1}]},
+        {"quality_map": [1.5]},
+        {"encode_cmd": ""},
+        {"encode_cmd": "   "},
+        {"decode_cmd": ""},
+        {"decode_cmd": "   "},
+    ])
+    def test_evaluate_refused_spec_exit_2(
+        self, tmp_path, capsys, monkeypatch, tiny_image_dir, where, override
+    ):
+        """A quality_map entry that is neither a string nor an integer, and a
+        blank command template, are refused when the spec loads: exit 2, and
+        no command runs."""
+        runs = []
+        monkeypatch.setattr(codeclab.external, "_run", lambda *args: runs.append(args))
+        spec = {"encode_cmd": "cp {input} {output}", "decode_cmd": "cp {input} {output}",
+                "quality_map": ["1"], **override}
+        if where == "spec":
+            cfg = {"codec": "external", "codec_options": {"spec": spec}}
+        else:
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps(spec))
+            cfg = {"codec": f"external:{spec_path}"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, "dataset": str(tiny_image_dir),
+                                        "k_list": [1], "b": 1}))
+        assert main(["evaluate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert runs == []
+
+    @pytest.mark.parametrize("case", ["config", "external-spec", "evaluate-out", "rd-curve-out"])
+    def test_directory_as_path_exit_2(self, tmp_path, capsys, case):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"codec": "midpoint-scalar",
+                                        "codec_options": {"source_n": 50},
+                                        "k_list": [1], "b": 1}))
+        d = str(tmp_path)
+        argv = {
+            "config": ["evaluate", "--config", d, "--out", str(tmp_path / "r.json")],
+            "external-spec": ["verify", "--codec", f"external:{d}", "--max-len", "1"],
+            "evaluate-out": ["evaluate", "--config", str(cfg_path), "--out", d],
+            "rd-curve-out": ["rd-curve", "--codec", "midpoint-scalar", "--k", "1", "--b", "1",
+                             "--out", d],
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_check_theorem1_seed_seeds_source(self, capsys):
         means = []

@@ -79,6 +79,12 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
                             "distortion": "RMSE", "master_seed": 2},
         "external-cp": {"codec": f"external:{spec}", "dataset": str(gray),
                         "q_min_list": [1, 3], "k_list": [1, 2], "b": 1},
+        # an inline spec with integer quality_map entries and timeout_s, which
+        # load as the strings "1", "2", "3" and the float 30.0
+        "external": {"codec": "external", "codec_options": {"spec": {
+                         "encode_cmd": "cp {input} {output}", "decode_cmd": "cp {input} {output}",
+                         "quality_map": [1, 2, 3], "timeout_s": 30}},
+                     "dataset": str(gray), "q_min_list": [2], "k_list": [2], "b": 1},
     }
     cmds = []
     for name, cfg in configs.items():
