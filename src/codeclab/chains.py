@@ -43,8 +43,11 @@ def _mse(a: Signal, b: Signal) -> float:
     if isinstance(a, SourceVector) and isinstance(b, SourceVector):
         if len(a) != len(b):
             raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+        if a.cells is not None and a.cells is b.cells and np.array_equal(a.table, b.table):
+            return 0.0  # equal values: the mean of n zeros
         diff = a.values - b.values
-        return float(np.mean(diff * diff))
+        diff *= diff
+        return float(np.mean(diff))
     if isinstance(a, ImageBuffer) and isinstance(b, ImageBuffer):
         if (a.width, a.height, a.channels) != (b.width, b.height, b.channels):
             raise ValueError("image dimension mismatch")

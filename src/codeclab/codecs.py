@@ -104,16 +104,12 @@ class ScalarQuantizerCodec(Codec):
     def num_levels(self) -> int:
         return self.ladder.num_levels
 
-    def _quantize(self, x: SourceVector, q: int):
-        """(indices, values, bits) of x quantised at level q."""
+    def encode(self, x: SourceVector, q: int) -> Bitstream:
         self.check_quality(q)
         codewords = self.ladder.level(q)
-        return *quantize_array(x.values, codewords), len(x) * math.log2(len(codewords))
-
-    def encode(self, x: SourceVector, q: int) -> Bitstream:
-        indices, _, bits = self._quantize(x, q)
+        indices, _ = quantize_array(x.values, codewords)
         payload = _SCALAR_HEADER.pack(_SCALAR_MAGIC, q, len(x)) + _pack_indices(indices)
-        return Bitstream(payload=payload, bits_used=bits)
+        return Bitstream(payload=payload, bits_used=len(x) * math.log2(len(codewords)))
 
     def decode(self, bs: Bitstream) -> SourceVector:
         try:
@@ -129,8 +125,30 @@ class ScalarQuantizerCodec(Codec):
             raise CodecError("scalar index out of codebook range")
         return SourceVector(codewords[indices])
 
-    def stage(self, x: SourceVector, q: int, rate: bool = False):
-        """Codec.stage with no uint16 payload and no parse."""
-        _, values, bits = self._quantize(x, q)
-        return SourceVector(values), bits if rate else None
+    def _factors(self, x: SourceVector) -> tuple:
+        """(cells, table) of x: a factored x's own, or a plain x's top-level
+        cell indices, compact and quantised once per (vector, ladder) and
+        kept on the vector, with the top codewords as the table."""
+        if x.cells is not None:
+            return x.cells, x.table
+        top = self.ladder.level(self.num_levels)
+        if x.nearest is None or x.nearest[0] is not top:
+            indices, _ = quantize_array(x.values, top)
+            cells = indices.astype(np.uint8 if len(top) <= 256 else np.uint16)
+            cells.flags.writeable = False  # shared as is by every output
+            x.nearest = (top, cells)
+        return x.nearest[1], top
 
+    def stage(self, x: SourceVector, q: int, rate: bool = False):
+        """Codec.stage with no payload and no parse: the output keeps the
+        cells of _factors(x) and quantises only its table.  Exact: a value is
+        quantised as each sample holding it is, and a sample as its top
+        cell's codeword is, since every lower-level boundary is a top-level
+        boundary, ties go up at every level, and each top codeword lies in
+        its own cell (CodebookLadder checks all three)."""
+        self.check_quality(q)
+        codewords = self.ladder.level(q)
+        cells, table = self._factors(x)
+        _, values = quantize_array(table, codewords)
+        bits = len(x) * math.log2(len(codewords)) if rate else None
+        return SourceVector(cells=cells, table=values), bits

@@ -18,13 +18,23 @@ and chaining are bit-exact.
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 import numpy as np
 
 
+def _midpoint(a, b):
+    """The decision boundary between adjacent codewords a < b; quantize_array
+    sends a value on it up.  The one definition, for floats and float64
+    arrays alike, that quantize_array and the CodebookLadder check share."""
+    return (a + b) / 2
+
+
 @dataclasses.dataclass(frozen=True)
 class CodebookLadder:
-    """Per-quality sorted codeword tuples; index 1 is the lowest quality."""
+    """Per-quality strictly increasing codeword tuples; index 1 is the lowest
+    quality.  Every level's decision boundaries are among the top level's, so
+    a sample is quantised at every level as its top cell's codeword is."""
 
     levels: tuple[tuple[float, ...], ...]
     kind: str  # "nested" | "midpoint"
@@ -33,11 +43,19 @@ class CodebookLadder:
         if self.kind not in ("nested", "midpoint"):
             raise ValueError(f"unknown ladder kind {self.kind!r}")
         sizes = [len(lv) for lv in self.levels]
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError("level sizes must strictly increase")
-        for lv in self.levels:
-            if list(lv) != sorted(lv):
-                raise ValueError("codewords must be sorted ascending")
+        if not sizes or sizes[0] < 1 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise ValueError("level sizes must strictly increase from at least 1")
+        if not all(all(map(operator.lt, lv, lv[1:])) for lv in self.levels):
+            raise ValueError("codewords must strictly increase")
+        top = self.levels[-1]
+        grid = list(map(_midpoint, top, top[1:]))
+        # the midpoint of two adjacent floats can round onto the lower one,
+        # which then ties up into the cell above
+        if not all(map(operator.lt, top, grid)):
+            raise ValueError("a top-level codeword lies outside its own cell")
+        grid = set(grid)
+        if not all(grid.issuperset(map(_midpoint, lv, lv[1:])) for lv in self.levels[:-1]):
+            raise ValueError("a level's decision boundary is not a top-level boundary")
         if self.kind == "nested":
             for lo, hi in zip(self.levels, self.levels[1:]):
                 if not set(lo) <= set(hi):
@@ -132,5 +150,5 @@ def quantize_array(xs: np.ndarray, codewords) -> tuple[np.ndarray, np.ndarray]:
     if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):  # NaN fails too
         raise ValueError("values outside [0, 1]")
     # digitize(x, mids) maps x == midpoint into the upper bin
-    idx = np.digitize(xs, (cw[:-1] + cw[1:]) / 2)
+    idx = np.digitize(xs, _midpoint(cw[:-1], cw[1:]))
     return idx, cw[idx]

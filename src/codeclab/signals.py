@@ -61,21 +61,61 @@ class ImageBuffer:
         )
 
 
-@dataclasses.dataclass(eq=False)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, or a view of it that refuses writes; the caller's array keeps its
+    own flags."""
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
+    return a
+
+
 class SourceVector:
-    """1-D real signal with every value in [0, 1]."""
+    """1-D real signal with every value in [0, 1], plain or factored.
 
-    values: np.ndarray
+    ``SourceVector(values)`` is plain.  ``SourceVector(cells=..., table=...)``
+    is factored: its values are ``table[cells]``, built on first read and
+    kept.  ``cells`` is a compact index array (uint8 for at most 256 cells,
+    uint16 otherwise) that every stage output derived from one source shares,
+    and ``table`` a small float64 array of per-cell values.  The caller
+    guarantees every index is below ``table.size``; the range check runs on
+    the table.
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        if self.values.size == 0:
+    A vector is immutable: ``values``, ``cells`` and ``table`` are read-only
+    views, and a stage keeps what it derives from a vector on it
+    (``nearest``).  They may alias the arrays passed in, so the caller must
+    not edit those afterwards.
+    """
+
+    def __init__(self, values=None, *, cells=None, table=None):
+        factored = cells is not None
+        if factored != (table is not None) or factored == (values is not None):
+            raise ValueError("give either values, or both cells and table")
+        self._values = self.cells = self.table = None
+        # (codewords, each value's index into them): a plain vector's last
+        # per-sample quantisation, kept so that it is done once per source
+        self.nearest = None
+        if factored:
+            cells = np.asarray(cells)
+            if cells.dtype not in (np.uint8, np.uint16) or cells.ndim != 1:
+                raise ValueError("cells must be a 1-D uint8 or uint16 array")
+            self.cells = _read_only(cells)
+            checked = self.table = _read_only(np.asarray(table, dtype=np.float64).ravel())
+        else:
+            checked = self._values = _read_only(np.asarray(values, dtype=np.float64).ravel())
+        if len(self) == 0 or checked.size == 0:
             raise ValueError("empty source vector")
-        if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):  # NaN fails too
+        if not (checked.min() >= 0.0 and checked.max() <= 1.0):  # NaN fails too
             raise ValueError("source values must lie in [0, 1]")
 
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = _read_only(self.table[self.cells])
+        return self._values
+
     def __len__(self) -> int:
-        return self.values.size
+        return (self._values if self.cells is None else self.cells).size
 
     def same_as(self, other: "SourceVector") -> bool:
         return np.array_equal(self.values, other.values)

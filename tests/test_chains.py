@@ -86,6 +86,26 @@ class TestDistortion:
             assert distortion(x, y) == expected
             assert distortion(y, x) == expected
 
+    @pytest.mark.parametrize("cells, n", [(8, 1), (8, 1000), (300, 100_003)])
+    def test_source_mse_equals_per_sample_mean(self, cells, n):
+        """Factored vectors, on one cell map or two, give the float64 mean of
+        the per-sample squared differences, bit for bit."""
+        rng = np.random.default_rng(n)
+        dtype = np.uint8 if cells <= 256 else np.uint16
+        shared = rng.integers(0, cells, n).astype(dtype)
+        other = rng.integers(0, cells, n).astype(dtype)
+        t1, t2 = rng.random(cells), rng.random(cells)
+        t3 = t1.copy()
+        t3[rng.integers(cells)] = 0.5
+        for (c1, a), (c2, b) in [((shared, t1), (shared, t2)), ((shared, t1), (shared, t3)),
+                                 ((shared, t1), (shared, t1.copy())), ((shared, t1), (other, t2))]:
+            diff = a[c1] - b[c2]
+            expected = float(np.mean(diff * diff))
+            x = SourceVector(cells=c1, table=a)
+            y = SourceVector(cells=c2, table=b)
+            for u, v in [(x, y), (y, x), (SourceVector(a[c1]), y), (x, SourceVector(b[c2]))]:
+                assert distortion(u, v) == expected
+
 
 class TestSampleQualitySequence:
     def test_singleton_support(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codeclab import build_midpoint_ladder, build_nested_ladder
-from codeclab.ladders import quantize_array
+from codeclab.ladders import CodebookLadder, quantize_array
 
 
 # --- independent oracle -------------------------------------------------
@@ -154,6 +154,34 @@ class TestTopCellGrid:
             codewords = [Fraction(c) for c in ladder.level(q)]
             for a, b in zip(codewords, codewords[1:]):
                 assert ((a + b) / 2 * cells).denominator == 1
+
+
+class TestLadderPrecondition:
+    """CodebookLadder refuses a ladder on which the factored stage would not
+    be exact: the top-cell fact above, checked on the float boundaries."""
+
+    TOP = (0.125, 0.375, 0.625, 0.875)
+
+    def test_off_grid_boundary_refused(self):
+        # (0.375 + 0.875) / 2 = 0.625 is no boundary of the top level
+        with pytest.raises(ValueError, match="not a top-level boundary"):
+            CodebookLadder(levels=((0.375, 0.875), self.TOP), kind="midpoint")
+
+    @pytest.mark.parametrize("levels", [((0.5,), (0.25, 0.25, 0.75)), ((0.25, 0.25),)],
+                             ids=["lower-level", "top-level"])
+    def test_duplicate_codewords_refused(self, levels):
+        with pytest.raises(ValueError, match="strictly increase"):
+            CodebookLadder(levels=levels, kind="midpoint")
+
+    def test_codeword_outside_own_cell_refused(self):
+        # the float midpoint of two adjacent floats rounds onto the lower one
+        with pytest.raises(ValueError, match="outside its own cell"):
+            CodebookLadder(levels=((0.5, float(np.nextafter(0.5, 1.0))),), kind="midpoint")
+
+    def test_empty_ladder_refused(self):
+        for levels in ((), ((),)):
+            with pytest.raises(ValueError, match="at least 1"):
+                CodebookLadder(levels=levels, kind="midpoint")
 
 
 class TestQuantizeNearest:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import codeclab.blockdct
+import codeclab.codecs
 from codeclab import (
     BlockDctCodec,
     ConfigError,
@@ -133,6 +134,24 @@ def test_grid_computes_no_rate(tmp_path, monkeypatch, channels):
     })))
     levels, items = 8, 2
     assert len(calls) == levels * items * (1 + b * len([k for k in k_list if k > 1])) * channels
+
+
+@pytest.mark.parametrize("codec_name", ["nested-scalar:4", "midpoint-scalar:4"])
+def test_one_per_sample_quantisation_per_source(monkeypatch, codec_name):
+    """A scalar report quantises each source item's samples once, to find
+    their top-level cells; every stage quantises only a per-cell table."""
+    quantize_array, sizes = codeclab.codecs.quantize_array, []
+
+    def counting(xs, codewords):
+        sizes.append(np.size(xs))
+        return quantize_array(xs, codewords)
+
+    monkeypatch.setattr(codeclab.codecs, "quantize_array", counting)
+    n = 3000
+    run_protocol(EvalConfig(codec=codec_name, codec_options={"source_n": n},
+                            k_list=[1, 5, 10], b=3, master_seed=4))
+    assert sizes.count(n) == 1
+    assert len(sizes) > 90 and max(s for s in sizes if s != n) <= 8
 
 
 class _Counting(Codec):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,9 +72,17 @@ def test_reencode_of_chain_final_is_byte_identical(source):
         assert codec.encode(y, q_min).payload == codec.encode(single, q_min).payload
 
 
+LADDERS = [("midpoint", n) for n in range(1, 17)] + [("nested", n) for n in range(1, 9)]
+
+
 @pytest.fixture(scope="module")
-def nested_codecs():
-    return {levels: make_codec(f"nested-scalar:{levels}") for levels in range(1, 9)}
+def ladder_codecs():
+    return {(kind, n): make_codec(f"{kind}-scalar:{n}") for kind, n in LADDERS}
+
+
+@pytest.fixture(scope="module")
+def nested_codecs(ladder_codecs):
+    return {levels: ladder_codecs["nested", levels] for levels in range(1, 9)}
 
 
 @given(data=st.data(), levels=st.integers(1, 8))
@@ -168,3 +178,58 @@ def test_stage_is_reconstruct_without_payload(monkeypatch, source, name, levels)
         assert bits == bs.bits_used
     with pytest.raises(CodecError, match="outside ladder"):
         codec.stage(source, levels + 1)
+
+
+def _digitize_stage(codec, values, q):
+    """The stage that quantised every sample at every level, kept as the
+    reference for the factored one: (values, bits)."""
+    cw = np.asarray(codec.ladder.level(q), dtype=np.float64)
+    return cw[np.digitize(values, (cw[:-1] + cw[1:]) / 2)], len(values) * math.log2(len(cw))
+
+
+def _edge_inputs(data, codec):
+    """0.0, 1.0, every top-level boundary i / 2^(L-1), every top codeword
+    and a few drawn values, shuffled."""
+    top = np.asarray(codec.ladder.level(codec.num_levels))
+    drawn = data.draw(st.lists(st.floats(0.0, 1.0), max_size=16))
+    xs = np.concatenate([[0.0, 1.0], np.arange(1, top.size) / top.size, top, drawn])
+    return np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(xs)
+
+
+@given(data=st.data(), ladder=st.sampled_from(LADDERS))
+@settings(max_examples=150, deadline=None)
+def test_factored_stage_is_per_sample_stage(ladder_codecs, data, ladder):
+    codec = ladder_codecs[ladder]
+    xs = _edge_inputs(data, codec)
+    seq = data.draw(st.lists(st.integers(1, codec.num_levels), min_size=1, max_size=8))
+    y, expected = SourceVector(xs), xs
+    for q in seq:
+        y, bits = codec.stage(y, q, rate=True)
+        expected, expected_bits = _digitize_stage(codec, expected, q)
+        assert y.cells is not None
+        assert np.array_equal(y.values, expected) and bits == expected_bits
+
+
+@given(data=st.data(), ladder=st.sampled_from(LADDERS))
+@settings(max_examples=100, deadline=None)
+def test_plain_and_factored_inputs_stage_alike(ladder_codecs, data, ladder):
+    codec = ladder_codecs[ladder]
+    table = _edge_inputs(data, codec)
+    cells = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(
+        0, min(table.size, 1 << 16), 3 * table.size).astype(np.uint16)
+    factored, plain = SourceVector(cells=cells, table=table), SourceVector(table[cells])
+    for q in data.draw(st.lists(st.integers(1, codec.num_levels), min_size=1, max_size=8)):
+        (factored, bits_f), (plain, bits_p) = codec.stage(factored, q, True), codec.stage(plain, q, True)
+        assert np.array_equal(factored.values, plain.values) and bits_f == bits_p
+
+
+@pytest.mark.parametrize("name", ["nested-scalar:4", "midpoint-scalar:4"])
+def test_staged_source_shares_one_cell_map(source, name):
+    """Every stage output of one plain source carries the one top-cell map
+    found for it, and the source's values cannot change under that map."""
+    codec = make_codec(name)
+    outputs = [codec.stage(source, q)[0] for q in range(1, 5)]
+    assert all(y.cells is outputs[0].cells for y in outputs)
+    assert codec.stage(outputs[0], 3)[0].cells is outputs[0].cells
+    with pytest.raises(ValueError, match="read-only"):
+        source.values[0] = 0.5

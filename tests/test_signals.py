@@ -149,3 +149,42 @@ class TestSourceVector:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             SourceVector([])
+
+    def test_factored_values_are_table_at_cells(self):
+        cells = np.array([2, 0, 2, 1], np.uint8)
+        v = SourceVector(cells=cells, table=[0.25, 0.5, 1.0])
+        assert len(v) == 4 and np.shares_memory(v.cells, cells)
+        assert list(v.values) == [1.0, 0.25, 1.0, 0.5]
+        assert v.values is v.values  # built once, then kept
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    def test_factored_table_range_checked(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SourceVector(cells=np.zeros(3, np.uint16), table=[0.5, bad])
+
+    @pytest.mark.parametrize("values,kwargs", [
+        (None, {}), (None, {"cells": np.zeros(2, np.uint8)}), (None, {"table": [0.5]}),
+        ([0.5], {"cells": np.zeros(1, np.uint8), "table": [0.5]}),
+    ], ids=["nothing", "cells-only", "table-only", "values-and-factors"])
+    def test_one_form_required(self, values, kwargs):
+        with pytest.raises(ValueError, match="either values"):
+            SourceVector(values, **kwargs)
+
+    @pytest.mark.parametrize("cells", [np.zeros(2, np.int64), np.zeros((1, 2), np.uint8)],
+                             ids=["int64", "2-d"])
+    def test_cells_compact_and_flat(self, cells):
+        with pytest.raises(ValueError, match="uint8 or uint16"):
+            SourceVector(cells=cells, table=[0.5])
+
+    def test_factored_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            SourceVector(cells=np.zeros(0, np.uint8), table=[0.5])
+
+    def test_read_only(self):
+        caller = np.array([0.25, 0.75])
+        plain = SourceVector(values=caller)
+        factored = SourceVector(cells=np.array([1, 0], np.uint8), table=caller)
+        for a in (plain.values, factored.values, factored.cells, factored.table):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        caller[0] = 0.5  # the caller's own array keeps its flags
