@@ -9,8 +9,8 @@ Every random draw comes from a stream derived deterministically from
 (master_seed, purpose, q_min, k, item, trial).  evaluate_cell is the one
 place that runs Monte Carlo chains: the rho grid, the theorem-1 check and
 the RD curves all read its PairOutcomes.  It relies on the Codec contract
-that f is deterministic: a chain that starts at q_min continues from the
-single pass f(x, q_min), and the chain (q_min,) is that single pass.
+that f is deterministic: a chain runs no stage that it has run already, and
+a stage f(x, q_min) is the item's single pass.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import zlib
 
 import numpy as np
 
@@ -39,12 +40,24 @@ def derive_rng(master_seed: int, *coords: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, coords)]))
 
 
+def _same_signal(a: Signal, b: Signal) -> bool:
+    """a and b hold equal samples, known without reading them: one object,
+    or factored vectors on one cell map with equal tables."""
+    return a is b or (
+        isinstance(a, SourceVector)
+        and isinstance(b, SourceVector)
+        and a.cells is not None
+        and a.cells is b.cells
+        and np.array_equal(a.table, b.table)
+    )
+
+
 def _mse(a: Signal, b: Signal) -> float:
+    if _same_signal(a, b):
+        return 0.0  # equal samples: the mean of n zeros
     if isinstance(a, SourceVector) and isinstance(b, SourceVector):
         if len(a) != len(b):
             raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-        if a.cells is not None and a.cells is b.cells and np.array_equal(a.table, b.table):
-            return 0.0  # equal values: the mean of n zeros
         diff = a.values - b.values
         diff *= diff
         return float(np.mean(diff))
@@ -106,24 +119,77 @@ def sample_quality_sequence(
     return tuple(int(q) for q in levels)
 
 
+def _fingerprint(a: Signal):
+    """A cheap digest, equal for signals that _equal_samples calls equal: an
+    image's CRC-32, read in place, and a factored vector's cell map and table
+    CRC-32, which never builds its values."""
+    if isinstance(a, ImageBuffer):
+        return zlib.crc32(a.samples)
+    return id(a) if a.cells is None else (id(a.cells), zlib.crc32(a.table))
+
+
+def _equal_samples(a: Signal, b: Signal) -> bool:
+    """Exact: _same_signal, or images with equal samples."""
+    return _same_signal(a, b) or (
+        isinstance(a, ImageBuffer) and isinstance(b, ImageBuffer) and a.same_as(b)
+    )
+
+
+def _recall(kept: list, y: Signal) -> tuple:
+    """(the kept [input, fingerprint, output, bits] whose input holds y's
+    samples, or None; y's fingerprint if taken, else None).  Identity goes
+    first; fingerprints are taken only when kept is not empty, each once."""
+    for entry in kept:
+        if entry[0] is y:
+            return entry, None
+    if not kept:
+        return None, None
+    fp = _fingerprint(y)
+    for entry in kept:
+        if entry[1] is None:
+            entry[1] = _fingerprint(entry[0])
+        if entry[1] == fp and _equal_samples(entry[0], y):
+            return entry, fp
+    return None, fp
+
+
 def compress_chain(
-    x: Signal, levels: tuple[int, ...], codec: Codec, rate: bool = True, applied: int = 0
+    x: Signal, levels: tuple[int, ...], codec: Codec, rate: bool = True,
+    seed: dict | None = None,
 ):
     """Apply the codec sequentially, y_i = f(y_{i-1}, q_i), and return the
     last stage's (reconstruction, bits) from Codec.stage: only that stage
-    asks for its rate, and only when rate is true.  With applied=n, x is
-    already the output of the first n stages: only levels[n:] run, still
-    numbered from the chain's start in error messages, and with no stage
-    left x is returned as it is, with bits None."""
+    asks for its rate, and only when rate is true; bits is None otherwise.
+
+    A chain runs no stage twice.  It keeps every stage it runs, and the
+    stages of x given in seed as {q: codec.stage(x, q, ...)}, as (input, q)
+    -> (output, bits), and a stage whose input holds the samples of a kept
+    input at its q takes that output with no codec call.  This is exact by
+    the Codec contract: stage is a pure function of its input's samples and
+    q.  A lookup tries identity, then a fingerprint, then an exact compare,
+    so a fingerprint collision costs one compare.  A rated last stage that
+    finds only a stage kept without its rate runs.  The memo lives for this
+    one call.  A failure raises CodecError naming the stage, numbered from
+    the chain's start."""
     if not levels:
         raise ValueError("empty quality sequence")
+    # q -> [[input, its fingerprint or None until taken, output, bits]]
+    memo = {q: [[x, None, out, out_bits]] for q, (out, out_bits) in (seed or {}).items()}
     y, bits = x, None
-    for stage, q in enumerate(levels[applied:], start=applied + 1):
+    for stage, q in enumerate(levels, start=1):
+        rated = rate and stage == len(levels)
+        kept = memo.setdefault(q, [])
+        hit, fp = _recall(kept, y)
+        if hit is not None and not (rated and hit[3] is None):
+            y, bits = hit[2], hit[3]
+            continue
         try:
-            y, bits = codec.stage(y, q, rate and stage == len(levels))
+            out, bits = codec.stage(y, q, rated)
         except Exception as e:
             raise CodecError(f"chain stage {stage} (quality {q}) failed: {e}") from e
-    return y, bits
+        kept.append([y, fp, out, bits])
+        y = out
+    return y, bits if rate else None
 
 
 @dataclasses.dataclass
@@ -174,8 +240,9 @@ def evaluate_cell(
     reads d(f(x, q_min), chain) and no rate, STREAM_RD (the RD curves) reads
     the rates and d(x, chain).  Each item's single pass at q_min is computed
     once and shared by every stream and k, with its rate when STREAM_RD is
-    in streams.  A chain that starts at q_min continues from it, and the
-    chain (q_min,) is it.  Every codec call is Codec.stage.  A failure raises
+    in streams: it seeds every chain's stage memo (compress_chain), so a
+    chain that starts at q_min continues from it, and the chain (q_min,) is
+    it.  Every codec call is Codec.stage.  A failure raises
     CodecError naming the stream.  streams must be distinct ids of
     STREAM_NAMES, at least one; anything else raises ValueError.
     """
@@ -192,28 +259,27 @@ def evaluate_cell(
         with _failing_in(STREAM_RD if rated else STREAM_RHO, q_min):
             single, single_bits = compress_chain(x, (q_min,), codec, rated)
             mse_x_single = _mse(x, single)
+        seed = {q_min: (single, single_bits)}
         for stream in streams:
             rd = stream == STREAM_RD
             with _failing_in(stream, q_min):
                 for k, t in itertools.product(cells[stream], range(b)):
                     rng = derive_rng(master_seed, stream, q_min, k, i, t)
                     levels = sample_quality_sequence(q_min, q_max, k, mode, rng)
-                    if levels == (q_min,):
-                        y, bits = single, single_bits
-                    else:
-                        start, applied = (single, 1) if levels[0] == q_min else (x, 0)
-                        y, bits = compress_chain(start, levels, codec, rd, applied)
-                    # the single pass is 0 from itself and mse_x_single from x: no _mse
+                    y, bits = compress_chain(x, levels, codec, rd, seed)
+                    # a chain that ends on the single pass's samples is 0 from
+                    # it and mse_x_single from x: no _mse
+                    is_single = _same_signal(y, single)
                     cells[stream][k].append(
                         PairOutcome(
                             item=i,
                             trial=t,
                             levels=levels,
                             mse_single_vs_chain=(
-                                None if rd else 0.0 if y is single else _mse(single, y)
+                                None if rd else 0.0 if is_single else _mse(single, y)
                             ),
                             mse_x_vs_single=mse_x_single,
-                            mse_x_vs_chain=mse_x_single if y is single else _mse(x, y),
+                            mse_x_vs_chain=mse_x_single if is_single else _mse(x, y),
                             single_bpp=single_bits / samples if rd else None,
                             chain_final_bpp=bits / samples if rd else None,
                             peak=peak,

@@ -216,7 +216,8 @@ def sweep_levels(
 def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> IdempotenceSweep:
     """Enumerate every quality sequence up to max_len and compare each chain
     against the single pass at the sequence minimum.  No rate is read, and
-    each chain continues from the single pass at its first level."""
+    the input's single passes at every level seed each chain's stage memo,
+    so a chain continues from the single pass at its first level."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     q_levels = codec.num_levels
@@ -227,17 +228,12 @@ def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> Idemp
     sum_mse = 0.0
     count = 0
     worst = None
-    singles = {}
     for x in inputs:
-        for q in range(1, q_levels + 1):
-            singles[q], _ = codec.stage(x, q)
+        singles = {q: codec.stage(x, q) for q in range(1, q_levels + 1)}
         for length in range(1, max_len + 1):
             for seq_levels in itertools.product(range(1, q_levels + 1), repeat=length):
-                # the first stage is the single pass at seq_levels[0]
-                y, _ = compress_chain(
-                    singles[seq_levels[0]], seq_levels, codec, rate=False, applied=1
-                )
-                dev = distortion(singles[min(seq_levels)], y)
+                y, _ = compress_chain(x, seq_levels, codec, rate=False, seed=singles)
+                dev = distortion(singles[min(seq_levels)][0], y)
                 sum_mse += dev
                 count += 1
                 if dev > max_mse:

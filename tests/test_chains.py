@@ -1,8 +1,11 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codeclab import (
     ImageBuffer,
@@ -13,6 +16,7 @@ from codeclab import (
     make_codec,
     sample_quality_sequence,
 )
+import codeclab.chains
 import codeclab.protocol
 from codeclab.chains import (
     STREAM_RD,
@@ -183,15 +187,107 @@ class TestCompressChain:
             compress_chain(x, (0, 3), Broken())
         with pytest.raises(ValueError, match="empty"):
             compress_chain(x, (), Broken())
-        # a chain continued after its first stage still numbers from its start
+        # a chain whose first stage is seeded still numbers from its start
+        known = codec.stage(x, 3)
         with pytest.raises(CodecError, match="stage 2 \\(quality 2\\) failed: kaput"):
-            compress_chain(x, (3, 2), Broken(), applied=1)
-        y, bs = compress_chain(x, (2,), Broken(), rate=False, applied=1)
-        assert y is x and bs is None
+            compress_chain(x, (3, 2), Broken(), seed={3: known})
+        # a seeded stage makes no codec call, and reads no rate with rate off
+        y, bs = compress_chain(x, (2,), Broken(), rate=False, seed={2: (known[0], 7.0)})
+        assert y is known[0] and bs is None
 
     def test_failure_in_lean_stage_annotated(self, gray_images, dct_codec):
         with pytest.raises(CodecError, match="stage 1 \\(quality 9\\)"):
             compress_chain(gray_images[0], (9, 3), dct_codec)
+
+
+def _plain_chain(x, levels, codec, rate):
+    """The reference chain: one Codec.stage call per level, no memo."""
+    y, bits = x, None
+    for n, q in enumerate(levels, start=1):
+        y, bits = codec.stage(y, q, rate and n == len(levels))
+    return y, bits
+
+
+def _samples(a):
+    """A signal's shape and sample bytes."""
+    if isinstance(a, ImageBuffer):
+        return a.width, a.height, a.channels, a.samples.tobytes()
+    return a.values.tobytes()
+
+
+class _Identity(Codec):
+    """Returns a copy of its input, logging (q, rate) per call."""
+
+    codec_id = "identity"
+    num_levels = 3
+
+    def __init__(self):
+        self.calls = []
+
+    def stage(self, x, q, rate=False):
+        self.calls.append((q, rate))
+        y = ImageBuffer(x.width, x.height, x.channels, x.samples.copy())
+        return y, 8.0 * q if rate else None
+
+
+def _memo_cases():
+    rng = np.random.default_rng(60)
+    gray = ImageBuffer(16, 12, 1, rng.integers(0, 256, 16 * 12, dtype=np.uint8))
+    rgb = ImageBuffer(13, 11, 3, rng.integers(0, 256, 13 * 11 * 3, dtype=np.uint8))
+    source = generate_uniform_source(300, 60)
+    return [(make_codec("block-dct"), gray), (make_codec("block-dct"), rgb),
+            (make_codec("nested-scalar:4"), source), (make_codec("midpoint-scalar:4"), source)]
+
+
+MEMO_CASES = _memo_cases()
+
+
+class TestStageMemo:
+    """compress_chain runs each distinct (samples, q) stage of a chain once,
+    and gives what a plain Codec.stage loop gives."""
+
+    @given(data=st.data(), case=st.sampled_from(MEMO_CASES), rate=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_plain_loop(self, data, case, rate):
+        codec, x = case
+        q = st.integers(1, codec.num_levels)
+        levels = tuple(data.draw(st.lists(q, min_size=1, max_size=60)))
+        seed = None
+        if data.draw(st.booleans()):
+            first = data.draw(q)
+            seed = {first: codec.stage(x, first, data.draw(st.booleans()))}
+        y, bits = compress_chain(x, levels, codec, rate, seed)
+        ref, ref_bits = _plain_chain(x, levels, codec, rate)
+        assert _samples(y) == _samples(ref)
+        assert bits == ref_bits
+
+    def test_fingerprint_collision_gives_the_same_outputs(self, monkeypatch):
+        levels = (1, 3, 1, 3, 2, 3, 3, 1, 2, 1, 3)
+        plain = [_plain_chain(x, levels, codec, True) for codec, x in MEMO_CASES]
+        monkeypatch.setattr(codeclab.chains, "_fingerprint", lambda a: 0)
+        for (codec, x), (ref, ref_bits) in zip(MEMO_CASES, plain):
+            y, bits = compress_chain(x, levels, codec)
+            assert _samples(y) == _samples(ref)
+            assert bits == ref_bits
+
+    def test_identity_codec_alternating_runs_two_stages(self, gray_images):
+        codec = _Identity()
+        y, bits = compress_chain(gray_images[0], (1, 2) * 20, codec, rate=False)
+        assert codec.calls == [(1, False), (2, False)]
+        assert y.same_as(gray_images[0]) and bits is None
+
+    def test_rated_last_stage_after_unrated(self, gray_images):
+        """A rated last stage that finds only an unrated stage runs; one that
+        finds a rated seed does not."""
+        x, codec = gray_images[0], _Identity()
+        assert compress_chain(x, (1, 2, 1, 2), codec)[1] == 16.0
+        assert codec.calls == [(1, False), (2, False), (2, True)]
+        codec.calls.clear()
+        assert compress_chain(x, (2, 1, 2), codec, seed={2: (x, 5.0)})[1] == 5.0
+        assert codec.calls == [(1, False)]
+        codec.calls.clear()
+        assert compress_chain(x, (2,), codec, seed={2: (x, None)})[1] == 16.0
+        assert codec.calls == [(2, True)]
 
 
 def _rho(ds, codec, q_min, k, b, master_seed=0):
@@ -294,6 +390,26 @@ class TestEvaluateCellRates:
         assert len(calls) == 1 + 2 * 2
 
 
+def test_chain_ending_on_the_single_pass_reads_no_mse(monkeypatch, source_ds):
+    """A nested forced-min chain ends on the single pass's cell map and
+    table, so its distortions are the single pass's, with no _mse call and
+    no values gathered: one _mse per item, the single pass's own."""
+    mse, calls = codeclab.chains._mse, []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return mse(a, b)
+
+    monkeypatch.setattr(codeclab.chains, "_mse", counting)
+    cells = evaluate_cell(source_ds, make_codec("nested-scalar:3"), 2, [4, 7], 3,
+                          streams=(STREAM_RHO, STREAM_RD))
+    assert len(calls) == 1
+    for outcomes in cells.values():
+        for o in itertools.chain(*outcomes.values()):
+            assert o.mse_x_vs_chain == o.mse_x_vs_single
+            assert o.mse_single_vs_chain in (0.0, None)
+
+
 @pytest.mark.parametrize("streams", [(7,), (STREAM_RHO, STREAM_RHO), ()],
                          ids=["unknown", "repeated", "empty"])
 def test_evaluate_cell_refuses_bad_streams(source_ds, streams):
@@ -305,18 +421,19 @@ def test_evaluate_cell_refuses_bad_streams(source_ds, streams):
 
 def _reference_evaluate_cell(ds, codec, q_min, k_list, b, mode, master_seed, stream, rates):
     """One stream of one cell, evaluated on its own: every chain runs all of
-    its stages from x, and the single pass is its own codec call."""
+    its stages from x in a plain loop, and the single pass is its own codec
+    call."""
     q_max = codec.num_levels
     cells = {k: [] for k in k_list}
     for i, x in enumerate(ds.items):
-        single, single_bits = compress_chain(x, (q_min,), codec, rates)
+        single, single_bits = _plain_chain(x, (q_min,), codec, rates)
         single_bpp = single_bits / signal_samples(x) if rates else None
         mse_x_single = distortion(x, single)
         for k, outcomes in cells.items():
             for t in range(b):
                 rng = derive_rng(master_seed, stream, q_min, k, i, t)
                 levels = sample_quality_sequence(q_min, q_max, k, mode, rng)
-                y, bits = compress_chain(x, levels, codec, rates)
+                y, bits = _plain_chain(x, levels, codec, rates)
                 outcomes.append(PairOutcome(
                     item=i, trial=t, levels=levels,
                     mse_single_vs_chain=distortion(single, y),

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -314,18 +315,34 @@ class TestRdCurves:
             )
 
 
+def _distinct_stages(codec, x, levels, known):
+    """Stages a chain must run: replay it with a plain Codec.stage loop and
+    count its distinct (samples, q) pairs that known does not hold."""
+    seen, y = set(known), x
+    for q in levels:
+        seen.add((y.values.tobytes(), q))
+        y, _ = codec.stage(y, q)
+    return len(seen) - len(known)
+
+
 class TestVerifySweep:
     def test_no_rate_and_first_stage_shared(self):
-        """The sweep reads no rate, and each sequence continues from the
-        single pass at its first level: one stage fewer per sequence."""
+        """The sweep reads no rate, each input's single passes seed every
+        chain, and a chain runs each distinct (samples, q) stage once."""
         inputs = [SourceVector(np.linspace(0, 1, 201)), SourceVector(np.linspace(0.2, 0.4, 50))]
-        codec = _Counting(make_codec("midpoint-scalar:3"), inputs)
+        inner = make_codec("midpoint-scalar:3")
+        codec = _Counting(inner, inputs)
         sweep = verify_strong_idempotence(codec, inputs, 3)
         assert sweep == verify_strong_idempotence(make_codec("midpoint-scalar:3"), inputs, 3)
         rates = [rate for rate, _, _ in codec.calls]
         assert rates.count(True) == 0
-        per_input = 3 + sum(3**length * (length - 1) for length in (1, 2, 3))
-        assert rates.count(False) == len(inputs) * per_input
+        chain_stages = 0
+        for x in inputs:
+            known = {(x.values.tobytes(), q) for q in (1, 2, 3)}
+            for length in (1, 2, 3):
+                for levels in itertools.product((1, 2, 3), repeat=length):
+                    chain_stages += _distinct_stages(inner, x, levels, known)
+        assert rates.count(False) == len(inputs) * 3 + chain_stages
         singles = [(item, q) for _, item, q in codec.calls if item is not None]
         assert singles == [(i, q) for i in range(len(inputs)) for q in (1, 2, 3)]
 

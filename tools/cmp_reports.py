@@ -79,6 +79,11 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
                             "distortion": "RMSE", "master_seed": 2},
         "external-cp": {"codec": f"external:{spec}", "dataset": str(gray),
                         "q_min_list": [1, 3], "k_list": [1, 2], "b": 1},
+        # long chains and repeated q: stages that a chain's memo answers
+        "dct-memo": {"codec": "block-dct", "dataset": str(gray), "q_min_list": [2, 5],
+                     "k_list": [50], "b": 2, "master_seed": 13},
+        "external-cp-memo": {"codec": f"external:{spec}", "dataset": str(gray),
+                             "k_list": [1, 5], "b": 2, "master_seed": 15},
         # an inline spec with integer quality_map entries and timeout_s, which
         # load as the strings "1", "2", "3" and the float 30.0
         "external": {"codec": "external", "codec_options": {"spec": {
@@ -103,6 +108,8 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
                                    "--out", "rd-curve-midpoint.svg"], "rd-curve-midpoint.svg"),
         ("verify-nested-scalar:4", ["verify", "--codec", "nested-scalar:4", "--max-len", "3"],
          None),
+        ("verify-midpoint-scalar:3", ["verify", "--codec", "midpoint-scalar:3",
+                                      "--max-len", "4"], None),
         ("check-theorem1-dct", ["check-theorem1", "--codec", "block-dct", "--dataset",
                                 str(gray), "--qmin", "3", "--k", "3", "--b", "2",
                                 "--seed", "6"], None),
