@@ -6,11 +6,11 @@ reconstruction at q_min and the k-round chained reconstruction, estimated
 over (item, trial) pairs with a fresh quality sequence per pair.
 
 Every random draw comes from a stream derived deterministically from
-(master_seed, purpose, q_min, k, item, trial).  evaluate_cell is the one
-place that runs Monte Carlo chains: the rho grid, the theorem-1 check and
-the RD curves all read its PairOutcomes.  It relies on the Codec contract
-that f is deterministic: a chain runs no stage that it has run already, and
-a stage f(x, q_min) is the item's single pass.
+(master_seed, purpose, q_min, k, item, trial).  evaluate_item is the one
+place that runs Monte Carlo chains, one item at one q_min: the rho grid, the
+theorem-1 check and the RD curves all read its PairOutcomes.  It relies on
+the Codec contract that f is deterministic: a chain runs no stage that it
+has run already, and a stage f(x, q) is the item's single pass at q.
 """
 from __future__ import annotations
 
@@ -58,7 +58,13 @@ def _mse(a: Signal, b: Signal) -> float:
     if isinstance(a, SourceVector) and isinstance(b, SourceVector):
         if len(a) != len(b):
             raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-        diff = a.values - b.values
+        # values are read, not kept: a vector held for a whole item keeps no
+        # gather.  On one cell map, gathering the table difference gives the
+        # same float64 per sample as subtracting the gathered values
+        if a.cells is not None and a.cells is b.cells:
+            diff = (a.table - b.table)[a.cells]
+        else:
+            diff = a.read_values() - b.read_values()
         diff *= diff
         return float(np.mean(diff))
     if isinstance(a, ImageBuffer) and isinstance(b, ImageBuffer):
@@ -153,28 +159,40 @@ def _recall(kept: list, y: Signal) -> tuple:
     return None, fp
 
 
+class SinglePasses:
+    """An input x's single passes, by_q = {q: codec.stage(x, q, ...)} as
+    (reconstruction, bits), and x's fingerprint, taken once here for every
+    chain they seed rather than kept on x, whose samples may be written."""
+
+    def __init__(self, x: Signal, by_q: dict[int, tuple]):
+        self.x, self.by_q, self.fingerprint = x, by_q, _fingerprint(x)
+
+
 def compress_chain(
     x: Signal, levels: tuple[int, ...], codec: Codec, rate: bool = True,
-    seed: dict | None = None,
+    seed: SinglePasses | None = None,
 ):
     """Apply the codec sequentially, y_i = f(y_{i-1}, q_i), and return the
     last stage's (reconstruction, bits) from Codec.stage: only that stage
     asks for its rate, and only when rate is true; bits is None otherwise.
 
-    A chain runs no stage twice.  It keeps every stage it runs, and the
-    stages of x given in seed as {q: codec.stage(x, q, ...)}, as (input, q)
-    -> (output, bits), and a stage whose input holds the samples of a kept
-    input at its q takes that output with no codec call.  This is exact by
-    the Codec contract: stage is a pure function of its input's samples and
-    q.  A lookup tries identity, then a fingerprint, then an exact compare,
-    so a fingerprint collision costs one compare.  A rated last stage that
-    finds only a stage kept without its rate runs.  The memo lives for this
-    one call.  A failure raises CodecError naming the stage, numbered from
-    the chain's start."""
+    A chain runs no stage twice.  It keeps every stage it runs, and x's
+    single passes in seed, as (input, q) -> (output, bits), and a stage whose
+    input holds the samples of a kept input at its q takes that output with
+    no codec call.  This is exact by the Codec contract: stage is a pure
+    function of its input's samples and q.  A lookup tries identity, then a
+    fingerprint, then an exact compare, so a fingerprint collision costs one
+    compare.  A rated last stage that finds only a stage kept without its
+    rate runs.  The memo lives for this one call.  A failure raises
+    CodecError naming the stage, numbered from the chain's start."""
     if not levels:
         raise ValueError("empty quality sequence")
+    if seed is not None and seed.x is not x:
+        raise ValueError("seed holds the single passes of another input")
     # q -> [[input, its fingerprint or None until taken, output, bits]]
-    memo = {q: [[x, None, out, out_bits]] for q, (out, out_bits) in (seed or {}).items()}
+    memo = {} if seed is None else {
+        q: [[x, seed.fingerprint, out, out_bits]] for q, (out, out_bits) in seed.by_q.items()
+    }
     y, bits = x, None
     for stage, q in enumerate(levels, start=1):
         rated = rate and stage == len(levels)
@@ -222,6 +240,83 @@ def _failing_in(stream: int, q_min: int):
         raise CodecError(f"{STREAM_NAMES[stream]} cell (q_min={q_min}) failed: {e}") from e
 
 
+def single_passes(
+    x: Signal, codec: Codec, levels, rate: bool, stream: int | None = None
+) -> SinglePasses:
+    """x's single pass at each q of levels, with its rate when rate is true.
+    Each runs as the chain (q,), so a failure names stage 1 at quality q,
+    and the cell of stream at q_min = q when stream is given."""
+    by_q = {}
+    for q in levels:
+        with contextlib.nullcontext() if stream is None else _failing_in(stream, q):
+            by_q[q] = compress_chain(x, (q,), codec, rate)
+    return SinglePasses(x, by_q)
+
+
+def _empty_cells(streams: tuple[int, ...], k_list: list[int], b: int) -> dict:
+    """{stream: {k: []}}, to collect one cell's outcomes, once streams and b
+    are checked: streams must be distinct ids of STREAM_NAMES, at least one."""
+    if not streams or len(set(streams)) < len(streams) or not set(streams) <= set(STREAM_NAMES):
+        raise ValueError(f"streams must be distinct ids in {sorted(STREAM_NAMES)}: {streams!r}")
+    if b < 1:
+        raise ValueError("b must be >= 1")
+    return {stream: {k: [] for k in k_list} for stream in streams}
+
+
+def evaluate_item(
+    cells: dict[int, dict[int, list[PairOutcome]]],
+    i: int,
+    passes: SinglePasses,
+    codec: Codec,
+    q_min: int,
+    b: int,
+    mode: str = "forced-min",
+    master_seed: int = 0,
+) -> None:
+    """Run item i's b chains per k at q_min, for each stream and k of cells
+    ({stream: {k: outcomes}}), and append their outcomes to cells[stream][k].
+
+    passes are the item's single passes (single_passes), q_min's among them,
+    with their rates when STREAM_RD is in cells.  The stream decides what a
+    chain measures: STREAM_RHO (the rho grid) reads d(f(x, q_min), chain)
+    and no rate, STREAM_RD (the RD curves) reads the rates and d(x, chain).
+    passes seed every chain's stage memo (compress_chain), so a stage whose
+    input holds x's samples at a level of passes makes no codec call, and
+    the chain (q_min,) is the single pass.  A failure raises CodecError
+    naming the stream."""
+    x = passes.x
+    single, single_bits = passes.by_q[q_min]
+    peak, samples = signal_peak(x), signal_samples(x)
+    q_max = codec.num_levels
+    with _failing_in(STREAM_RD if STREAM_RD in cells else STREAM_RHO, q_min):
+        mse_x_single = _mse(x, single)
+    for stream, by_k in cells.items():
+        rd = stream == STREAM_RD
+        with _failing_in(stream, q_min):
+            for k, t in itertools.product(by_k, range(b)):
+                rng = derive_rng(master_seed, stream, q_min, k, i, t)
+                levels = sample_quality_sequence(q_min, q_max, k, mode, rng)
+                y, bits = compress_chain(x, levels, codec, rd, passes)
+                # a chain that ends on the single pass's samples is 0 from
+                # it and mse_x_single from x: no _mse
+                is_single = _same_signal(y, single)
+                by_k[k].append(
+                    PairOutcome(
+                        item=i,
+                        trial=t,
+                        levels=levels,
+                        mse_single_vs_chain=(
+                            None if rd else 0.0 if is_single else _mse(single, y)
+                        ),
+                        mse_x_vs_single=mse_x_single,
+                        mse_x_vs_chain=mse_x_single if is_single else _mse(x, y),
+                        single_bpp=single_bits / samples if rd else None,
+                        chain_final_bpp=bits / samples if rd else None,
+                        peak=peak,
+                    )
+                )
+
+
 def evaluate_cell(
     ds: Dataset,
     codec: Codec,
@@ -234,57 +329,20 @@ def evaluate_cell(
 ) -> dict[int, dict[int, list[PairOutcome]]]:
     """Run b independent chains per dataset item for each k at one q_min, in
     each stream of streams, and return {stream: {k: outcomes}}, ordered by
-    (item, trial) within each k.
+    (item, trial) within each k (evaluate_item).
 
-    The stream decides what a chain measures: STREAM_RHO (the rho grid)
-    reads d(f(x, q_min), chain) and no rate, STREAM_RD (the RD curves) reads
-    the rates and d(x, chain).  Each item's single pass at q_min is computed
-    once and shared by every stream and k, with its rate when STREAM_RD is
-    in streams: it seeds every chain's stage memo (compress_chain), so a
-    chain that starts at q_min continues from it, and the chain (q_min,) is
-    it.  Every codec call is Codec.stage.  A failure raises
-    CodecError naming the stream.  streams must be distinct ids of
-    STREAM_NAMES, at least one; anything else raises ValueError.
+    Each item's single pass at q_min is computed once and shared by every
+    stream and k, with its rate when STREAM_RD is in streams; a failure
+    there names STREAM_RD when present.  Every codec call is Codec.stage.
+    streams must be distinct ids of STREAM_NAMES, at least one; anything
+    else raises ValueError.
     """
-    if not streams or len(set(streams)) < len(streams) or not set(streams) <= set(STREAM_NAMES):
-        raise ValueError(f"streams must be distinct ids in {sorted(STREAM_NAMES)}: {streams!r}")
+    cells = _empty_cells(streams, k_list, b)
     codec.check_quality(q_min)
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    q_max = codec.num_levels
     rated = STREAM_RD in streams
-    cells = {stream: {k: [] for k in k_list} for stream in streams}
     for i, x in enumerate(ds.items):
-        peak, samples = signal_peak(x), signal_samples(x)
-        with _failing_in(STREAM_RD if rated else STREAM_RHO, q_min):
-            single, single_bits = compress_chain(x, (q_min,), codec, rated)
-            mse_x_single = _mse(x, single)
-        seed = {q_min: (single, single_bits)}
-        for stream in streams:
-            rd = stream == STREAM_RD
-            with _failing_in(stream, q_min):
-                for k, t in itertools.product(cells[stream], range(b)):
-                    rng = derive_rng(master_seed, stream, q_min, k, i, t)
-                    levels = sample_quality_sequence(q_min, q_max, k, mode, rng)
-                    y, bits = compress_chain(x, levels, codec, rd, seed)
-                    # a chain that ends on the single pass's samples is 0 from
-                    # it and mse_x_single from x: no _mse
-                    is_single = _same_signal(y, single)
-                    cells[stream][k].append(
-                        PairOutcome(
-                            item=i,
-                            trial=t,
-                            levels=levels,
-                            mse_single_vs_chain=(
-                                None if rd else 0.0 if is_single else _mse(single, y)
-                            ),
-                            mse_x_vs_single=mse_x_single,
-                            mse_x_vs_chain=mse_x_single if is_single else _mse(x, y),
-                            single_bpp=single_bits / samples if rd else None,
-                            chain_final_bpp=bits / samples if rd else None,
-                            peak=peak,
-                        )
-                    )
+        passes = single_passes(x, codec, (q_min,), rated, STREAM_RD if rated else STREAM_RHO)
+        evaluate_item(cells, i, passes, codec, q_min, b, mode, master_seed)
     return cells
 
 

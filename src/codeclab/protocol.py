@@ -20,11 +20,13 @@ from .chains import (
     STREAM_RHO,
     STREAM_SOURCE,
     Theorem1Record,
+    _empty_cells,
     compress_chain,
     distortion,
-    evaluate_cell,
+    evaluate_item,
     psnr_from_mse,
     rho_from_outcomes,
+    single_passes,
     theorem1_from_outcomes,
 )
 from .codecs import Codec
@@ -182,24 +184,34 @@ def sweep_levels(
     grid_q_mins: Collection[int] = (),
 ) -> tuple[list[RdPoint], dict[int, list[RdPoint]], dict[int, dict[int, list[PairOutcome]]]]:
     """Evaluate each ladder level once: the RD stream at every level, and the
-    rho-grid stream beside it where the level is in grid_q_mins, sharing the
-    level's single pass.  Returns the single-pass RD points per level, the
-    multi-round points per q_min for each k, and the grid's
-    {q_min: {k: outcomes}}.
+    rho-grid stream beside it where the level is in grid_q_mins.  Returns the
+    single-pass RD points per level, the multi-round points per q_min for
+    each k, and the grid's {q_min: {k: outcomes}}.
+
+    Items go one at a time: an item's single passes at every level, with
+    their rates, seed every chain of that item at every level, and are
+    dropped before the next item's, so the sweep holds one item's passes.
 
     rd_multi PSNR compares the chain final against the ORIGINAL signal; its
     bitrate is the final stage's (what a downstream consumer would hold).
     """
+    levels = range(1, codec.num_levels + 1)
+    cells = {
+        q: _empty_cells((STREAM_RHO, STREAM_RD) if q in grid_q_mins else (STREAM_RD,), k_list, b)
+        for q in levels
+    }
+    for i, x in enumerate(ds.items):
+        passes = single_passes(x, codec, levels, True, STREAM_RD)
+        for q in levels:
+            evaluate_item(cells[q], i, passes, codec, q, b, mode, master_seed)
+        del passes  # before the next item's passes are built
     rd_single: list[RdPoint] = []
     rd_multi: dict[int, list[RdPoint]] = {k: [] for k in k_list}
     grid: dict[int, dict[int, list[PairOutcome]]] = {}
-    for q in range(1, codec.num_levels + 1):
-        in_grid = q in grid_q_mins
-        streams = (STREAM_RHO, STREAM_RD) if in_grid else (STREAM_RD,)
-        cells = evaluate_cell(ds, codec, q, k_list, b, mode, master_seed, streams)
-        if in_grid:
-            grid[q] = cells[STREAM_RHO]
-        rd = cells[STREAM_RD]
+    for q in levels:
+        if STREAM_RHO in cells[q]:
+            grid[q] = cells[q][STREAM_RHO]
+        rd = cells[q][STREAM_RD]
         singles = [o for o in rd[k_list[0]] if o.trial == 0]
         peak = singles[0].peak
         rd_single.append(_rd_point(
@@ -229,11 +241,11 @@ def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> Idemp
     count = 0
     worst = None
     for x in inputs:
-        singles = {q: codec.stage(x, q) for q in range(1, q_levels + 1)}
+        passes = single_passes(x, codec, range(1, q_levels + 1), False)
         for length in range(1, max_len + 1):
             for seq_levels in itertools.product(range(1, q_levels + 1), repeat=length):
-                y, _ = compress_chain(x, seq_levels, codec, rate=False, seed=singles)
-                dev = distortion(singles[min(seq_levels)][0], y)
+                y, _ = compress_chain(x, seq_levels, codec, rate=False, seed=passes)
+                dev = distortion(passes.by_q[min(seq_levels)][0], y)
                 sum_mse += dev
                 count += 1
                 if dev > max_mse:

@@ -114,6 +114,11 @@ class SourceVector:
             self._values = _read_only(self.table[self.cells])
         return self._values
 
+    def read_values(self) -> np.ndarray:
+        """The values without keeping them: the kept array if built, else a
+        fresh ``table[cells]`` that the vector does not keep."""
+        return self._values if self._values is not None else self.table[self.cells]
+
     def __len__(self) -> int:
         return (self._values if self.cells is None else self.cells).size
 

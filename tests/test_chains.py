@@ -22,6 +22,7 @@ from codeclab.chains import (
     STREAM_RD,
     STREAM_RHO,
     PairOutcome,
+    SinglePasses,
     derive_rng,
     evaluate_cell,
     rho_from_outcomes,
@@ -110,6 +111,20 @@ class TestDistortion:
             for u, v in [(x, y), (y, x), (SourceVector(a[c1]), y), (x, SourceVector(b[c2]))]:
                 assert distortion(u, v) == expected
 
+    def test_source_mse_keeps_no_values(self):
+        """A distortion reads a factored vector's values without keeping
+        them, and leaves values already kept as they were."""
+        rng = np.random.default_rng(5)
+        shared, other = (rng.integers(0, 8, 500).astype(np.uint8) for _ in range(2))
+        plain = SourceVector(rng.random(500))
+        x, y, z, built = (SourceVector(cells=c, table=rng.random(8))
+                          for c in (shared, shared, other, other))
+        kept = built.values
+        for u, v in [(plain, x), (x, y), (y, z), (z, built), (built, plain)]:
+            assert distortion(u, v) == distortion(v, u) > 0
+        assert x._values is None and y._values is None and z._values is None
+        assert built._values is kept
+
 
 class TestSampleQualitySequence:
     def test_singleton_support(self):
@@ -190,9 +205,10 @@ class TestCompressChain:
         # a chain whose first stage is seeded still numbers from its start
         known = codec.stage(x, 3)
         with pytest.raises(CodecError, match="stage 2 \\(quality 2\\) failed: kaput"):
-            compress_chain(x, (3, 2), Broken(), seed={3: known})
+            compress_chain(x, (3, 2), Broken(), seed=SinglePasses(x, {3: known}))
         # a seeded stage makes no codec call, and reads no rate with rate off
-        y, bs = compress_chain(x, (2,), Broken(), rate=False, seed={2: (known[0], 7.0)})
+        y, bs = compress_chain(x, (2,), Broken(), rate=False,
+                               seed=SinglePasses(x, {2: (known[0], 7.0)}))
         assert y is known[0] and bs is None
 
     def test_failure_in_lean_stage_annotated(self, gray_images, dct_codec):
@@ -255,7 +271,7 @@ class TestStageMemo:
         seed = None
         if data.draw(st.booleans()):
             first = data.draw(q)
-            seed = {first: codec.stage(x, first, data.draw(st.booleans()))}
+            seed = SinglePasses(x, {first: codec.stage(x, first, data.draw(st.booleans()))})
         y, bits = compress_chain(x, levels, codec, rate, seed)
         ref, ref_bits = _plain_chain(x, levels, codec, rate)
         assert _samples(y) == _samples(ref)
@@ -283,10 +299,11 @@ class TestStageMemo:
         assert compress_chain(x, (1, 2, 1, 2), codec)[1] == 16.0
         assert codec.calls == [(1, False), (2, False), (2, True)]
         codec.calls.clear()
-        assert compress_chain(x, (2, 1, 2), codec, seed={2: (x, 5.0)})[1] == 5.0
+        seed = SinglePasses(x, {2: (x, 5.0)})
+        assert compress_chain(x, (2, 1, 2), codec, seed=seed)[1] == 5.0
         assert codec.calls == [(1, False)]
         codec.calls.clear()
-        assert compress_chain(x, (2,), codec, seed={2: (x, None)})[1] == 16.0
+        assert compress_chain(x, (2,), codec, seed=SinglePasses(x, {2: (x, None)}))[1] == 16.0
         assert codec.calls == [(2, True)]
 
 

@@ -15,6 +15,7 @@ from codeclab import (
     ImageBuffer,
     serialize_pnm,
 )
+from codeclab.protocol import EvalConfig, run_protocol
 
 
 @pytest.fixture()
@@ -48,6 +49,28 @@ def test_identity_pipeline(copy_spec):
     assert staged.same_as(img) and bits == 8.0 * len(serialize_pnm(img))
     staged, bits = ExternalCodec(copy_spec).stage(img, 2)
     assert staged.same_as(img) and bits is None
+
+
+def test_report_runs_one_stage_per_item_and_level(tmp_path, monkeypatch):
+    """With cp as the coder every stage returns its input's samples, so each
+    chain stage is a single pass of its item: a report runs items x levels
+    stages, each item's passes once."""
+    items = [_random_image(seed) for seed in (1, 2)]
+    for i, img in enumerate(items):
+        (tmp_path / f"img{i}.pgm").write_bytes(serialize_pnm(img))
+    stage, calls = ExternalCodec.stage, []
+
+    def counting(self, x, q, rate=False):
+        calls.append((x.samples.tobytes(), q))
+        return stage(self, x, q, rate)
+
+    monkeypatch.setattr(ExternalCodec, "stage", counting)
+    cp = shutil.which("cp")
+    spec = {"encode_cmd": f"{cp} {{input}} {{output}}", "decode_cmd": f"{cp} {{input}} {{output}}",
+            "quality_map": ["1", "2", "3"]}
+    run_protocol(EvalConfig(codec="external", codec_options={"spec": spec},
+                            dataset=str(tmp_path), k_list=[1, 4], b=2, mode="literal"))
+    assert calls == [(img.samples.tobytes(), q) for img in items for q in (1, 2, 3)]
 
 
 def test_bpp_arithmetic(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -176,67 +177,106 @@ class _Counting(Codec):
 
 @pytest.mark.parametrize("mode", ["forced-min", "literal"])
 def test_one_single_pass_per_item_and_level(monkeypatch, mode):
-    """One run_protocol runs each (item, q) single pass once, shared by the
-    grid and the RD sweep, and each chain runs k - (levels[0] == q_min)
-    stages: a chain that starts at q_min continues from the single pass.
-    Every call is Codec.stage, asking for a rate at single passes and at the
-    last stage of each RD chain alone.  Per (item, q), _mse runs once for
-    the single pass, twice per grid chain, once per RD chain and never for
-    a chain that is the single pass."""
+    """One run_protocol runs each (item, q) single pass once, with its rate,
+    and an item's passes seed every chain of that item at every level: a
+    chain runs only its distinct (samples, q) stages that are not a pass of
+    its item, asking for a rate at the last stage of an RD chain alone.
+    Every call is Codec.stage.  Per (item, q_min), _mse runs once for the
+    single pass, twice per grid chain, once per RD chain and never for a
+    chain that is the single pass."""
     rng = np.random.default_rng(3)
     items = [ImageBuffer(16, 8, 1, rng.integers(0, 256, 128)) for _ in range(2)]
     ds = Dataset(items=items, item_names=["a", "b"])
-    codec = _Counting(make_codec("block-dct"), items)
+    inner = make_codec("block-dct")
+    codec = _Counting(inner, items)
     monkeypatch.setattr(codeclab.protocol, "make_codec", lambda *args: codec)
     monkeypatch.setattr(codeclab.protocol, "resolve_dataset", lambda *args: ds)
-    # an _mse call belongs to the cell's q_min and to the item last staged
-    cell_q, mse_calls = [], []
-    evaluate_cell_, mse = codeclab.protocol.evaluate_cell, codeclab.chains._mse
+    # an _mse call belongs to the (item, q_min) of the evaluate_item call it is in
+    current, mse_calls = [], []
+    evaluate_item, mse = codeclab.protocol.evaluate_item, codeclab.chains._mse
 
-    def counting_cell(ds, codec, q_min, *args):
-        cell_q.append(q_min)
-        return evaluate_cell_(ds, codec, q_min, *args)
+    def counting_item(cells, i, passes, codec, q_min, *args):
+        current.append((i, q_min))
+        return evaluate_item(cells, i, passes, codec, q_min, *args)
 
     def counting_mse(a, b):
-        item = next(it for _, it, _ in reversed(codec.calls) if it is not None)
-        mse_calls.append((item, cell_q[-1]))
+        mse_calls.append(current[-1])
         return mse(a, b)
 
-    monkeypatch.setattr(codeclab.protocol, "evaluate_cell", counting_cell)
+    monkeypatch.setattr(codeclab.protocol, "evaluate_item", counting_item)
     monkeypatch.setattr(codeclab.chains, "_mse", counting_mse)
     k_list, b, seed, q_min_list = [1, 3], 2, 7, [5, 2, 5]
     run_protocol(EvalConfig(codec="block-dct", q_min_list=q_min_list, k_list=k_list, b=b,
                             mode=mode, master_seed=seed))
     levels = codec.num_levels
-    on_item = {(i, q): 1 for i in range(len(items)) for q in range(1, levels + 1)}
-    mses = dict(on_item)  # the single pass's d(x, single)
+    passes = {(i, q): 1 for i in range(len(items)) for q in range(1, levels + 1)}
+    mses = dict(passes)  # the single pass's d(x, single)
     stages = {True: levels * len(items), False: 0}  # stage calls by rate
-    for q_min in range(1, levels + 1):
-        streams = (STREAM_RHO, STREAM_RD) if q_min in q_min_list else (STREAM_RD,)
-        for stream in streams:
-            rates = stream == STREAM_RD
-            for k in k_list:
-                for i in range(len(items)):
-                    for t in range(b):
-                        chain = sample_quality_sequence(
-                            q_min, levels, k, mode, derive_rng(seed, stream, q_min, k, i, t))
-                        if chain[0] != q_min:
-                            on_item[i, chain[0]] += 1
-                        if chain != (q_min,):
-                            mses[i, q_min] += 1 if rates else 2
-                        runs = k - (chain[0] == q_min)
-                        rated = rates and runs > 0  # the last stage gives the rate
-                        stages[True] += rated
-                        stages[False] += runs - rated
-    seen = {key: 0 for key in on_item}
+    for i, x in enumerate(items):
+        known = {(_key(x), q): True for q in range(1, levels + 1)}
+        for q_min in range(1, levels + 1):
+            streams = (STREAM_RHO, STREAM_RD) if q_min in q_min_list else (STREAM_RD,)
+            for stream, k, t in itertools.product(streams, k_list, range(b)):
+                rates = stream == STREAM_RD
+                chain = sample_quality_sequence(
+                    q_min, levels, k, mode, derive_rng(seed, stream, q_min, k, i, t))
+                if chain != (q_min,):
+                    mses[i, q_min] += 1 if rates else 2
+                runs, rated = _distinct_stages(inner, x, chain, known, rates)
+                stages[True] += rated
+                stages[False] += runs - rated
+    seen = {key: 0 for key in passes}
     for _, item, q in codec.calls:
         if item is not None:
             seen[item, q] += 1
-    assert seen == on_item
+    assert seen == passes
     rates = [rate for rate, _, _ in codec.calls]
     assert {rate: rates.count(rate) for rate in stages} == stages
     assert {key: mse_calls.count(key) for key in mses} == mses
     assert len(mse_calls) == sum(mses.values())
+
+
+def test_sweep_holds_one_item_at_a_time():
+    """When an item's first single pass runs, no stage output derived from
+    an earlier item is still alive: the sweep keeps one item's passes."""
+    rng = np.random.default_rng(8)
+    items = [ImageBuffer(24, 16, 1, rng.integers(0, 256, 384)) for _ in range(3)]
+    ds = Dataset(items=items, item_names=["a", "b", "c"])
+    outputs = {}  # item -> weak references to the stage outputs derived from it
+
+    class Tracking(_Counting):
+        def stage(self, x, q, rate=False):
+            item = next((i for i, it in enumerate(self.items) if it is x), None)
+            if item is not None and item not in outputs:
+                alive = [j for j, refs in outputs.items() if any(r() for r in refs)]
+                assert alive == [], f"item {item}'s first pass ran with {alive} alive"
+                outputs[item] = []
+            y, bits = super().stage(x, q, rate)
+            outputs[max(outputs)].append(weakref.ref(y))
+            return y, bits
+
+    codec = Tracking(make_codec("block-dct"), items)
+    sweep_levels(ds, codec, [1, 3], 2, "literal", 5, grid_q_mins=(1, 4))
+    assert sorted(outputs) == [0, 1, 2]
+    assert all(len(refs) > codec.num_levels for refs in outputs.values())
+
+
+def test_item_fingerprinted_once_per_report(monkeypatch):
+    """Each item's fingerprint is taken once per report, with its single
+    passes, however many chains they seed."""
+    rng = np.random.default_rng(9)
+    items = [ImageBuffer(16, 16, 1, rng.integers(0, 256, 256)) for _ in range(2)]
+    ds = Dataset(items=items, item_names=["a", "b"])
+    monkeypatch.setattr(codeclab.protocol, "resolve_dataset", lambda *args: ds)
+    fingerprint, taken = codeclab.chains._fingerprint, []
+
+    def counting(a):
+        taken.extend(i for i, it in enumerate(items) if it is a)
+        return fingerprint(a)
+
+    monkeypatch.setattr(codeclab.chains, "_fingerprint", counting)
+    run_protocol(EvalConfig(codec="block-dct", k_list=[2, 5], b=3, mode="literal"))
+    assert taken == [0, 1]
 
 
 @pytest.mark.parametrize("case", ["dct-rgb", "dct-gray", "nested-scalar", "midpoint-scalar"])
@@ -315,14 +355,26 @@ class TestRdCurves:
             )
 
 
-def _distinct_stages(codec, x, levels, known):
-    """Stages a chain must run: replay it with a plain Codec.stage loop and
-    count its distinct (samples, q) pairs that known does not hold."""
-    seen, y = set(known), x
-    for q in levels:
-        seen.add((y.values.tobytes(), q))
+def _key(a):
+    """A signal's samples as bytes."""
+    return (a.samples if isinstance(a, ImageBuffer) else a.values).tobytes()
+
+
+def _distinct_stages(codec, x, levels, known, rate=False):
+    """(stages, rated stages) a chain must run: replay it with a plain
+    Codec.stage loop.  A stage runs when neither known, {(samples, q):
+    rated}, nor an earlier stage of the chain holds its (samples, q); and
+    when it is the last, rate is true and only an unrated one does."""
+    seen, y = dict(known), x
+    runs = rated_runs = 0
+    for n, q in enumerate(levels, start=1):
+        key, rated = (_key(y), q), rate and n == len(levels)
+        if key not in seen or (rated and not seen[key]):
+            runs += 1
+            rated_runs += rated
+            seen[key] = seen.get(key, False) or rated
         y, _ = codec.stage(y, q)
-    return len(seen) - len(known)
+    return runs, rated_runs
 
 
 class TestVerifySweep:
@@ -338,10 +390,10 @@ class TestVerifySweep:
         assert rates.count(True) == 0
         chain_stages = 0
         for x in inputs:
-            known = {(x.values.tobytes(), q) for q in (1, 2, 3)}
+            known = {(_key(x), q): False for q in (1, 2, 3)}
             for length in (1, 2, 3):
                 for levels in itertools.product((1, 2, 3), repeat=length):
-                    chain_stages += _distinct_stages(inner, x, levels, known)
+                    chain_stages += _distinct_stages(inner, x, levels, known)[0]
         assert rates.count(False) == len(inputs) * 3 + chain_stages
         singles = [(item, q) for _, item, q in codec.calls if item is not None]
         assert singles == [(i, q) for i in range(len(inputs)) for q in (1, 2, 3)]

@@ -84,6 +84,15 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
                      "k_list": [50], "b": 2, "master_seed": 13},
         "external-cp-memo": {"codec": f"external:{spec}", "dataset": str(gray),
                              "k_list": [1, 5], "b": 2, "master_seed": 15},
+        # chains that start above q_min: with the item's single passes at
+        # every level, every cp stage is one of them
+        "external-cp-literal": {"codec": f"external:{spec}", "dataset": str(gray),
+                                "k_list": [1, 4], "b": 2, "mode": "literal",
+                                "master_seed": 17},
+        # items of alternating shapes, each swept over every level in turn
+        "dct-mixed-literal": {"codec": "block-dct", "dataset": str(mixed),
+                              "q_min_list": [1, 7], "k_list": [3], "b": 2,
+                              "mode": "literal", "master_seed": 19},
         # an inline spec with integer quality_map entries and timeout_s, which
         # load as the strings "1", "2", "3" and the float 30.0
         "external": {"codec": "external", "codec_options": {"spec": {
