@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import codeclab.blockdct
 from codeclab import BlockDctCodec, ImageBuffer, compress_chain, dct2_8x8, scale_quant_table
 from codeclab.blockdct import (
+    _DCT,
     BASE_QUANT_TABLE,
     _entropy_bits,
     _pad_to_blocks,
@@ -57,11 +60,28 @@ class TestDct:
             for idx in np.ndindex(3, 2):
                 assert np.abs(out[idx] - dct2_8x8(stack[idx], direction)).max() < 1e-10
 
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_block_rows_match_per_block(self, direction):
+        """(..., 8, 8 * m) block rows: block j of a row is columns 8j .. 8j + 7,
+        and each is transformed exactly as on its own."""
+        rng = np.random.default_rng(6)
+        rows = rng.random((2, 3, 8, 8 * 5)) * 255 - 128
+        out = dct2_8x8(rows, direction)
+        assert out.shape == rows.shape
+        for idx in np.ndindex(2, 3):
+            for j in range(5):
+                block = rows[idx][:, 8 * j : 8 * j + 8]
+                assert np.array_equal(out[idx][:, 8 * j : 8 * j + 8], dct2_8x8(block, direction))
+
+    def test_out_must_be_c_contiguous(self):
+        rows = np.zeros((2, 8, 16))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            dct2_8x8(rows, out=np.zeros((2, 8, 32))[:, :, ::2])
+
     def test_bad_shape(self):
-        with pytest.raises(ValueError):
-            dct2_8x8(np.zeros((4, 4)))
-        with pytest.raises(ValueError):
-            dct2_8x8(np.zeros((8, 8, 4)))
+        for shape in [(4, 4), (8, 8, 4), (8, 12), (8, 0), (8,)]:
+            with pytest.raises(ValueError):
+                dct2_8x8(np.zeros(shape))
 
 
 class TestQuantTable:
@@ -252,25 +272,39 @@ def _planes(img):
     return [pixels[:, :, c] for c in range(img.channels)]
 
 
+# the per-block products of the reference paths: (8, 8) @ (8, 8) for every
+# block, left product first, both operands contiguous as in the codec's
+_D, _D_T = _DCT, np.ascontiguousarray(_DCT.T)
+
+
 def _reference_indices(plane, table):
-    """The per-plane forward path that the workspace replaced, kept as its
-    reference: a float64 copy, np.pad, a blocking copy, the DCT, quantize."""
+    """The per-plane forward path that the block-row transform replaced, kept
+    as its reference: a float64 copy, np.pad, a blocking copy, the DCT of each
+    block of an (N, 8, 8) stack, quantize.  Returns (N, 8, 8) in row-major
+    block order."""
     h, w = plane.shape
     padded = np.pad(plane.astype(np.float64) - 128.0, ((0, -h % 8), (0, -w % 8)), mode="edge")
     ph, pw = padded.shape
     blocks = padded.reshape(ph // 8, 8, pw // 8, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
-    idx = round_half_away(dct2_8x8(blocks) / table)
+    idx = round_half_away(np.matmul(np.matmul(_D, blocks), _D_T) / table)
     if idx.max() > 32767 or idx.min() < -32767:
         raise CodecError("quantized coefficient out of int16 range")
     return idx
 
 
 def _reference_plane(idx, table, h, w):
-    """The per-plane inverse path that the workspace replaced."""
+    """The per-plane inverse path that the block-row transform replaced."""
     ph, pw = h + -h % 8, w + -w % 8
-    coeffs = dct2_8x8(idx * table, "inverse")
+    coeffs = np.matmul(np.matmul(_D_T, idx * table), _D)
     plane = coeffs.reshape(ph // 8, pw // 8, 8, 8).transpose(0, 2, 1, 3).reshape(ph, pw)
     return np.clip(round_half_away(plane[:h, :w] + 128.0), 0, 255).astype(np.uint8)
+
+
+def _as_blocks(rows, h, w):
+    """Block rows (hb, 8, 8 * wb) of an h x w plane as an (N, 8, 8) stack in
+    row-major block order."""
+    hb, wb = -(-h // 8), -(-w // 8)
+    return rows.reshape(hb, 8, wb, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
 
 
 def _reference_stage(codec, img, q):
@@ -291,6 +325,11 @@ def _reference_stage(codec, img, q):
 MIXED_SHAPES = [(1, 1, 1), (8, 8, 1), (9, 8, 1), (8, 9, 1), (40, 8, 1), (8, 40, 1),
                 (37, 21, 3), (64, 48, 3), (8, 8, 3), (9, 8, 3), (40, 8, 3), (8, 40, 3),
                 (1, 1, 3)]
+# block rows far longer and far more numerous than one block, where a BLAS
+# build could pick other kernels for the block-row and the 2-D products: a
+# 4096-wide and a 4096-high strip, and the 512 x 384 benchmark shape, aligned
+# and padded
+REFERENCE_SHAPES = MIXED_SHAPES + [(4096, 8, 1), (8, 4096, 1), (512, 384, 3), (513, 385, 3)]
 
 
 class TestPadToBlocks:
@@ -304,23 +343,35 @@ class TestPadToBlocks:
         assert np.array_equal(out, expected)
 
 
+def _check_against_reference(codec, x, q):
+    """reconstruct, stage and rated stage at q equal the reference paths in
+    samples, payload body and bits, and leave x unchanged."""
+    before = x.samples.copy()
+    samples, body, bits = _reference_stage(codec, x, q)
+    y, bs = codec.reconstruct(x, q)
+    assert np.array_equal(y.samples, samples)
+    assert bs.payload[codeclab.blockdct._HEADER.size:] == body
+    assert bs.bits_used == bits
+    staged, no_bits = codec.stage(x, q)
+    assert np.array_equal(staged.samples, samples) and no_bits is None
+    rated, rated_bits = codec.stage(x, q, rate=True)
+    assert np.array_equal(rated.samples, samples)
+    assert rated_bits == bs.bits_used
+    assert np.array_equal(x.samples, before)
+
+
 class TestWorkspace:
-    @pytest.mark.parametrize("width, height, channels", MIXED_SHAPES)
+    @pytest.mark.parametrize("width, height, channels", REFERENCE_SHAPES)
     def test_matches_reference_path(self, dct_codec, width, height, channels):
         x = _random_image(width, height, channels, width * height + channels)
-        before = x.samples.copy()
         for q in range(1, dct_codec.num_levels + 1):
-            samples, body, bits = _reference_stage(dct_codec, x, q)
-            y, bs = dct_codec.reconstruct(x, q)
-            assert np.array_equal(y.samples, samples)
-            assert bs.payload[codeclab.blockdct._HEADER.size:] == body
-            assert bs.bits_used == bits
-            staged, no_bits = dct_codec.stage(x, q)
-            assert np.array_equal(staged.samples, samples) and no_bits is None
-            rated, rated_bits = dct_codec.stage(x, q, rate=True)
-            assert np.array_equal(rated.samples, samples)
-            assert rated_bits == bs.bits_used
-            assert np.array_equal(x.samples, before)
+            _check_against_reference(dct_codec, x, q)
+
+    @given(width=st.integers(1, 300), height=st.integers(1, 300),
+           channels=st.sampled_from([1, 3]), q=st.integers(1, 8), seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_shapes_match_reference_path(self, width, height, channels, q, seed):
+        _check_against_reference(BlockDctCodec(), _random_image(width, height, channels, seed), q)
 
     def test_one_instance_across_shapes(self):
         """Gray, RGB, aligned and unaligned images in turn through one
@@ -346,7 +397,7 @@ class TestWorkspace:
         for r in results:
             assert r.samples.flags.c_contiguous
             assert not np.shares_memory(r.samples, x.samples)
-            for buf in (ws.coeffs, ws.scratch, ws.padded):
+            for buf in (ws.rows, ws.scratch, ws.padded, ws.tables):
                 assert not np.shares_memory(r.samples, buf)
         # later stages on the same shape and on others reuse or replace the
         # workspace; the earlier results must not move
@@ -371,16 +422,16 @@ class TestWorkspace:
                 assert bs.payload == payload
                 dct_codec.reconstruct(img, q)
                 for plane in _planes(img):
-                    dct_codec._channel_indices(plane, dct_codec._tables[q - 1])
+                    dct_codec._channel_indices(plane, q)
                 assert np.array_equal(img.samples, before)
 
     def test_channel_indices_live_in_the_workspace(self, dct_codec):
         x = _rgb_37x21()
-        table = dct_codec._tables[2]
         for plane in _planes(x):
-            idx = dct_codec._channel_indices(plane, table)
-            assert idx is dct_codec._ws.coeffs
-            assert np.array_equal(idx, _reference_indices(plane, table))
+            idx = dct_codec._channel_indices(plane, 3)
+            assert idx is dct_codec._ws.rows
+            expected = _reference_indices(plane, dct_codec._tables[2])
+            assert np.array_equal(_as_blocks(idx, x.height, x.width), expected)
 
 
 class TestPixelRounding:
@@ -455,8 +506,8 @@ class TestEntropyBits:
         for q in range(1, dct_codec.num_levels + 1):
             for img in [*gray_images, _rgb_37x21()]:
                 for plane in _planes(img):
-                    idx = dct_codec._channel_indices(plane, dct_codec._tables[q - 1])
-                    idx = idx.astype(np.int16).reshape(-1, 64)
+                    idx = dct_codec._channel_indices(plane, q)
+                    idx = dct_codec._ws.block_order(idx)
                     assert _entropy_bits(idx) == _entropy_bits_loop(idx)
 
     def test_random_arrays(self):

@@ -44,6 +44,10 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
     row, rgb_aligned = work / "gray-block-row", work / "rgb-aligned"
     _corpus(row, "gray", 2, 40, 8)
     _corpus(rgb_aligned, "rgb", 1, 64, 48)
+    # the benchmark's dct-large-rgb shape: 64 blocks to a block row and 48
+    # block rows, so the transform runs long block-row and 2-D products
+    rgb_large = work / "rgb-large"
+    _corpus(rgb_large, "rgb", 1, 512, 384)
     # sizes and channel counts alternating within one dataset, so one codec
     # instance switches plane shape from item to item
     mixed = work / "mixed"
@@ -89,6 +93,8 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
         "external-cp-literal": {"codec": f"external:{spec}", "dataset": str(gray),
                                 "k_list": [1, 4], "b": 2, "mode": "literal",
                                 "master_seed": 17},
+        "dct-large-rgb": {"codec": "block-dct", "dataset": str(rgb_large), "k_list": [1, 2],
+                          "b": 1},
         # items of alternating shapes, each swept over every level in turn
         "dct-mixed-literal": {"codec": "block-dct", "dataset": str(mixed),
                               "q_min_list": [1, 7], "k_list": [3], "b": 2,
