@@ -34,7 +34,6 @@ from .chains import (  # noqa: F401
     Theorem1Record,
     compress_chain,
     distortion,
-    evaluate_cell,
     rho_from_outcomes,
     sample_quality_sequence,
     theorem1_from_outcomes,
@@ -44,8 +43,10 @@ from .protocol import (  # noqa: F401
     ConfigError,
     EvalConfig,
     EvalReport,
+    rd_points,
     run_protocol,
     sweep_levels,
+    top_cell_inputs,
     verify_strong_idempotence,
 )
 from .report import emit_report, render_svg  # noqa: F401

@@ -317,35 +317,6 @@ def evaluate_item(
                 )
 
 
-def evaluate_cell(
-    ds: Dataset,
-    codec: Codec,
-    q_min: int,
-    k_list: list[int],
-    b: int,
-    mode: str = "forced-min",
-    master_seed: int = 0,
-    streams: tuple[int, ...] = (STREAM_RHO,),
-) -> dict[int, dict[int, list[PairOutcome]]]:
-    """Run b independent chains per dataset item for each k at one q_min, in
-    each stream of streams, and return {stream: {k: outcomes}}, ordered by
-    (item, trial) within each k (evaluate_item).
-
-    Each item's single pass at q_min is computed once and shared by every
-    stream and k, with its rate when STREAM_RD is in streams; a failure
-    there names STREAM_RD when present.  Every codec call is Codec.stage.
-    streams must be distinct ids of STREAM_NAMES, at least one; anything
-    else raises ValueError.
-    """
-    cells = _empty_cells(streams, k_list, b)
-    codec.check_quality(q_min)
-    rated = STREAM_RD in streams
-    for i, x in enumerate(ds.items):
-        passes = single_passes(x, codec, (q_min,), rated, STREAM_RD if rated else STREAM_RHO)
-        evaluate_item(cells, i, passes, codec, q_min, b, mode, master_seed)
-    return cells
-
-
 @dataclasses.dataclass
 class RhoEstimate:
     """Monte Carlo estimate of rho(q_min, k)."""

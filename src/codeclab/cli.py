@@ -9,35 +9,25 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .chains import STREAM_RHO, evaluate_cell, theorem1_from_outcomes
+from .chains import STREAM_RD, STREAM_RHO, theorem1_from_outcomes
 from .protocol import (
     ConfigError,
     EvalConfig,
+    rd_points,
     resolve_dataset,
     resolve_q_min_list,
     run_protocol,
     sweep_levels,
+    top_cell_inputs,
     verify_strong_idempotence,
 )
 from .registry import make_codec
 from .report import emit_report, render_svg
-from .signals import SourceVector
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_VERIFY = 4
-
-
-def _top_cell_inputs(codec) -> list[SourceVector]:
-    """i / n for each of the n top-level cells [i / n, (i + 1) / n).  Every
-    decision boundary of every level lies on that grid and ties go up, so
-    each input is quantised as its whole cell is: the sweep covers [0, 1]
-    exactly, and each sequence's deviation is its U[0, 1] expectation."""
-    n = len(codec.ladder.level(codec.num_levels))
-    return [SourceVector(np.arange(n) / n)]
 
 
 def _print_sweep(sweep, codec) -> int:
@@ -60,7 +50,7 @@ def _cmd_toy_demo(args) -> int:
     print(f"{args.ladder} ladder, {ladder.num_levels} level(s):")
     for q in range(1, ladder.num_levels + 1):
         print(f"  q={q}: {list(ladder.level(q))}")
-    sweep = verify_strong_idempotence(codec, _top_cell_inputs(codec), max_len=4)
+    sweep = verify_strong_idempotence(codec, top_cell_inputs(codec), max_len=4)
     return _print_sweep(sweep, codec)
 
 
@@ -84,8 +74,9 @@ def _cell_inputs(args, mode: str, q_min_list: list[int] | None = None):
 
 def _cmd_rd_curve(args) -> int:
     cfg, codec, ds = _cell_inputs(args, args.mode)
-    rd_single, rd_multi, _ = sweep_levels(
-        ds, codec, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed
+    cells = dict.fromkeys(range(1, codec.num_levels + 1), (STREAM_RD,))
+    rd_single, rd_multi = rd_points(
+        sweep_levels(ds, codec, cells, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed)
     )
     svg = render_svg(rd_single, rd_multi[args.k], title=f"{codec.codec_id} RD, k={args.k}")
     Path(args.out).write_bytes(svg)
@@ -96,8 +87,10 @@ def _cmd_rd_curve(args) -> int:
 def _cmd_check_theorem1(args) -> int:
     cfg, codec, ds = _cell_inputs(args, "forced-min", [args.qmin])
     (q_min,) = resolve_q_min_list(cfg, codec)
-    cells = evaluate_cell(ds, codec, q_min, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed)
-    rec = theorem1_from_outcomes(cells[STREAM_RHO][args.k], q_min, args.k)
+    cells = sweep_levels(
+        ds, codec, {q_min: (STREAM_RHO,)}, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed
+    )
+    rec = theorem1_from_outcomes(cells[q_min][STREAM_RHO][args.k], q_min, args.k)
     print(f"q_min={rec.q_min} k={rec.k}")
     print(f"mean MSE single-pass: {rec.mean_single!r} (SE {rec.std_err_single!r})")
     print(f"mean MSE chain:       {rec.mean_chain!r} (SE {rec.std_err_chain!r})")
@@ -109,7 +102,7 @@ def _cmd_verify(args) -> int:
     codec = make_codec(args.codec)
     if codec.signal_kind != "source":
         raise ConfigError("verify sweeps are exhaustive; scalar codecs only")
-    sweep = verify_strong_idempotence(codec, _top_cell_inputs(codec), args.max_len)
+    sweep = verify_strong_idempotence(codec, top_cell_inputs(codec), args.max_len)
     return _print_sweep(sweep, codec)
 
 

@@ -5,7 +5,6 @@ import dataclasses
 import itertools
 import json
 import math
-from collections.abc import Collection
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from .chains import (
 )
 from .codecs import Codec
 from .registry import _is_int, make_codec
-from .signals import Dataset, generate_uniform_source, load_dataset
+from .signals import Dataset, SourceVector, generate_uniform_source, load_dataset
 
 
 class ConfigError(ValueError):
@@ -177,52 +176,71 @@ def _rd_point(q: int, bpps: list[float], mses: list[float], peak: float) -> RdPo
 def sweep_levels(
     ds: Dataset,
     codec: Codec,
+    cells: dict[int, tuple[int, ...]],
     k_list: list[int],
     b: int,
     mode: str = "forced-min",
     master_seed: int = 0,
-    grid_q_mins: Collection[int] = (),
-) -> tuple[list[RdPoint], dict[int, list[RdPoint]], dict[int, dict[int, list[PairOutcome]]]]:
-    """Evaluate each ladder level once: the RD stream at every level, and the
-    rho-grid stream beside it where the level is in grid_q_mins.  Returns the
-    single-pass RD points per level, the multi-round points per q_min for
-    each k, and the grid's {q_min: {k: outcomes}}.
+) -> dict[int, dict[int, dict[int, list[PairOutcome]]]]:
+    """Run the cells that cells names, {q_min: streams}, and return their
+    outcomes as {q_min: {stream: {k: outcomes}}}, each ordered by (item,
+    trial) (evaluate_item).  Every streams tuple and q_min is checked before
+    any stage runs: streams as _empty_cells checks them, q_min against the
+    codec's ladder.
 
-    Items go one at a time: an item's single passes at every level, with
-    their rates, seed every chain of that item at every level, and are
-    dropped before the next item's, so the sweep holds one item's passes.
+    Items go one at a time: an item's single passes at the named levels,
+    with their rates when some cell runs STREAM_RD, seed every chain of that
+    item in every cell, and are dropped before the next item's, so the sweep
+    holds one item's passes.  A failing pass names STREAM_RD when some cell
+    runs it, else STREAM_RHO.
+    """
+    out = {q: _empty_cells(streams, k_list, b) for q, streams in cells.items()}
+    for q in out:
+        codec.check_quality(q)
+    rated = any(STREAM_RD in by_stream for by_stream in out.values())
+    for i, x in enumerate(ds.items):
+        passes = single_passes(x, codec, cells, rated, STREAM_RD if rated else STREAM_RHO)
+        for q, by_stream in out.items():
+            evaluate_item(by_stream, i, passes, codec, q, b, mode, master_seed)
+        del passes  # before the next item's passes are built
+    return out
+
+
+def rd_points(
+    cells: dict[int, dict[int, dict[int, list[PairOutcome]]]],
+) -> tuple[list[RdPoint], dict[int, list[RdPoint]]]:
+    """The single-pass RD point per level and the multi-round points per k,
+    in the order of cells, a sweep_levels result whose every cell runs
+    STREAM_RD.
 
     rd_multi PSNR compares the chain final against the ORIGINAL signal; its
     bitrate is the final stage's (what a downstream consumer would hold).
     """
-    levels = range(1, codec.num_levels + 1)
-    cells = {
-        q: _empty_cells((STREAM_RHO, STREAM_RD) if q in grid_q_mins else (STREAM_RD,), k_list, b)
-        for q in levels
-    }
-    for i, x in enumerate(ds.items):
-        passes = single_passes(x, codec, levels, True, STREAM_RD)
-        for q in levels:
-            evaluate_item(cells[q], i, passes, codec, q, b, mode, master_seed)
-        del passes  # before the next item's passes are built
     rd_single: list[RdPoint] = []
-    rd_multi: dict[int, list[RdPoint]] = {k: [] for k in k_list}
-    grid: dict[int, dict[int, list[PairOutcome]]] = {}
-    for q in levels:
-        if STREAM_RHO in cells[q]:
-            grid[q] = cells[q][STREAM_RHO]
-        rd = cells[q][STREAM_RD]
-        singles = [o for o in rd[k_list[0]] if o.trial == 0]
+    rd_multi: dict[int, list[RdPoint]] = {}
+    for q, by_stream in cells.items():
+        rd = by_stream[STREAM_RD]
+        singles = [o for o in next(iter(rd.values())) if o.trial == 0]
         peak = singles[0].peak
         rd_single.append(_rd_point(
             q, [o.single_bpp for o in singles], [o.mse_x_vs_single for o in singles], peak
         ))
         for k, outcomes in rd.items():
-            rd_multi[k].append(_rd_point(
+            rd_multi.setdefault(k, []).append(_rd_point(
                 q, [o.chain_final_bpp for o in outcomes],
                 [o.mse_x_vs_chain for o in outcomes], peak,
             ))
-    return rd_single, rd_multi, grid
+    return rd_single, rd_multi
+
+
+def top_cell_inputs(codec: Codec) -> list[SourceVector]:
+    """i / n for each of the n top-level cells [i / n, (i + 1) / n).  Every
+    decision boundary of every level lies on that grid and ties go up, so
+    each input is quantised as its whole cell is: a sweep of it covers
+    [0, 1] exactly, and each sequence's deviation is its U[0, 1]
+    expectation."""
+    n = len(codec.ladder.level(codec.num_levels))
+    return [SourceVector(np.arange(n) / n)]
 
 
 def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> IdempotenceSweep:
@@ -266,15 +284,18 @@ def run_protocol(cfg: EvalConfig) -> EvalReport:
     codec = make_codec(cfg.codec, cfg.codec_options)
     ds = resolve_dataset(cfg, codec)
     q_min_list = resolve_q_min_list(cfg, codec)
-    rd_single, rd_multi, cells = sweep_levels(
-        ds, codec, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed, q_min_list
-    )
+    cells = sweep_levels(ds, codec, {
+        q: (STREAM_RHO, STREAM_RD) if q in q_min_list else (STREAM_RD,)
+        for q in range(1, codec.num_levels + 1)
+    }, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed)
+    rd_single, rd_multi = rd_points(cells)
     grid: list[RhoEstimate] = []
     theorem1: list[Theorem1Record] = []
     for q_min in q_min_list:
         for k in cfg.k_list:
-            grid.append(rho_from_outcomes(cells[q_min][k], q_min, k, cfg.b, cfg.distortion))
-            theorem1.append(theorem1_from_outcomes(cells[q_min][k], q_min, k))
+            outcomes = cells[q_min][STREAM_RHO][k]
+            grid.append(rho_from_outcomes(outcomes, q_min, k, cfg.b, cfg.distortion))
+            theorem1.append(theorem1_from_outcomes(outcomes, q_min, k))
     config_echo = {
         **dataclasses.asdict(cfg),
         "q_min_list": list(q_min_list),

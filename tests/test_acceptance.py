@@ -16,11 +16,12 @@ from codeclab import (
     distortion,
     generate_uniform_source,
     make_codec,
+    rd_points,
     run_protocol,
     sweep_levels,
     verify_strong_idempotence,
 )
-from codeclab.chains import STREAM_RHO, evaluate_cell, rho_from_outcomes, theorem1_from_outcomes
+from codeclab.chains import STREAM_RD, STREAM_RHO, rho_from_outcomes, theorem1_from_outcomes
 from codeclab.cli import main
 from codeclab.signals import Dataset
 
@@ -38,15 +39,12 @@ def grid_source():
 @pytest.fixture(scope="module")
 def dct_cells(image_dataset, dct_codec):
     """Per-pair outcomes for every (q_min, k) cell used by criteria 4-6."""
-    cells = {}
-    for q_min in range(1, 9):
-        per_k = evaluate_cell(
-            image_dataset, dct_codec, q_min, [10, 50], b=10, mode="forced-min",
-            master_seed=2024,
-        )[STREAM_RHO]
-        for k, outcomes in per_k.items():
-            cells[(q_min, k)] = outcomes
-    return cells
+    swept = sweep_levels(
+        image_dataset, dct_codec, dict.fromkeys(range(1, 9), (STREAM_RHO,)), [10, 50], b=10,
+        mode="forced-min", master_seed=2024,
+    )
+    return {(q_min, k): outcomes for q_min, by_stream in swept.items()
+            for k, outcomes in by_stream[STREAM_RHO].items()}
 
 
 def test_criterion_1_exhaustive_strong_idempotence(grid_source):
@@ -126,8 +124,10 @@ def test_criterion_7_bitrate_property():
     x = generate_uniform_source(4000, 13)
     ds = Dataset.from_source(x)
     ok = True
-    for q_min in (1, 2, 3):
-        for o in evaluate_cell(ds, codec, q_min, [6], b=5, master_seed=3)[STREAM_RHO][6]:
+    cells = sweep_levels(ds, codec, dict.fromkeys((1, 2, 3), (STREAM_RHO,)), [6], b=5,
+                         master_seed=3)
+    for q_min, by_stream in cells.items():
+        for o in by_stream[STREAM_RHO][6]:
             y, _ = compress_chain(x, o.levels, codec)
             single, _ = codec.reconstruct(x, q_min)
             ok &= (
@@ -211,6 +211,7 @@ def test_criterion_10_external_jpeg(image_dataset, tmp_path):
         items=image_dataset.items[:1],
         item_names=image_dataset.item_names[:1],
     )
-    rd_single, rd_multi, _ = sweep_levels(ds, codec, [5], b=2, master_seed=5)
+    cells = dict.fromkeys(range(1, codec.num_levels + 1), (STREAM_RD,))
+    rd_single, rd_multi = rd_points(sweep_levels(ds, codec, cells, [5], b=2, master_seed=5))
     ok = all(m.mean_psnr <= s.mean_psnr for s, m in zip(rd_single, rd_multi[5]))
     _verdict(10, ok, "multi-round JPEG curve at or below single-pass in PSNR")

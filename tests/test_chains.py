@@ -24,14 +24,13 @@ from codeclab.chains import (
     PairOutcome,
     SinglePasses,
     derive_rng,
-    evaluate_cell,
     rho_from_outcomes,
     signal_peak,
     signal_samples,
     theorem1_from_outcomes,
 )
 from codeclab.codecs import Codec, CodecError
-from codeclab.protocol import EvalConfig, _rd_point, run_protocol
+from codeclab.protocol import EvalConfig, _rd_point, run_protocol, sweep_levels
 from codeclab.signals import Dataset
 
 
@@ -307,17 +306,21 @@ class TestStageMemo:
         assert codec.calls == [(2, True)]
 
 
+def _cell(ds, codec, q_min, k_list, b, mode="forced-min", master_seed=0, streams=(STREAM_RHO,)):
+    """One cell's {stream: {k: outcomes}}, from a sweep that names it alone."""
+    return sweep_levels(ds, codec, {q_min: streams}, k_list, b, mode, master_seed)[q_min]
+
+
 def _rho(ds, codec, q_min, k, b, master_seed=0):
     return rho_from_outcomes(
-        evaluate_cell(ds, codec, q_min, [k], b, master_seed=master_seed)[STREAM_RHO][k],
-        q_min, k, b,
+        _cell(ds, codec, q_min, [k], b, master_seed=master_seed)[STREAM_RHO][k], q_min, k, b,
     )
 
 
 def _per_trial(ds, codec, q_min, k, b, master_seed):
     return [
         o.mse_single_vs_chain
-        for o in evaluate_cell(ds, codec, q_min, [k], b, master_seed=master_seed)[STREAM_RHO][k]
+        for o in _cell(ds, codec, q_min, [k], b, master_seed=master_seed)[STREAM_RHO][k]
     ]
 
 
@@ -360,14 +363,14 @@ class TestEstimateRho:
 
     def test_rmse_triangle_per_pair(self, source_ds):
         codec = make_codec("midpoint-scalar:3")
-        outcomes = evaluate_cell(source_ds, codec, 1, [6], 20, "forced-min", 11)[STREAM_RHO][6]
+        outcomes = _cell(source_ds, codec, 1, [6], 20, "forced-min", 11)[STREAM_RHO][6]
         for o in outcomes:
             lhs = math.sqrt(o.mse_x_vs_chain)
             rhs = math.sqrt(o.mse_x_vs_single) + math.sqrt(o.mse_single_vs_chain)
             assert lhs <= rhs
 
 
-class TestEvaluateCellRates:
+class TestSweepRates:
     @pytest.mark.parametrize("image", [False, True])
     def test_without_rates_same_distortions(self, source_ds, gray_images, dct_codec, image):
         if image:
@@ -375,10 +378,8 @@ class TestEvaluateCellRates:
             codec = dct_codec
         else:
             ds, codec = source_ds, make_codec("midpoint-scalar:3")
-        with_rates = _reference_evaluate_cell(
-            ds, codec, 2, [1, 4], 2, "forced-min", 5, STREAM_RHO, True
-        )
-        without = evaluate_cell(ds, codec, 2, [1, 4], 2, master_seed=5)[STREAM_RHO]
+        with_rates = _reference_cell(ds, codec, 2, [1, 4], 2, "forced-min", 5, STREAM_RHO, True)
+        without = _cell(ds, codec, 2, [1, 4], 2, master_seed=5)[STREAM_RHO]
         for k, outcomes in with_rates.items():
             assert len(without[k]) == len(outcomes)
             for o, lean in zip(outcomes, without[k]):
@@ -401,9 +402,9 @@ class TestEvaluateCellRates:
                     calls.append(q)
                 return codec.stage(x, q, rate)
 
-        evaluate_cell(source_ds, Counting(), 1, [3, 5], 2, streams=(STREAM_RHO,))
+        _cell(source_ds, Counting(), 1, [3, 5], 2, streams=(STREAM_RHO,))
         assert calls == []
-        evaluate_cell(source_ds, Counting(), 1, [3, 5], 2, streams=(STREAM_RD,))
+        _cell(source_ds, Counting(), 1, [3, 5], 2, streams=(STREAM_RD,))
         assert len(calls) == 1 + 2 * 2
 
 
@@ -418,8 +419,8 @@ def test_chain_ending_on_the_single_pass_reads_no_mse(monkeypatch, source_ds):
         return mse(a, b)
 
     monkeypatch.setattr(codeclab.chains, "_mse", counting)
-    cells = evaluate_cell(source_ds, make_codec("nested-scalar:3"), 2, [4, 7], 3,
-                          streams=(STREAM_RHO, STREAM_RD))
+    cells = _cell(source_ds, make_codec("nested-scalar:3"), 2, [4, 7], 3,
+                  streams=(STREAM_RHO, STREAM_RD))
     assert len(calls) == 1
     for outcomes in cells.values():
         for o in itertools.chain(*outcomes.values()):
@@ -429,14 +430,31 @@ def test_chain_ending_on_the_single_pass_reads_no_mse(monkeypatch, source_ds):
 
 @pytest.mark.parametrize("streams", [(7,), (STREAM_RHO, STREAM_RHO), ()],
                          ids=["unknown", "repeated", "empty"])
-def test_evaluate_cell_refuses_bad_streams(source_ds, streams):
+def test_sweep_refuses_bad_streams(source_ds, streams):
     # the base Codec raises NotImplementedError on any call, so the
-    # ValueError must come before the first one
+    # ValueError must come before the first one, whichever cell names them
     with pytest.raises(ValueError, match="streams must be distinct ids"):
-        evaluate_cell(source_ds, Codec(), 1, [3], 2, streams=streams)
+        sweep_levels(source_ds, Codec(), {1: (STREAM_RHO,), 2: streams}, [3], 2)
 
 
-def _reference_evaluate_cell(ds, codec, q_min, k_list, b, mode, master_seed, stream, rates):
+def test_sweep_checks_every_q_min_before_any_stage(source_ds):
+    """A q_min off the ladder in any named cell raises CodecError before the
+    first stage of the first cell runs."""
+    codec, calls = make_codec("midpoint-scalar:3"), []
+
+    class Counting(Codec):
+        codec_id, signal_kind, num_levels = "counting", "source", 3
+
+        def stage(self, x, q, rate=False):
+            calls.append(q)
+            return codec.stage(x, q, rate)
+
+    with pytest.raises(CodecError, match=r"quality 4 outside ladder \[1, 3\]"):
+        sweep_levels(source_ds, Counting(), {1: (STREAM_RHO,), 4: (STREAM_RD,)}, [3], 2)
+    assert calls == []
+
+
+def _reference_cell(ds, codec, q_min, k_list, b, mode, master_seed, stream, rates):
     """One stream of one cell, evaluated on its own: every chain runs all of
     its stages from x in a plain loop, and the single pass is its own codec
     call."""
@@ -506,13 +524,29 @@ class TestSharedSinglePass:
         ds, codec = case
         k_list, b = [1, 3, 2], 3
         for q_min in (3, 1, 3, codec.num_levels):
-            cells = evaluate_cell(ds, codec, q_min, k_list, b, mode, 6, (STREAM_RHO, STREAM_RD))
+            cells = _cell(ds, codec, q_min, k_list, b, mode, 6, (STREAM_RHO, STREAM_RD))
             assert list(cells) == [STREAM_RHO, STREAM_RD]
             for stream, rates in {STREAM_RHO: False, STREAM_RD: True}.items():
-                ref = _reference_evaluate_cell(
+                ref = _reference_cell(
                     ds, codec, q_min, k_list, b, mode, 6, stream, rates
                 )
                 assert cells[stream] == _as_measured_in(stream, ref)
+
+    def test_cells_of_one_sweep_equal_per_stream(self, case):
+        """One sweep over cells that name different streams, in an unsorted
+        level order, gives each cell what that cell gives on its own."""
+        ds, codec = case
+        k_list, b, top = [2, 1], 2, codec.num_levels
+        named = {3: (STREAM_RD, STREAM_RHO), 1: (STREAM_RD,), top: (STREAM_RHO,)}
+        cells = sweep_levels(ds, codec, named, k_list, b, "literal", 8)
+        assert {q: tuple(by_stream) for q, by_stream in cells.items()} == named
+        assert list(cells) == list(named)
+        for q_min, streams in named.items():
+            for stream in streams:
+                ref = _reference_cell(
+                    ds, codec, q_min, k_list, b, "literal", 8, stream, stream == STREAM_RD
+                )
+                assert cells[q_min][stream] == _as_measured_in(stream, ref)
 
     def test_run_protocol_equals_per_stream_loops(self, case):
         """The grid in q_min_list order (unsorted, with a repeat) and the RD
@@ -529,7 +563,7 @@ class TestSharedSinglePass:
             report = run_protocol(cfg)
         grid, theorem1 = [], []
         for q_min in q_min_list:
-            cell = _reference_evaluate_cell(
+            cell = _reference_cell(
                 ds, codec, q_min, k_list, b, "literal", seed, STREAM_RHO, False
             )
             for k in k_list:
@@ -537,7 +571,7 @@ class TestSharedSinglePass:
                 theorem1.append(theorem1_from_outcomes(cell[k], q_min, k))
         rd_single, rd_multi = [], {k: [] for k in k_list}
         for q in range(1, codec.num_levels + 1):
-            cell = _reference_evaluate_cell(
+            cell = _reference_cell(
                 ds, codec, q, k_list, b, "literal", seed, STREAM_RD, True
             )
             singles = [o for o in cell[k_list[0]] if o.trial == 0]

@@ -16,9 +16,11 @@ from codeclab import (
     SourceVector,
     generate_uniform_source,
     make_codec,
+    rd_points,
     run_protocol,
     serialize_pnm,
     sweep_levels,
+    top_cell_inputs,
     verify_strong_idempotence,
 )
 import codeclab.protocol
@@ -27,12 +29,11 @@ from codeclab.chains import (
     STREAM_RD,
     STREAM_RHO,
     derive_rng,
-    evaluate_cell,
     sample_quality_sequence,
     theorem1_from_outcomes,
 )
-from codeclab.cli import _top_cell_inputs
 from codeclab.codecs import Codec, ScalarQuantizerCodec
+from codeclab.ladders import quantize_array
 from codeclab.report import emit_report
 from codeclab.signals import Dataset
 
@@ -256,7 +257,9 @@ def test_sweep_holds_one_item_at_a_time():
             return y, bits
 
     codec = Tracking(make_codec("block-dct"), items)
-    sweep_levels(ds, codec, [1, 3], 2, "literal", 5, grid_q_mins=(1, 4))
+    cells = {q: (STREAM_RHO, STREAM_RD) if q in (1, 4) else (STREAM_RD,)
+             for q in range(1, codec.num_levels + 1)}
+    sweep_levels(ds, codec, cells, [1, 3], 2, "literal", 5)
     assert sorted(outputs) == [0, 1, 2]
     assert all(len(refs) > codec.num_levels for refs in outputs.values())
 
@@ -310,7 +313,8 @@ def test_protocol_builds_no_payload(tmp_path, monkeypatch, case):
 
 
 def _theorem1(ds, codec, q_min, k, b):
-    return theorem1_from_outcomes(evaluate_cell(ds, codec, q_min, [k], b)[STREAM_RHO][k], q_min, k)
+    cells = sweep_levels(ds, codec, {q_min: (STREAM_RHO,)}, [k], b)
+    return theorem1_from_outcomes(cells[q_min][STREAM_RHO][k], q_min, k)
 
 
 class TestTheorem1:
@@ -331,10 +335,16 @@ class TestTheorem1:
         assert rec.satisfied
 
 
+def _rd_curves(ds, codec, k_list, b):
+    """rd_points of a sweep that runs STREAM_RD at every level, as rd-curve does."""
+    cells = dict.fromkeys(range(1, codec.num_levels + 1), (STREAM_RD,))
+    return rd_points(sweep_levels(ds, codec, cells, k_list, b))
+
+
 class TestRdCurves:
     def test_nested_multi_matches_single_distortion(self, source_ds):
         codec = make_codec("nested-scalar:3")
-        rd_single, rd_multi, _ = sweep_levels(source_ds, codec, k_list=[10], b=5)
+        rd_single, rd_multi = _rd_curves(source_ds, codec, k_list=[10], b=5)
         # per-chain equality is exact (see test_chains); the aggregate mean
         # re-sums identical values, so allow last-ulp float noise here
         for s, m in zip(rd_single, rd_multi[10]):
@@ -342,13 +352,13 @@ class TestRdCurves:
             assert m.mean_mse == pytest.approx(s.mean_mse, rel=1e-12)
 
     def test_nested_psnr_increases_with_level(self, source_ds):
-        rd_single, _, _ = sweep_levels(source_ds, make_codec("nested-scalar:3"), [5], 3)
+        rd_single, _ = _rd_curves(source_ds, make_codec("nested-scalar:3"), [5], 3)
         psnrs = [p.mean_psnr for p in rd_single]
         assert all(a < b for a, b in zip(psnrs, psnrs[1:]))
 
     def test_k1_forced_min_collapses_for_any_codec(self, source_ds):
         codec = make_codec("midpoint-scalar:3")
-        rd_single, rd_multi, _ = sweep_levels(source_ds, codec, k_list=[1], b=4)
+        rd_single, rd_multi = _rd_curves(source_ds, codec, k_list=[1], b=4)
         for s, m in zip(rd_single, rd_multi[1]):
             assert (m.mean_bpp, m.mean_psnr, m.mean_mse) == (
                 s.mean_bpp, s.mean_psnr, s.mean_mse,
@@ -425,7 +435,7 @@ class TestVerifySweep:
         """verify's one input per top cell sweeps as 64 interior points of
         every cell do."""
         codec = make_codec(codec_id)
-        (top,) = _top_cell_inputs(codec)
+        (top,) = top_cell_inputs(codec)
         n = len(top)
         offsets = (np.arange(64) + 0.5) / 64
         interior = SourceVector(((np.arange(n)[:, None] + offsets) / n).ravel())
@@ -439,6 +449,20 @@ class TestVerifySweep:
             assert cells.max_mse > 0
             assert cells.max_mse == pytest.approx(dense.max_mse, rel=1e-12)
             assert cells.mean_mse == pytest.approx(dense.mean_mse, rel=1e-12)
+
+    @pytest.mark.parametrize("codec_id", ["midpoint-scalar:1", "midpoint-scalar:5",
+                                          "nested-scalar:1", "nested-scalar:4",
+                                          "nested-scalar:8"])
+    def test_top_cell_inputs_are_each_lower_edge_once(self, codec_id):
+        """top_cell_inputs holds each top-level cell's lower edge once, in
+        order: on a grid 16 times finer than the cells, the least point that
+        the top level quantises to each codeword."""
+        codec = make_codec(codec_id)
+        codewords = codec.ladder.level(codec.num_levels)
+        fine = np.arange(16 * len(codewords)) / (16 * len(codewords))
+        idx, _ = quantize_array(fine, codewords)
+        (top,) = top_cell_inputs(codec)
+        assert top.values.tolist() == [fine[idx == c].min() for c in range(len(codewords))]
 
     def test_enumeration_guard(self):
         codec = make_codec("midpoint-scalar:3")

@@ -1,10 +1,14 @@
 import json
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import codeclab.external
-from codeclab import EvalConfig, ImageBuffer, run_protocol, serialize_pnm
+from codeclab import EvalConfig, ImageBuffer, make_codec, run_protocol, serialize_pnm
 from codeclab.cli import main
 from codeclab.chains import RhoEstimate, Theorem1Record
 from codeclab.codecs import ScalarQuantizerCodec
@@ -364,3 +368,75 @@ class TestCli:
         assert main(["check-theorem1", "--codec", f"external:{spec}",
                      "--dataset", str(tiny_image_dir),
                      "--qmin", "1", "--k", "2", "--b", "1"]) == 3
+
+
+@pytest.fixture(scope="module")
+def corpus_gray64(tmp_path_factory):
+    """One 64x64 gray image of the benchmark's corpus (perfbench/corpus.py, seed 1)."""
+    out = tmp_path_factory.mktemp("gray64")
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    subprocess.run([sys.executable, str(corpus), "--kind", "gray", "--count", "1",
+                    "--width", "64", "--height", "64", "--seed", "1", "--out", str(out)],
+                   check=True)
+    return out
+
+
+def _from_json(value):
+    return math.inf if value == "inf" else value
+
+
+class TestOnePathPerNumber:
+    """check-theorem1 and rd-curve print and draw the numbers that evaluate
+    reports for the same codec, dataset, q_min, k, b, mode and seed."""
+
+    @pytest.mark.parametrize("codec, image, mode", [
+        ("block-dct", True, "forced-min"),
+        ("block-dct", True, "literal"),
+        ("midpoint-scalar", False, "forced-min"),
+        ("nested-scalar:4", False, "literal"),
+    ])
+    def test_commands_print_the_evaluate_report(
+        self, tmp_path, capsys, corpus_gray64, codec, image, mode
+    ):
+        qmin, k, b, seed = 2, 3, 2, 5
+        dataset = ["--dataset", str(corpus_gray64)] if image else []
+        cfg_path, report_path = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg_path.write_text(json.dumps({
+            "codec": codec, "dataset": str(corpus_gray64) if image else None,
+            "q_min_list": [qmin], "k_list": [k], "b": b, "mode": mode, "master_seed": seed,
+        }))
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        args = [*dataset, "--k", str(k), "--b", str(b), "--seed", str(seed)]
+
+        if mode == "forced-min":  # check-theorem1 always draws forced-min chains
+            (rec,) = report["theorem1"]
+            capsys.readouterr()
+            code = main(["check-theorem1", "--codec", codec, "--qmin", str(qmin), *args])
+            assert capsys.readouterr().out == (
+                f"q_min={qmin} k={k}\n"
+                f"mean MSE single-pass: {rec['mean_single']!r} (SE {rec['std_err_single']!r})\n"
+                f"mean MSE chain:       {rec['mean_chain']!r} (SE {rec['std_err_chain']!r})\n"
+                f"satisfied (chain >= single - 3*SE): {rec['satisfied']}\n"
+            )
+            assert code == (0 if rec["satisfied"] else 4)
+
+        svg = tmp_path / "rd.svg"
+        assert main(["rd-curve", "--codec", codec, "--mode", mode, *args,
+                     "--out", str(svg)]) == 0
+        points = {name: [RdPoint(**{f: _from_json(v) for f, v in p.items()}) for p in curve]
+                  for name, curve in [("single", report["rd_single"]),
+                                      ("multi", report["rd_multi"][str(k)])]}
+        title = f"{make_codec(codec).codec_id} RD, k={k}"
+        assert svg.read_bytes() == render_svg(points["single"], points["multi"], title=title)
+
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_check_theorem1_exits_4_when_not_satisfied(self, capsys, corpus_gray64, b):
+        """check-theorem1 exits 4 exactly when its satisfied line reads
+        False, and 0 otherwise."""
+        code = main(["check-theorem1", "--codec", "block-dct", "--dataset", str(corpus_gray64),
+                     "--qmin", "6", "--k", "2", "--b", str(b), "--seed", "1"])
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last in ("satisfied (chain >= single - 3*SE): True",
+                        "satisfied (chain >= single - 3*SE): False")
+        assert code == (4 if last.endswith("False") else 0)

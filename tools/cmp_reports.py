@@ -48,6 +48,9 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
     # block rows, so the transform runs long block-row and 2-D products
     rgb_large = work / "rgb-large"
     _corpus(rgb_large, "rgb", 1, 512, 384)
+    # one 64x64 gray image whose b = 1 theorem-1 check fails (exit 4)
+    gray64 = work / "gray64"
+    _corpus(gray64, "gray", 1, 64, 64)
     # sizes and channel counts alternating within one dataset, so one codec
     # instance switches plane shape from item to item
     mixed = work / "mixed"
@@ -121,6 +124,11 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
         ("rd-curve-midpoint.svg", ["rd-curve", "--codec", "midpoint-scalar", "--mode",
                                    "literal", "--k", "3", "--b", "2",
                                    "--out", "rd-curve-midpoint.svg"], "rd-curve-midpoint.svg"),
+        ("rd-curve-dct-mixed-literal.svg", ["rd-curve", "--codec", "block-dct", "--dataset",
+                                            str(mixed), "--mode", "literal", "--k", "2",
+                                            "--b", "2", "--seed", "3",
+                                            "--out", "rd-curve-dct-mixed-literal.svg"],
+         "rd-curve-dct-mixed-literal.svg"),
         ("verify-nested-scalar:4", ["verify", "--codec", "nested-scalar:4", "--max-len", "3"],
          None),
         ("verify-midpoint-scalar:3", ["verify", "--codec", "midpoint-scalar:3",
@@ -134,6 +142,13 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
         ("check-theorem1-midpoint", ["check-theorem1", "--codec", "midpoint-scalar",
                                      "--qmin", "1", "--k", "5", "--b", "3", "--seed", "1"],
          None),
+        # the synthetic source that _cell_inputs resolves for a scalar codec
+        ("check-theorem1-nested-scalar:4", ["check-theorem1", "--codec", "nested-scalar:4",
+                                            "--qmin", "2", "--k", "4", "--b", "3",
+                                            "--seed", "2"], None),
+        ("check-theorem1-dct-exit-4", ["check-theorem1", "--codec", "block-dct", "--dataset",
+                                       str(gray64), "--qmin", "6", "--k", "2", "--b", "1",
+                                       "--seed", "1"], None),
         ("toy-demo-nested", ["toy-demo", "--levels", "3", "--ladder", "nested"], None),
         # the 4-level nested ladder's lowest level is 9/16, not a midpoint
         ("toy-demo-nested-4", ["toy-demo", "--levels", "4", "--ladder", "nested"], None),
