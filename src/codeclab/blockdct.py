@@ -7,17 +7,18 @@ reports rate consistently without affecting reconstruction.
 
 Rounding everywhere is half-away-from-zero.
 
-A codec instance owns the scratch buffers of one plane shape (_Workspace).
-Every transform runs in place on the edge-padded plane, viewed as rows of 8x8
-blocks: uint8 samples are level-shifted straight into it, and decoded pixels
-go from it straight into a fresh uint8 image, so a stage allocates no
-full-plane float temporary.  Only the payload and the rate read the indices
-in block order, from one int16 copy.  One instance must not run two stages
-at once.
+A codec instance owns the scratch buffers of one plane shape (_Workspace),
+sized for a stack of such planes.  Every transform runs in place on the
+edge-padded planes, viewed as rows of 8x8 blocks: uint8 samples are
+level-shifted straight into them, and decoded pixels go from them straight
+into fresh uint8 images, so a stage allocates no full-plane float temporary.
+Only the payload and the rate read the indices in block order, from one
+int16 copy.  One instance must not run two stages at once.
 """
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -40,6 +41,12 @@ BASE_QUANT_TABLE = np.array(
 )
 
 DEFAULT_NATIVE_QUALITIES = (5, 15, 25, 35, 45, 55, 65, 75)
+
+# float64 bytes of block rows that one stacked transform covers, four 64x64
+# planes: stacking spreads the per-call overhead of small planes, and twice
+# this held about 1 MB more at peak for a few percent more speed; a plane
+# larger than this is transformed on its own
+STACK_BYTES = 128 * 1024
 
 
 def _dct_matrix() -> np.ndarray:
@@ -116,29 +123,51 @@ def round_half_away(
     return np.trunc(out, out=out)
 
 
-def _pad_to_blocks(plane: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out, a uint8 (H, W) buffer with H, W the plane's sides rounded up to
-    multiples of 8, holding the plane edge-padded."""
-    h, w = plane.shape
-    out[:h, :w] = plane
-    out[h:, :w] = out[h - 1, :w]
-    out[:, w:] = out[:, w - 1 : w]
+def _pad_to_blocks(planes: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """out, a uint8 (n, H, W) buffer with H, W the sides of the n (h, w)
+    planes rounded up to multiples of 8, holding the planes edge-padded."""
+    h, w = planes[0].shape
+    for plane, buf in zip(planes, out):
+        buf[:h, :w] = plane
+    if h % 8:
+        out[:, h:, :w] = out[:, h - 1 : h, :w]
+    if w % 8:
+        out[:, :, w:] = out[:, :, w - 1 : w]
     return out
 
 
+def _block_rows(height: int, width: int) -> tuple[int, int]:
+    """(hb, wb): a plane's sides in 8x8 blocks, rounded up."""
+    return -(-height // 8), -(-width // 8)
+
+
+def _runs(levels: Sequence[int]) -> list[list[int]]:
+    """[q, first, stop] of each run of equal levels, in order."""
+    runs = []
+    for p, q in enumerate(levels):
+        if runs and runs[-1][0] == q:
+            runs[-1][2] = p + 1
+        else:
+            runs.append([q, p, p + 1])
+    return runs
+
+
 class _Workspace:
-    """Scratch buffers for planes of one (height, width), padded to hb x wb
-    blocks: the uint8 edge-padded plane; the float64 padded plane as hb block
-    rows, (hb, 8, 8 * wb), which holds the level-shifted samples, then the
-    coefficients and indices, then the decoded plane; a second such buffer for
-    the DCT intermediate and the rounding signs; and every level's
+    """Scratch buffers for a stack of up to `planes` planes of one (height,
+    width), padded to hb x wb blocks, as many as fit STACK_BYTES and at least
+    one: the uint8 edge-padded planes, (planes, 8 * hb, 8 * wb); the float64
+    padded planes as block rows, plane p being rows p * hb .. (p + 1) * hb - 1
+    of (planes * hb, 8, 8 * wb), which hold the level-shifted samples, then
+    the coefficients and indices, then the decoded planes; a second such
+    buffer for the DCT intermediate and the rounding signs; and every level's
     quantization table tiled along a block row, (levels, 8, 8 * wb)."""
 
     def __init__(self, height: int, width: int, tables: list[np.ndarray]):
         self.shape = (height, width)
-        self.hb, self.wb = -(-height // 8), -(-width // 8)
-        self.padded = np.empty((8 * self.hb, 8 * self.wb), np.uint8)
-        self.rows = np.empty((self.hb, 8, 8 * self.wb))
+        self.hb, self.wb = _block_rows(height, width)
+        self.planes = max(1, STACK_BYTES // (512 * self.hb * self.wb))
+        self.padded = np.empty((self.planes, 8 * self.hb, 8 * self.wb), np.uint8)
+        self.rows = np.empty((self.planes * self.hb, 8, 8 * self.wb))
         self.scratch = np.empty_like(self.rows)
         self.tables = np.tile(tables, self.wb)
 
@@ -149,9 +178,9 @@ class _Workspace:
         return blocks.astype("<i2", order="C").reshape(-1, 64)
 
 
-def _round_to_pixels(t: np.ndarray, out: np.ndarray) -> None:
-    """clip(round_half_away(t), 0, 255) into the uint8 array out; t, float64
-    of out's shape, is overwritten.
+def _round_to_pixels(t: np.ndarray, outs: Sequence[np.ndarray]) -> None:
+    """clip(round_half_away(t[p]), 0, 255) into the uint8 array outs[p] of
+    t[p]'s shape, for each p; t, float64, is overwritten.
 
     Computed as clip(t, 0, 255) + 0.5, truncated by the cast to uint8, which
     is equal for every finite t: for 0 <= t <= 255 both are trunc(t + 0.5);
@@ -161,16 +190,19 @@ def _round_to_pixels(t: np.ndarray, out: np.ndarray) -> None:
     np.maximum(t, 0.0, out=t)
     np.minimum(t, 255.0, out=t)
     t += 0.5
-    out[...] = t
+    for plane, out in zip(t, outs):
+        out[...] = plane
 
 
-def _pixels_from_coeffs(ws: _Workspace, out: np.ndarray) -> None:
-    """Inverse DCT of the dequantized coefficients in ws.rows, level-shifted,
-    rounded and clipped into out, a uint8 (height, width) view."""
-    pixels = dct2_8x8(ws.rows, "inverse", out=ws.rows, scratch=ws.scratch)
+def _pixels_from_coeffs(ws: _Workspace, outs: Sequence[np.ndarray]) -> None:
+    """Inverse DCT of the dequantized coefficients of the first len(outs)
+    planes in ws.rows, level-shifted, rounded and clipped into outs, uint8
+    (height, width) views, plane p into outs[p]."""
+    n, h, w = len(outs), *ws.shape
+    rows = ws.rows[: n * ws.hb]
+    pixels = dct2_8x8(rows, "inverse", out=rows, scratch=ws.scratch[: n * ws.hb])
     pixels += 128.0
-    h, w = ws.shape
-    _round_to_pixels(pixels.reshape(ws.padded.shape)[:h, :w], out)
+    _round_to_pixels(pixels.reshape(n, *ws.padded.shape[1:])[:, :h, :w], outs)
 
 
 def _entropy_bits(indices: np.ndarray) -> float:
@@ -234,20 +266,33 @@ class BlockDctCodec(Codec):
             ws = self._ws = _Workspace(height, width, self._tables)
         return ws
 
-    def _channel_indices(self, plane: np.ndarray, q: int) -> np.ndarray:
-        """Quantization indices at level q of one uint8 (height, width) plane,
-        as block rows (hb, 8, 8 * wb) of float64 integers in int16 range.
-        They live in the workspace's ws.rows, which the next call overwrites."""
-        ws = self._workspace(*plane.shape)
-        padded = _pad_to_blocks(plane, ws.padded)
-        rows = ws.rows
+    def _channel_indices(
+        self, planes: Sequence[np.ndarray], levels: Sequence[int]
+    ) -> np.ndarray:
+        """Quantization indices of uint8 (height, width) planes, at most
+        ws.planes of them, plane p at level levels[p], as block rows
+        (n * hb, 8, 8 * wb) of float64 integers in int16 range, plane p in
+        rows p * hb .. (p + 1) * hb - 1.  Each run of one level is divided by
+        that level's table.  They live in the workspace's ws.rows, which the
+        next call overwrites."""
+        ws = self._workspace(*planes[0].shape)
+        n, hb = len(planes), ws.hb
+        padded = _pad_to_blocks(planes, ws.padded[:n])
+        rows, scratch = ws.rows[: n * hb], ws.scratch[: n * hb]
         np.subtract(padded.reshape(rows.shape), 128.0, out=rows)
-        dct2_8x8(rows, out=rows, scratch=ws.scratch)
-        rows /= ws.tables[q - 1]
-        round_half_away(rows, out=rows, scratch=ws.scratch)
+        dct2_8x8(rows, out=rows, scratch=scratch)
+        for q, first, stop in _runs(levels):
+            rows[first * hb : stop * hb] /= ws.tables[q - 1]
+        round_half_away(rows, out=rows, scratch=scratch)
         if rows.max() > 32767 or rows.min() < -32767:
             raise CodecError("quantized coefficient out of int16 range")
         return rows
+
+    def stack_size(self, img: ImageBuffer) -> int:
+        """As many images of img's shape as fit STACK_BYTES of float64 block
+        rows, and at least one: 4 for a 64x64 gray image, 1 for 512x384 RGB."""
+        hb, wb = _block_rows(img.height, img.width)
+        return max(1, STACK_BYTES // (512 * hb * wb * img.channels))
 
     def encode(self, img: ImageBuffer, q: int) -> Bitstream:
         self.check_quality(q)
@@ -256,7 +301,7 @@ class BlockDctCodec(Codec):
         pixels = img.samples.reshape(img.height, img.width, img.channels)
         ws = self._workspace(img.height, img.width)
         for c in range(img.channels):
-            blocks = ws.block_order(self._channel_indices(pixels[:, :, c], q))
+            blocks = ws.block_order(self._channel_indices([pixels[:, :, c]], [q]))
             bits += _entropy_bits(blocks)
             parts.append(blocks.tobytes())
         return Bitstream(payload=b"".join(parts), bits_used=bits)
@@ -283,22 +328,42 @@ class BlockDctCodec(Codec):
         body = body.reshape(channels, hb, wb, 8, 8).transpose(0, 1, 3, 2, 4)
         table = ws.tables[q - 1].reshape(8, wb, 8)
         for c in range(channels):
-            np.multiply(body[c], table, out=ws.rows.reshape(hb, 8, wb, 8))
-            _pixels_from_coeffs(ws, out[:, :, c])
+            np.multiply(body[c], table, out=ws.rows[:hb].reshape(hb, 8, wb, 8))
+            _pixels_from_coeffs(ws, [out[:, :, c]])
         return ImageBuffer(width, height, channels, out)
 
     def stage(self, img: ImageBuffer, q: int, rate: bool = False):
-        """Codec.stage with no payload: each plane's indices go straight to
-        the rate and the inverse, not through int16 bytes."""
-        self.check_quality(q)
-        pixels = img.samples.reshape(img.height, img.width, img.channels)
-        out = np.empty_like(pixels)
-        ws = self._workspace(img.height, img.width)
-        bits = 0.0 if rate else None
-        for c in range(img.channels):
-            indices = self._channel_indices(pixels[:, :, c], q)
-            if rate:
-                bits += _entropy_bits(ws.block_order(indices))
-            indices *= ws.tables[q - 1]
-            _pixels_from_coeffs(ws, out[:, :, c])
-        return ImageBuffer(img.width, img.height, img.channels, out), bits
+        return self.stage_many([img], [q], [rate])[0]
+
+    def stage_many(self, imgs: list, qs: list[int], rates: list[bool]) -> list[tuple]:
+        """Codec.stage_many with no payload, on stacked planes.  The planes of
+        all images, sorted by level, go through the workspace's transforms
+        ws.planes at a time, each run of one level divided and multiplied by
+        that level's table; each plane's indices go straight to the rate, for
+        an image whose rates entry is true, and to the inverse, not through
+        int16 bytes.  Each image is written to its own fresh uint8 array.
+        Images of more than one shape go one at a time."""
+        for q in qs:
+            self.check_quality(q)
+        if len({(img.height, img.width, img.channels) for img in imgs}) != 1:
+            return super().stage_many(imgs, qs, rates)  # one workspace shape per call
+        h, w, channels = imgs[0].height, imgs[0].width, imgs[0].channels
+        ws = self._workspace(h, w)
+        outs = [np.empty((h, w, channels), np.uint8) for _ in imgs]
+        bits = [0.0 if rate else None for rate in rates]
+        # (image, level, input plane, output plane) of every plane, images in
+        # level order
+        planes = []
+        for j in sorted(range(len(imgs)), key=qs.__getitem__):
+            pixels = imgs[j].samples.reshape(h, w, channels)
+            planes += [(j, qs[j], pixels[:, :, c], outs[j][:, :, c]) for c in range(channels)]
+        for start in range(0, len(planes), ws.planes):
+            images, levels, sources, targets = zip(*planes[start : start + ws.planes])
+            rows = self._channel_indices(sources, levels)
+            for p, j in enumerate(images):
+                if rates[j]:
+                    bits[j] += _entropy_bits(ws.block_order(rows[p * ws.hb : (p + 1) * ws.hb]))
+            for q, first, stop in _runs(levels):
+                rows[first * ws.hb : stop * ws.hb] *= ws.tables[q - 1]
+            _pixels_from_coeffs(ws, targets)
+        return [(ImageBuffer(w, h, channels, out), b) for out, b in zip(outs, bits)]

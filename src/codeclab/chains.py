@@ -7,10 +7,12 @@ over (item, trial) pairs with a fresh quality sequence per pair.
 
 Every random draw comes from a stream derived deterministically from
 (master_seed, purpose, q_min, k, item, trial).  evaluate_item is the one
-place that runs Monte Carlo chains, one item at one q_min: the rho grid, the
-theorem-1 check and the RD curves all read its PairOutcomes.  It relies on
-the Codec contract that f is deterministic: a chain runs no stage that it
-has run already, and a stage f(x, q) is the item's single pass at q.
+place that runs Monte Carlo chains, all of one item's, in lockstep groups:
+the rho grid, the theorem-1 check and the RD curves all read its
+PairOutcomes.  It relies on the Codec contract that f is deterministic: a
+chain runs no stage that it has run already, a stage f(x, q) is the item's
+single pass at q, and stages stacked into one stage_many call give what each
+gives alone.
 """
 from __future__ import annotations
 
@@ -71,8 +73,10 @@ def _mse(a: Signal, b: Signal) -> float:
         if (a.width, a.height, a.channels) != (b.width, b.height, b.channels):
             raise ValueError("image dimension mismatch")
         # the sum of squares is an exact integer, so this is the float64 mean
-        # of the squared differences, whatever order that mean sums in
-        diff = np.subtract(a.samples, b.samples, dtype=np.int32)
+        # of the squared differences, whatever order that mean sums in.  The
+        # int16 differences are squared in uint16: a square is at most 255**2
+        # < 2**16, so the wrapped product of their two's-complement bits is it
+        diff = np.subtract(a.samples, b.samples, dtype=np.int16).view(np.uint16)
         diff *= diff
         return int(diff.sum(dtype=np.int64)) / diff.size
     raise ValueError("cannot compare an image with a source vector")
@@ -144,12 +148,17 @@ def _equal_samples(a: Signal, b: Signal) -> bool:
 def _recall(kept: list, y: Signal) -> tuple:
     """(the kept [input, fingerprint, output, bits] whose input holds y's
     samples, or None; y's fingerprint if taken, else None).  Identity goes
-    first; fingerprints are taken only when kept is not empty, each once."""
+    first.  A lone entry is compared exactly when y is an image, with no
+    fingerprint: reading both images costs less than a CRC-32 of one.
+    Otherwise fingerprints are taken, each once; a factored vector's reads
+    only its table, which costs less than comparing tables."""
     for entry in kept:
         if entry[0] is y:
             return entry, None
     if not kept:
         return None, None
+    if len(kept) == 1 and isinstance(y, ImageBuffer):
+        return (kept[0] if _equal_samples(kept[0][0], y) else None), None
     fp = _fingerprint(y)
     for entry in kept:
         if entry[1] is None:
@@ -168,46 +177,71 @@ class SinglePasses:
         self.x, self.by_q, self.fingerprint = x, by_q, _fingerprint(x)
 
 
+def compress_chains(
+    x: Signal, sequences: list[tuple[int, ...]], codec: Codec, rates: list[bool],
+    seed: SinglePasses | None = None,
+) -> list[tuple]:
+    """Run one chain from x per quality sequence, y_i = f(y_{i-1}, q_i), and
+    return each chain's last stage (reconstruction, bits): only that stage
+    asks for its rate, and only when the chain's rates entry is true; bits
+    is None otherwise.
+
+    The chains run in lockstep, one depth at a time, and the stages of a
+    depth that no chain's memo answers go through one codec.stage_many call.
+    A chain runs no stage twice.  Each keeps every stage it runs, and x's
+    single passes in seed, as (input, q) -> (output, bits), and a stage whose
+    input holds the samples of a kept input at its q takes that output with
+    no codec call.  This is exact by the Codec contract: stage is a pure
+    function of its input's samples and q.  A lookup tries identity, then an
+    exact compare or, among several kept inputs, a fingerprint first, so a
+    fingerprint collision costs one compare.  A rated last stage that finds
+    only a stage kept without its rate runs.  Chains share no memo, so each
+    runs the stages it would run alone, and the memos live for this call.  A
+    failure raises CodecError naming the depth, numbered from the chains'
+    start, and the qualities of that call."""
+    if not all(sequences):
+        raise ValueError("empty quality sequence")
+    if seed is not None and seed.x is not x:
+        raise ValueError("seed holds the single passes of another input")
+    # per chain, q -> [[input, its fingerprint or None until taken, output, bits]]
+    memos = [{} if seed is None else {
+        q: [[x, seed.fingerprint, out, out_bits]] for q, (out, out_bits) in seed.by_q.items()
+    } for _ in sequences]
+    ys, bits = [x] * len(sequences), [None] * len(sequences)
+    for depth in range(1, max(map(len, sequences), default=0) + 1):
+        misses = []  # (chain, q, rated, kept list at q, input fingerprint)
+        for c, levels in enumerate(sequences):
+            if depth > len(levels):
+                continue
+            q = levels[depth - 1]
+            rated = rates[c] and depth == len(levels)
+            kept = memos[c].setdefault(q, [])
+            hit, fp = _recall(kept, ys[c])
+            if hit is not None and not (rated and hit[3] is None):
+                ys[c], bits[c] = hit[2], hit[3]
+            else:
+                misses.append((c, q, rated, kept, fp))
+        if not misses:
+            continue
+        missed, qs, rated, _, _ = zip(*misses)
+        try:
+            outs = codec.stage_many([ys[c] for c in missed], qs, rated)
+        except Exception as e:
+            where = f"quality {qs[0]}" if len(qs) == 1 else f"qualities {list(qs)}"
+            raise CodecError(f"chain stage {depth} ({where}) failed: {e}") from e
+        for (c, _, _, kept, fp), (out, out_bits) in zip(misses, outs):
+            kept.append([ys[c], fp, out, out_bits])
+            ys[c], bits[c] = out, out_bits
+    return [(y, b if rate else None) for y, b, rate in zip(ys, bits, rates)]
+
+
 def compress_chain(
     x: Signal, levels: tuple[int, ...], codec: Codec, rate: bool = True,
     seed: SinglePasses | None = None,
 ):
-    """Apply the codec sequentially, y_i = f(y_{i-1}, q_i), and return the
-    last stage's (reconstruction, bits) from Codec.stage: only that stage
-    asks for its rate, and only when rate is true; bits is None otherwise.
-
-    A chain runs no stage twice.  It keeps every stage it runs, and x's
-    single passes in seed, as (input, q) -> (output, bits), and a stage whose
-    input holds the samples of a kept input at its q takes that output with
-    no codec call.  This is exact by the Codec contract: stage is a pure
-    function of its input's samples and q.  A lookup tries identity, then a
-    fingerprint, then an exact compare, so a fingerprint collision costs one
-    compare.  A rated last stage that finds only a stage kept without its
-    rate runs.  The memo lives for this one call.  A failure raises
-    CodecError naming the stage, numbered from the chain's start."""
-    if not levels:
-        raise ValueError("empty quality sequence")
-    if seed is not None and seed.x is not x:
-        raise ValueError("seed holds the single passes of another input")
-    # q -> [[input, its fingerprint or None until taken, output, bits]]
-    memo = {} if seed is None else {
-        q: [[x, seed.fingerprint, out, out_bits]] for q, (out, out_bits) in seed.by_q.items()
-    }
-    y, bits = x, None
-    for stage, q in enumerate(levels, start=1):
-        rated = rate and stage == len(levels)
-        kept = memo.setdefault(q, [])
-        hit, fp = _recall(kept, y)
-        if hit is not None and not (rated and hit[3] is None):
-            y, bits = hit[2], hit[3]
-            continue
-        try:
-            out, bits = codec.stage(y, q, rated)
-        except Exception as e:
-            raise CodecError(f"chain stage {stage} (quality {q}) failed: {e}") from e
-        kept.append([y, fp, out, bits])
-        y = out
-    return y, bits if rate else None
+    """The last stage's (reconstruction, bits) of the one chain levels from
+    x: compress_chains(x, [levels], codec, [rate], seed)[0]."""
+    return compress_chains(x, [levels], codec, [rate], seed)[0]
 
 
 @dataclasses.dataclass
@@ -231,13 +265,22 @@ class PairOutcome:
     peak: float
 
 
-@contextlib.contextmanager
-def _failing_in(stream: int, q_min: int):
-    """Name the stream and q_min in any failure, as a CodecError."""
-    try:
-        yield
-    except Exception as e:
-        raise CodecError(f"{STREAM_NAMES[stream]} cell (q_min={q_min}) failed: {e}") from e
+class _failing_in:
+    """Name the stream and q_min in any failure, as a CodecError.  A class,
+    not a generator context manager, which costs several times more to
+    enter, and every chain enters one."""
+
+    def __init__(self, stream: int, q_min: int):
+        self.stream, self.q_min = stream, q_min
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, e, traceback) -> None:
+        if kind is not None and issubclass(kind, Exception):
+            raise CodecError(
+                f"{STREAM_NAMES[self.stream]} cell (q_min={self.q_min}) failed: {e}"
+            ) from e
 
 
 def single_passes(
@@ -264,43 +307,64 @@ def _empty_cells(streams: tuple[int, ...], k_list: list[int], b: int) -> dict:
 
 
 def evaluate_item(
-    cells: dict[int, dict[int, list[PairOutcome]]],
+    cells: dict[int, dict[int, dict[int, list[PairOutcome]]]],
     i: int,
     passes: SinglePasses,
     codec: Codec,
-    q_min: int,
     b: int,
     mode: str = "forced-min",
     master_seed: int = 0,
 ) -> None:
-    """Run item i's b chains per k at q_min, for each stream and k of cells
-    ({stream: {k: outcomes}}), and append their outcomes to cells[stream][k].
+    """Run item i's b chains per k for each q_min, stream and k of cells
+    ({q_min: {stream: {k: outcomes}}}), and append their outcomes to
+    cells[q_min][stream][k].
 
-    passes are the item's single passes (single_passes), q_min's among them,
-    with their rates when STREAM_RD is in cells.  The stream decides what a
-    chain measures: STREAM_RHO (the rho grid) reads d(f(x, q_min), chain)
-    and no rate, STREAM_RD (the RD curves) reads the rates and d(x, chain).
-    passes seed every chain's stage memo (compress_chain), so a stage whose
-    input holds x's samples at a level of passes makes no codec call, and
-    the chain (q_min,) is the single pass.  A failure raises CodecError
-    naming the stream."""
+    passes are the item's single passes (single_passes), every q_min's among
+    them, with their rates when STREAM_RD is in cells.  The stream decides
+    what a chain measures: STREAM_RHO (the rho grid) reads d(f(x, q_min),
+    chain) and no rate, STREAM_RD (the RD curves) reads the rates and d(x,
+    chain).  passes seed every chain's stage memo (compress_chains), so a
+    stage whose input holds x's samples at a level of passes makes no codec
+    call, and the chain (q_min,) is the single pass.
+
+    The item's quality sequences are drawn first, in (q_min, stream, k,
+    trial) order, and run in that order in groups of codec.stack_size(x)
+    chains, each group in lockstep (compress_chains).  A group's outcomes are
+    appended, and its outputs dropped, before the next group runs.  A group
+    that fails runs again one chain at a time, so the failure raised is the
+    first in chain order, as CodecError naming its stream and q_min."""
     x = passes.x
-    single, single_bits = passes.by_q[q_min]
     peak, samples = signal_peak(x), signal_samples(x)
     q_max = codec.num_levels
-    with _failing_in(STREAM_RD if STREAM_RD in cells else STREAM_RHO, q_min):
-        mse_x_single = _mse(x, single)
-    for stream, by_k in cells.items():
-        rd = stream == STREAM_RD
-        with _failing_in(stream, q_min):
-            for k, t in itertools.product(by_k, range(b)):
-                rng = derive_rng(master_seed, stream, q_min, k, i, t)
-                levels = sample_quality_sequence(q_min, q_max, k, mode, rng)
-                y, bits = compress_chain(x, levels, codec, rd, passes)
+    chains = []  # (q_min, stream, k, trial, levels)
+    for q_min, by_stream in cells.items():
+        for stream, by_k in by_stream.items():
+            with _failing_in(stream, q_min):
+                for k, t in itertools.product(by_k, range(b)):
+                    rng = derive_rng(master_seed, stream, q_min, k, i, t)
+                    levels = sample_quality_sequence(q_min, q_max, k, mode, rng)
+                    chains.append((q_min, stream, k, t, levels))
+    mse_x_single = {}  # q_min -> d(x, f(x, q_min)), taken before its first chain
+
+    def run_group(group: list) -> None:
+        results = [None] * len(group)
+        if len(group) > 1:
+            # on failure, each chain runs alone below, in its own cell
+            with contextlib.suppress(CodecError):
+                results = compress_chains(x, [c[4] for c in group], codec,
+                                          [c[1] == STREAM_RD for c in group], passes)
+        for (q_min, stream, k, t, levels), result in zip(group, results):
+            single, single_bits = passes.by_q[q_min]
+            if q_min not in mse_x_single:
+                with _failing_in(STREAM_RD if STREAM_RD in cells[q_min] else STREAM_RHO, q_min):
+                    mse_x_single[q_min] = _mse(x, single)
+            rd = stream == STREAM_RD
+            with _failing_in(stream, q_min):
+                y, bits = result or compress_chain(x, levels, codec, rd, passes)
                 # a chain that ends on the single pass's samples is 0 from
                 # it and mse_x_single from x: no _mse
                 is_single = _same_signal(y, single)
-                by_k[k].append(
+                cells[q_min][stream][k].append(
                     PairOutcome(
                         item=i,
                         trial=t,
@@ -308,13 +372,17 @@ def evaluate_item(
                         mse_single_vs_chain=(
                             None if rd else 0.0 if is_single else _mse(single, y)
                         ),
-                        mse_x_vs_single=mse_x_single,
-                        mse_x_vs_chain=mse_x_single if is_single else _mse(x, y),
+                        mse_x_vs_single=mse_x_single[q_min],
+                        mse_x_vs_chain=mse_x_single[q_min] if is_single else _mse(x, y),
                         single_bpp=single_bits / samples if rd else None,
                         chain_final_bpp=bits / samples if rd else None,
                         peak=peak,
                     )
                 )
+
+    size = codec.stack_size(x)
+    for start in range(0, len(chains), size):
+        run_group(chains[start : start + size])  # its outputs go with its frame
 
 
 @dataclasses.dataclass

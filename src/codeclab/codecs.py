@@ -2,7 +2,8 @@
 
 A codec exposes reconstruct(x, q): apply the encoder-decoder pair at
 quality level q (1 = lowest).  Reconstruction is deterministic and pure.
-stage(x, q, rate) returns it and, if rate, its bits, with no bitstream.
+stage(x, q, rate) returns it and, if rate, its bits, with no bitstream;
+stage_many runs several stages in one call.
 Every payload is a struct header, then fixed-width little-endian indices.
 """
 from __future__ import annotations
@@ -67,6 +68,17 @@ class Codec:
         override must return identical samples and identical bits."""
         y, bs = self.reconstruct(x, q)
         return y, bs.bits_used if rate else None
+
+    def stage_many(self, xs: list, qs: list[int], rates: list[bool]) -> list[tuple]:
+        """[stage(x, q, rate) for each x, q, rate of xs, qs, rates], here as
+        exactly that loop.  An override, which may run the stages together,
+        must return identical samples and identical bits."""
+        return [self.stage(x, q, rate) for x, q, rate in zip(xs, qs, rates)]
+
+    def stack_size(self, x) -> int:
+        """How many stages on inputs like x a stage_many call should take at
+        once: 1 here, where stage_many gains nothing over stage."""
+        return 1
 
 
 _SCALAR_MAGIC = b"SQ"

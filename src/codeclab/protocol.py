@@ -190,9 +190,9 @@ def sweep_levels(
 
     Items go one at a time: an item's single passes at the named levels,
     with their rates when some cell runs STREAM_RD, seed every chain of that
-    item in every cell, and are dropped before the next item's, so the sweep
-    holds one item's passes.  A failing pass names STREAM_RD when some cell
-    runs it, else STREAM_RHO.
+    item in every cell (evaluate_item), and are dropped before the next
+    item's, so the sweep holds one item's passes and one group of its chains.
+    A failing pass names STREAM_RD when some cell runs it, else STREAM_RHO.
     """
     out = {q: _empty_cells(streams, k_list, b) for q, streams in cells.items()}
     for q in out:
@@ -200,8 +200,7 @@ def sweep_levels(
     rated = any(STREAM_RD in by_stream for by_stream in out.values())
     for i, x in enumerate(ds.items):
         passes = single_passes(x, codec, cells, rated, STREAM_RD if rated else STREAM_RHO)
-        for q, by_stream in out.items():
-            evaluate_item(by_stream, i, passes, codec, q, b, mode, master_seed)
+        evaluate_item(out, i, passes, codec, b, mode, master_seed)
         del passes  # before the next item's passes are built
     return out
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -335,12 +337,13 @@ REFERENCE_SHAPES = MIXED_SHAPES + [(4096, 8, 1), (8, 4096, 1), (512, 384, 3), (5
 class TestPadToBlocks:
     @pytest.mark.parametrize("height, width", [(8, 40), (40, 8), (8, 8), (9, 8), (21, 37), (1, 1)])
     def test_matches_np_pad(self, height, width):
-        plane = np.random.default_rng(height * width).integers(0, 256, (height, width))
-        plane = plane.astype(np.uint8)
-        expected = np.pad(plane, ((0, -height % 8), (0, -width % 8)), mode="edge")
-        out = np.full(expected.shape, 7, np.uint8)
-        assert _pad_to_blocks(plane, out) is out
-        assert np.array_equal(out, expected)
+        rng = np.random.default_rng(height * width)
+        planes = [rng.integers(0, 256, (height, width)).astype(np.uint8) for _ in range(3)]
+        out = np.full((3, -(-height // 8) * 8, -(-width // 8) * 8), 7, np.uint8)
+        assert _pad_to_blocks(planes, out) is out
+        for plane, padded in zip(planes, out):
+            expected = np.pad(plane, ((0, -height % 8), (0, -width % 8)), mode="edge")
+            assert np.array_equal(padded, expected)
 
 
 def _check_against_reference(codec, x, q):
@@ -422,16 +425,80 @@ class TestWorkspace:
                 assert bs.payload == payload
                 dct_codec.reconstruct(img, q)
                 for plane in _planes(img):
-                    dct_codec._channel_indices(plane, q)
+                    dct_codec._channel_indices([plane], [q])
                 assert np.array_equal(img.samples, before)
 
     def test_channel_indices_live_in_the_workspace(self, dct_codec):
         x = _rgb_37x21()
         for plane in _planes(x):
-            idx = dct_codec._channel_indices(plane, 3)
-            assert idx is dct_codec._ws.rows
+            idx = dct_codec._channel_indices([plane], [3])
+            assert idx.base is dct_codec._ws.rows and idx.shape == (3, 8, 40)
             expected = _reference_indices(plane, dct_codec._tables[2])
             assert np.array_equal(_as_blocks(idx, x.height, x.width), expected)
+        # a stack: plane p in block rows 3p .. 3p + 2, each at its own level
+        levels = [3, 3, 5]
+        idx = dct_codec._channel_indices(_planes(x), levels)
+        assert idx.base is dct_codec._ws.rows and idx.shape == (9, 8, 40)
+        for p, (plane, q) in enumerate(zip(_planes(x), levels)):
+            expected = _reference_indices(plane, dct_codec._tables[q - 1])
+            assert np.array_equal(_as_blocks(idx[3 * p : 3 * p + 3], x.height, x.width),
+                                  expected)
+
+
+# gray and RGB, aligned and padded: stacks of one workspace call (up to four
+# 64x64 planes), stacks split across calls, RGB images split between two
+# calls, and a plane too large to stack (131x77, one plane per call)
+STACK_SHAPES = [(64, 64, 1), (64, 64, 3), (16, 8, 1), (40, 24, 3), (37, 21, 3),
+                (13, 11, 1), (9, 17, 3), (131, 77, 1), (1, 1, 3)]
+
+
+class TestStageMany:
+    @given(shape=st.sampled_from(STACK_SHAPES), data=st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_equals_loop_of_stage(self, shape, data):
+        """stage_many over 1-6 images of one shape at mixed levels and rates
+        gives, image for image, the samples and bits of one-image stages,
+        each in an array of its own."""
+        width, height, channels = shape
+        m = data.draw(st.integers(1, 6))
+        draws = st.lists(st.tuples(st.integers(0, 2**32), st.integers(1, 8), st.booleans(),
+                                   st.integers(0, 8)), min_size=m, max_size=m)
+        imgs, qs, rates = [], [], []
+        loop = BlockDctCodec()
+        for seed, q, rate, pre in data.draw(draws):
+            img = _random_image(width, height, channels, seed)
+            if pre:  # a stage output, as a chain's later stages take
+                img = loop.stage(img, pre)[0]
+            imgs.append(img)
+            qs.append(q)
+            rates.append(rate)
+        stacked = BlockDctCodec().stage_many(imgs, qs, rates)
+        assert len(stacked) == m
+        for img, q, rate, (y, bits) in zip(imgs, qs, rates, stacked):
+            ref, ref_bits = loop.stage(img, q, rate)
+            assert (y.width, y.height, y.channels) == (width, height, channels)
+            assert np.array_equal(y.samples, ref.samples)
+            assert bits == ref_bits and (bits is None) == (not rate)
+        for a, b in itertools.combinations([y.samples for y, _ in stacked], 2):
+            assert not np.shares_memory(a, b)
+
+    def test_mixed_shapes_equal_loop(self, dct_codec):
+        imgs = [_random_image(w, h, c, w + h) for w, h, c in MIXED_SHAPES]
+        qs = [1 + n % 8 for n in range(len(imgs))]
+        rates = [n % 2 == 0 for n in range(len(imgs))]
+        for img, q, rate, (y, bits) in zip(imgs, qs, rates,
+                                           dct_codec.stage_many(imgs, qs, rates)):
+            ref, ref_bits = BlockDctCodec().stage(img, q, rate)
+            assert y.same_as(ref) and bits == ref_bits
+
+    def test_bad_level_raises_before_any_stage(self, dct_codec):
+        with pytest.raises(CodecError, match="quality 9"):
+            dct_codec.stage_many([_rgb_37x21()] * 2, [3, 9], [False, True])
+
+    @pytest.mark.parametrize("width, height, channels, size", [
+        (64, 64, 1, 4), (64, 64, 3, 1), (37, 21, 3, 5), (512, 384, 3, 1), (1, 1, 1, 256)])
+    def test_stack_size(self, dct_codec, width, height, channels, size):
+        assert dct_codec.stack_size(_random_image(width, height, channels, 0)) == size
 
 
 class TestPixelRounding:
@@ -451,15 +518,16 @@ class TestPixelRounding:
         ])
         expected = np.clip(round_half_away(t), 0, 255).astype(np.uint8)
         out = np.empty(t.shape, np.uint8)
-        _round_to_pixels(t.copy(), out)
+        _round_to_pixels(t.copy()[None], [out])
         assert np.array_equal(out, expected)
 
     def test_writes_a_strided_view(self):
-        t = np.array([[-3.2, 17.5], [255.5, 100.49]])
+        t = np.array([[[-3.2, 17.5], [255.5, 100.49]], [[1.5, -0.5], [254.5, 300.0]]])
         out = np.zeros((2, 2, 3), np.uint8)
-        _round_to_pixels(t.copy(), out[:, :, 1])
+        _round_to_pixels(t.copy(), [out[:, :, 1], out[:, :, 2]])
         assert out[:, :, 1].tolist() == [[0, 18], [255, 100]]
-        assert not out[:, :, [0, 2]].any()
+        assert out[:, :, 2].tolist() == [[2, 0], [255, 255]]
+        assert not out[:, :, 0].any()
 
 
 def _entropy_bits_loop(indices):
@@ -506,7 +574,7 @@ class TestEntropyBits:
         for q in range(1, dct_codec.num_levels + 1):
             for img in [*gray_images, _rgb_37x21()]:
                 for plane in _planes(img):
-                    idx = dct_codec._channel_indices(plane, q)
+                    idx = dct_codec._channel_indices([plane], [q])
                     idx = dct_codec._ws.block_order(idx)
                     assert _entropy_bits(idx) == _entropy_bits_loop(idx)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codeclab import (
+    BlockDctCodec,
     ImageBuffer,
     SourceVector,
     compress_chain,
@@ -17,12 +18,14 @@ from codeclab import (
     sample_quality_sequence,
 )
 import codeclab.chains
+import codeclab.cli
 import codeclab.protocol
 from codeclab.chains import (
     STREAM_RD,
     STREAM_RHO,
     PairOutcome,
     SinglePasses,
+    compress_chains,
     derive_rng,
     rho_from_outcomes,
     signal_peak,
@@ -31,7 +34,7 @@ from codeclab.chains import (
 )
 from codeclab.codecs import Codec, CodecError
 from codeclab.protocol import EvalConfig, _rd_point, run_protocol, sweep_levels
-from codeclab.signals import Dataset
+from codeclab.signals import Dataset, serialize_pnm
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +307,121 @@ class TestStageMemo:
         codec.calls.clear()
         assert compress_chain(x, (2,), codec, seed=SinglePasses(x, {2: (x, None)}))[1] == 16.0
         assert codec.calls == [(2, True)]
+
+
+class _StageLog(Codec):
+    """Forwards stage_many to a codec, logging each call's (q, rate) pairs;
+    stage is the base class's, which fails."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+        self.codec_id, self.signal_kind = inner.codec_id, inner.signal_kind
+
+    @property
+    def num_levels(self):
+        return self.inner.num_levels
+
+    def stage_many(self, xs, qs, rates):
+        self.calls.append(list(zip(qs, rates)))
+        return self.inner.stage_many(xs, qs, rates)
+
+
+class TestLockstep:
+    """compress_chains gives each chain what compress_chain gives it alone,
+    and runs the same stages in at most one codec call per depth."""
+
+    @given(data=st.data(), case=st.sampled_from(MEMO_CASES))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_sequential_chains(self, data, case):
+        codec, x = case
+        level = st.integers(1, codec.num_levels)
+        sequences = data.draw(st.lists(st.lists(level, min_size=1, max_size=30).map(tuple),
+                                       min_size=1, max_size=6))
+        rates = data.draw(st.lists(st.booleans(), min_size=len(sequences),
+                                   max_size=len(sequences)))
+        seed = None
+        if data.draw(st.booleans()):
+            levels = data.draw(st.sets(level, min_size=1))
+            rated = data.draw(st.booleans())
+            seed = SinglePasses(x, {q: codec.stage(x, q, rated) for q in sorted(levels)})
+        stacked, alone = _StageLog(codec), _StageLog(codec)
+        results = compress_chains(x, sequences, stacked, rates, seed)
+        assert len(results) == len(sequences)
+        for levels, rate, (y, bits) in zip(sequences, rates, results):
+            ref, ref_bits = compress_chain(x, levels, alone, rate, seed)
+            assert _samples(y) == _samples(ref)
+            assert bits == ref_bits
+        assert sorted(itertools.chain(*stacked.calls)) == sorted(itertools.chain(*alone.calls))
+        assert len(stacked.calls) <= max(map(len, sequences))
+
+    def test_one_call_per_depth(self, gray_images):
+        x, codec = gray_images[0], _StageLog(make_codec("block-dct"))
+        sequences = [(1, 2, 3), (3, 2), (2, 2, 2, 1)]
+        compress_chains(x, sequences, codec, [True, False, True])
+        # depth 3 of the last chain repeats its depth-2 stage, f(f(x, 2), 2)
+        # being f(x, 2) here: its memo answers it
+        assert codec.calls == [[(1, False), (3, False), (2, False)],
+                               [(2, False), (2, False), (2, False)], [(3, True)], [(1, True)]]
+
+    def test_failure_names_depth_and_qualities(self, gray_images):
+        with pytest.raises(CodecError, match=r"stage 1 \(qualities \[9, 3\]\)"):
+            compress_chains(gray_images[0], [(9,), (3,)], make_codec("block-dct"),
+                            [False, False])
+        with pytest.raises(ValueError, match="empty"):
+            compress_chains(gray_images[0], [(1,), ()], make_codec("block-dct"), [False] * 2)
+
+
+class _BrokenDct(BlockDctCodec):
+    """block-dct whose stages at quality 3 fail when their input is one of
+    its own outputs, naming the quality; it stacks as block-dct does, or
+    takes one chain at a time when alone is true."""
+
+    def __init__(self, alone):
+        super().__init__()
+        self.alone, self.outputs = alone, []
+
+    def stack_size(self, x):
+        return 1 if self.alone else super().stack_size(x)
+
+    def stage_many(self, imgs, qs, rates):
+        for img, q in zip(imgs, qs):
+            if q == 3 and any(img is out for out in self.outputs):
+                raise RuntimeError(f"kaput at {q}")
+        results = super().stage_many(imgs, qs, rates)
+        self.outputs += [y for y, _ in results]
+        return results
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_failure_in_a_group_is_the_first_in_chain_order(tmp_path, monkeypatch, capsys, seed):
+    """A chain failing inside a lockstep group gives the CodecError text and
+    the exit code that running the chains one at a time gives: the first
+    failing chain in (q_min, stream, k, trial) order names its stage."""
+    rng = np.random.default_rng(seed)
+    items = [ImageBuffer(16, 16, 1, rng.integers(0, 256, 256, dtype=np.uint8))
+             for _ in range(2)]
+    for n, img in enumerate(items):
+        (tmp_path / f"img{n}.pgm").write_bytes(serialize_pnm(img))
+    ds = Dataset(items=items, item_names=["a", "b"])
+    assert _BrokenDct(False).stack_size(items[0]) > 12
+    messages = []
+    for alone in (False, True):
+        with pytest.raises(CodecError) as err:
+            sweep_levels(ds, _BrokenDct(alone), {2: (STREAM_RHO, STREAM_RD)}, [6, 2], 3,
+                         "literal", seed)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("(quality 3) failed: kaput at 3")
+    runs = []
+    for alone in (False, True):
+        codec = _BrokenDct(alone)
+        monkeypatch.setattr(codeclab.cli, "make_codec", lambda *args: codec)
+        code = codeclab.cli.main(["check-theorem1", "--codec", "block-dct", "--dataset",
+                                  str(tmp_path), "--qmin", "2", "--k", "6", "--b", "3",
+                                  "--seed", str(seed)])
+        runs.append((code, capsys.readouterr().err))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 3 and "kaput at 3" in runs[0][1]
 
 
 def _cell(ds, codec, q_min, k_list, b, mode="forced-min", master_seed=0, streams=(STREAM_RHO,)):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -192,19 +193,31 @@ def test_one_single_pass_per_item_and_level(monkeypatch, mode):
     codec = _Counting(inner, items)
     monkeypatch.setattr(codeclab.protocol, "make_codec", lambda *args: codec)
     monkeypatch.setattr(codeclab.protocol, "resolve_dataset", lambda *args: ds)
-    # an _mse call belongs to the (item, q_min) of the evaluate_item call it is in
-    current, mse_calls = [], []
-    evaluate_item, mse = codeclab.protocol.evaluate_item, codeclab.chains._mse
+    # an _mse call belongs to the item whose single passes ran last and the
+    # q_min of the cell that names its failure
+    items_run, cells_open, mse_calls = [], [], []
+    passes_of, failing_in = codeclab.protocol.single_passes, codeclab.chains._failing_in
+    mse = codeclab.chains._mse
 
-    def counting_item(cells, i, passes, codec, q_min, *args):
-        current.append((i, q_min))
-        return evaluate_item(cells, i, passes, codec, q_min, *args)
+    def counting_passes(x, *args):
+        items_run.append(next(i for i, it in enumerate(items) if it is x))
+        return passes_of(x, *args)
+
+    @contextlib.contextmanager
+    def counting_cell(stream, q_min):
+        cells_open.append(q_min)
+        try:
+            with failing_in(stream, q_min):
+                yield
+        finally:
+            cells_open.pop()
 
     def counting_mse(a, b):
-        mse_calls.append(current[-1])
+        mse_calls.append((items_run[-1], cells_open[-1]))
         return mse(a, b)
 
-    monkeypatch.setattr(codeclab.protocol, "evaluate_item", counting_item)
+    monkeypatch.setattr(codeclab.protocol, "single_passes", counting_passes)
+    monkeypatch.setattr(codeclab.chains, "_failing_in", counting_cell)
     monkeypatch.setattr(codeclab.chains, "_mse", counting_mse)
     k_list, b, seed, q_min_list = [1, 3], 2, 7, [5, 2, 5]
     run_protocol(EvalConfig(codec="block-dct", q_min_list=q_min_list, k_list=k_list, b=b,

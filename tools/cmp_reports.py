@@ -51,6 +51,10 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
     # one 64x64 gray image whose b = 1 theorem-1 check fails (exit 4)
     gray64 = work / "gray64"
     _corpus(gray64, "gray", 1, 64, 64)
+    # several small RGB items: five chains of one item go through each
+    # stacked block-DCT call, 15 planes
+    rgb_stack = work / "rgb-stack"
+    _corpus(rgb_stack, "rgb", 3, 37, 21)
     # sizes and channel counts alternating within one dataset, so one codec
     # instance switches plane shape from item to item
     mixed = work / "mixed"
@@ -98,6 +102,14 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
                                 "master_seed": 17},
         "dct-large-rgb": {"codec": "block-dct", "dataset": str(rgb_large), "k_list": [1, 2],
                           "b": 1},
+        # the benchmark's dct-chains shape: four chains of a 64x64 gray item
+        # go through each stacked block-DCT call
+        "dct-chains": {"codec": "block-dct", "dataset": str(gray64), "q_min_list": [2, 5],
+                       "k_list": [50], "b": 2, "master_seed": 1},
+        # stacked RGB chains of mixed lengths, both streams in one group
+        "dct-rgb-stack": {"codec": "block-dct", "dataset": str(rgb_stack),
+                          "q_min_list": [3, 1], "k_list": [4, 1, 7], "b": 3,
+                          "mode": "literal", "distortion": "PSNR", "master_seed": 21},
         # items of alternating shapes, each swept over every level in turn
         "dct-mixed-literal": {"codec": "block-dct", "dataset": str(mixed),
                               "q_min_list": [1, 7], "k_list": [3], "b": 2,
