@@ -7,13 +7,16 @@ reports rate consistently without affecting reconstruction.
 
 Rounding everywhere is half-away-from-zero.
 
-A codec instance owns the scratch buffers of one plane shape (_Workspace),
-sized for a stack of such planes.  Every transform runs in place on the
-edge-padded planes, viewed as rows of 8x8 blocks: uint8 samples are
+A codec instance owns the scratch buffers of one plane shape (_Workspace).
+The unit of work is a band: at most STACK_BYTES of float64 block rows, as
+many whole planes as fit or, for a larger plane, as many of its block rows.
+Each band runs the whole pipeline while it is in cache, in place on the
+edge-padded planes viewed as rows of 8x8 blocks: uint8 samples are
 level-shifted straight into them, and decoded pixels go from them straight
-into fresh uint8 images, so a stage allocates no full-plane float temporary.
-Only the payload and the rate read the indices in block order, from one
-int16 copy.  One instance must not run two stages at once.
+into the band's rows of fresh uint8 images, so a stage allocates no
+full-plane float temporary.  Only the payload and the rate read the indices
+in block order, from an int16 copy that each band fills its part of.  One
+instance must not run two stages at once.
 """
 from __future__ import annotations
 
@@ -42,10 +45,10 @@ BASE_QUANT_TABLE = np.array(
 
 DEFAULT_NATIVE_QUALITIES = (5, 15, 25, 35, 45, 55, 65, 75)
 
-# float64 bytes of block rows that one stacked transform covers, four 64x64
-# planes: stacking spreads the per-call overhead of small planes, and twice
-# this held about 1 MB more at peak for a few percent more speed; a plane
-# larger than this is transformed on its own
+# float64 bytes of block rows that one band covers, four 64x64 planes or 4
+# block rows of a 512-wide plane: stacking spreads the per-call overhead of
+# small planes, and twice this held about 1 MB more at peak for a few percent
+# more speed; banding keeps a large plane's rows in L2 through every step
 STACK_BYTES = 128 * 1024
 
 
@@ -123,16 +126,21 @@ def round_half_away(
     return np.trunc(out, out=out)
 
 
-def _pad_to_blocks(planes: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """out, a uint8 (n, H, W) buffer with H, W the sides of the n (h, w)
-    planes rounded up to multiples of 8, holding the planes edge-padded."""
+def _pad_to_blocks(planes: Sequence[np.ndarray], y0: int, out: np.ndarray) -> np.ndarray:
+    """out, a float64 (n, Y, W) buffer with W the width of the n uint8 (h, w)
+    planes rounded up to a multiple of 8, holding rows y0 .. y0 + Y - 1 of
+    the planes edge-padded to whole blocks, minus 128; y0 < h."""
     h, w = planes[0].shape
+    y1 = min(y0 + out.shape[1], h)
     for plane, buf in zip(planes, out):
-        buf[:h, :w] = plane
-    if h % 8:
-        out[:, h:, :w] = out[:, h - 1 : h, :w]
+        buf[: y1 - y0, :w] = plane[y0:y1]
+    if y1 - y0 < out.shape[1]:
+        out[:, y1 - y0 :, :w] = out[:, y1 - y0 - 1 : y1 - y0, :w]
     if w % 8:
         out[:, :, w:] = out[:, :, w - 1 : w]
+    # one float subtract over the band: a uint8 - float ufunc per plane
+    # costs more than these casting copies
+    out -= 128.0
     return out
 
 
@@ -153,29 +161,37 @@ def _runs(levels: Sequence[int]) -> list[list[int]]:
 
 
 class _Workspace:
-    """Scratch buffers for a stack of up to `planes` planes of one (height,
-    width), padded to hb x wb blocks, as many as fit STACK_BYTES and at least
-    one: the uint8 edge-padded planes, (planes, 8 * hb, 8 * wb); the float64
-    padded planes as block rows, plane p being rows p * hb .. (p + 1) * hb - 1
-    of (planes * hb, 8, 8 * wb), which hold the level-shifted samples, then
-    the coefficients and indices, then the decoded planes; a second such
-    buffer for the DCT intermediate and the rounding signs; and every level's
-    quantization table tiled along a block row, (levels, 8, 8 * wb)."""
+    """Scratch buffers for bands of planes of one (height, width), padded to
+    hb x wb blocks.  A band is `planes` planes and `band` block rows of each,
+    at most STACK_BYTES of float64 block rows: as many whole planes as fit,
+    and at least one (band = hb); a plane larger than STACK_BYTES alone is
+    cut into bands of `band` consecutive block rows, the last one possibly
+    shorter, and at least one row.  rows, (planes * band, 8, 8 * wb), holds a
+    band of n block rows per plane, plane p in rows p * n .. (p + 1) * n - 1:
+    the level-shifted samples, then the coefficients and indices, then the
+    decoded pixels; scratch, a second such buffer, takes the DCT intermediate
+    and the rounding signs; tables holds every level's quantization table
+    tiled along a block row, (levels, 8, 8 * wb); rated, (k, hb * wb, 64),
+    holds the int16 block-order indices of a stage_many call's rated planes,
+    k the most that any call has rated.  rated is kept across calls because
+    fresh arrays of its size, 1.2 MB for 512x384 RGB, go back to the system
+    between calls and are faulted in again."""
 
     def __init__(self, height: int, width: int, tables: list[np.ndarray]):
         self.shape = (height, width)
         self.hb, self.wb = _block_rows(height, width)
         self.planes = max(1, STACK_BYTES // (512 * self.hb * self.wb))
-        self.padded = np.empty((self.planes, 8 * self.hb, 8 * self.wb), np.uint8)
-        self.rows = np.empty((self.planes * self.hb, 8, 8 * self.wb))
+        self.band = min(self.hb, max(1, STACK_BYTES // (512 * self.wb)))
+        self.rows = np.empty((self.planes * self.band, 8, 8 * self.wb))
         self.scratch = np.empty_like(self.rows)
         self.tables = np.tile(tables, self.wb)
+        self.rated = np.empty((0, self.hb * self.wb, 64), np.int16)
 
-    def block_order(self, indices: np.ndarray) -> np.ndarray:
-        """Block rows of indices as the payload's little-endian int16 blocks,
-        (blocks, 64), in row-major block order: one transposed copy."""
-        blocks = indices.reshape(self.hb, 8, self.wb, 8).transpose(0, 2, 1, 3)
-        return blocks.astype("<i2", order="C").reshape(-1, 64)
+    def block_view(self, blocks: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        """Block rows r0 .. r1 - 1 of a plane's (hb * wb, 64) indices in
+        row-major block order, viewed as block rows (r1 - r0, 8, wb, 8)."""
+        return blocks[r0 * self.wb : r1 * self.wb].reshape(r1 - r0, self.wb, 8, 8).transpose(
+            0, 2, 1, 3)
 
 
 def _round_to_pixels(t: np.ndarray, outs: Sequence[np.ndarray]) -> None:
@@ -194,15 +210,18 @@ def _round_to_pixels(t: np.ndarray, outs: Sequence[np.ndarray]) -> None:
         out[...] = plane
 
 
-def _pixels_from_coeffs(ws: _Workspace, outs: Sequence[np.ndarray]) -> None:
-    """Inverse DCT of the dequantized coefficients of the first len(outs)
-    planes in ws.rows, level-shifted, rounded and clipped into outs, uint8
-    (height, width) views, plane p into outs[p]."""
-    n, h, w = len(outs), *ws.shape
-    rows = ws.rows[: n * ws.hb]
-    pixels = dct2_8x8(rows, "inverse", out=rows, scratch=ws.scratch[: n * ws.hb])
+def _pixels_from_coeffs(ws: _Workspace, rows: np.ndarray, y0: int,
+                        outs: Sequence[np.ndarray]) -> None:
+    """Inverse DCT of the dequantized coefficients in rows, a band of ws.rows
+    that starts at pixel row y0 of len(outs) planes, level-shifted, rounded
+    and clipped into the band's rows of outs, uint8 (height, width) arrays,
+    plane p into outs[p]."""
+    h, w = ws.shape
+    pixels = dct2_8x8(rows, "inverse", out=rows, scratch=ws.scratch[: len(rows)])
     pixels += 128.0
-    _round_to_pixels(pixels.reshape(n, *ws.padded.shape[1:])[:, :h, :w], outs)
+    pixels = pixels.reshape(len(outs), -1, 8 * ws.wb)
+    y1 = min(y0 + pixels.shape[1], h)
+    _round_to_pixels(pixels[:, : y1 - y0, :w], [out[y0:y1] for out in outs])
 
 
 def _entropy_bits(indices: np.ndarray) -> float:
@@ -267,26 +286,67 @@ class BlockDctCodec(Codec):
         return ws
 
     def _channel_indices(
-        self, planes: Sequence[np.ndarray], levels: Sequence[int]
+        self, ws: _Workspace, planes: Sequence[np.ndarray], runs: list[list[int]], r0: int,
+        r1: int,
     ) -> np.ndarray:
-        """Quantization indices of uint8 (height, width) planes, at most
-        ws.planes of them, plane p at level levels[p], as block rows
-        (n * hb, 8, 8 * wb) of float64 integers in int16 range, plane p in
-        rows p * hb .. (p + 1) * hb - 1.  Each run of one level is divided by
-        that level's table.  They live in the workspace's ws.rows, which the
-        next call overwrites."""
-        ws = self._workspace(*planes[0].shape)
-        n, hb = len(planes), ws.hb
-        padded = _pad_to_blocks(planes, ws.padded[:n])
-        rows, scratch = ws.rows[: n * hb], ws.scratch[: n * hb]
-        np.subtract(padded.reshape(rows.shape), 128.0, out=rows)
+        """Quantization indices of block rows r0 .. r1 - 1 of uint8 (height,
+        width) planes, at most ws.planes of them, as block rows (m * n, 8,
+        8 * wb) of float64 integers in int16 range, n = r1 - r0, plane p in
+        rows p * n .. (p + 1) * n - 1.  Each run [q, first, stop] of planes
+        is divided by level q's table.  They live in the workspace's ws.rows,
+        which the next band overwrites."""
+        n, m = r1 - r0, len(planes)
+        rows, scratch = ws.rows[: m * n], ws.scratch[: m * n]
+        _pad_to_blocks(planes, 8 * r0, rows.reshape(m, 8 * n, 8 * ws.wb))
         dct2_8x8(rows, out=rows, scratch=scratch)
-        for q, first, stop in _runs(levels):
-            rows[first * hb : stop * hb] /= ws.tables[q - 1]
+        for q, first, stop in runs:
+            rows[first * n : stop * n] /= ws.tables[q - 1]
         round_half_away(rows, out=rows, scratch=scratch)
         if rows.max() > 32767 or rows.min() < -32767:
             raise CodecError("quantized coefficient out of int16 range")
         return rows
+
+    def _bands(
+        self, ws: _Workspace, levels: Sequence[int], sources: Sequence[np.ndarray] | None,
+        blocks: Sequence[np.ndarray | None], targets: Sequence[np.ndarray] | None,
+    ) -> None:
+        """The block-DCT pipeline on planes of ws.shape, plane p at level
+        levels[p], one band at a time: ws.planes planes and ws.band block rows
+        of each, so that a band's float64 rows stay in cache through every
+        step.  Each run of one level is divided and multiplied by that
+        level's table.
+
+        sources are the uint8 (height, width) planes to quantize, or None to
+        dequantize the indices in blocks.  blocks[p], a (hb * wb, 64) int16
+        array in row-major block order or None, takes plane p's indices band
+        by band when sources is given, and gives them when it is not.
+        targets are the uint8 (height, width) arrays that take the decoded
+        planes, or None to stop at the indices.  Raises CodecError at the
+        first band whose indices leave int16 range."""
+        for start in range(0, len(levels), ws.planes):
+            stop = start + ws.planes
+            group = levels[start:stop]
+            runs = _runs(group)
+            outs = None if targets is None else targets[start:stop]
+            for r0 in range(0, ws.hb, ws.band):
+                r1 = min(r0 + ws.band, ws.hb)
+                n = r1 - r0
+                if sources is None:
+                    rows = ws.rows[: len(group) * n]
+                    for i, (q, b) in enumerate(zip(group, blocks[start:stop])):
+                        np.multiply(ws.block_view(b, r0, r1), ws.tables[q - 1].reshape(8, -1, 8),
+                                    out=rows[i * n : (i + 1) * n].reshape(n, 8, ws.wb, 8))
+                else:
+                    rows = self._channel_indices(ws, sources[start:stop], runs, r0, r1)
+                    for i, b in enumerate(blocks[start:stop]):
+                        if b is not None:
+                            ws.block_view(b, r0, r1)[...] = rows[i * n : (i + 1) * n].reshape(
+                                n, 8, ws.wb, 8)
+                    if outs is None:
+                        continue
+                    for q, first, last in runs:
+                        rows[first * n : last * n] *= ws.tables[q - 1]
+                _pixels_from_coeffs(ws, rows, 8 * r0, outs)
 
     def stack_size(self, img: ImageBuffer) -> int:
         """As many images of img's shape as fit STACK_BYTES of float64 block
@@ -296,15 +356,16 @@ class BlockDctCodec(Codec):
 
     def encode(self, img: ImageBuffer, q: int) -> Bitstream:
         self.check_quality(q)
-        bits = 0.0
-        parts = [_HEADER.pack(_MAGIC, q, img.channels, img.width, img.height)]
         pixels = img.samples.reshape(img.height, img.width, img.channels)
         ws = self._workspace(img.height, img.width)
-        for c in range(img.channels):
-            blocks = ws.block_order(self._channel_indices([pixels[:, :, c]], [q]))
+        body = np.empty((img.channels, ws.hb * ws.wb, 64), "<i2")
+        self._bands(ws, [q] * img.channels, [pixels[:, :, c] for c in range(img.channels)],
+                    body, None)
+        bits = 0.0
+        for blocks in body:
             bits += _entropy_bits(blocks)
-            parts.append(blocks.tobytes())
-        return Bitstream(payload=b"".join(parts), bits_used=bits)
+        header = _HEADER.pack(_MAGIC, q, img.channels, img.width, img.height)
+        return Bitstream(payload=header + body.tobytes(), bits_used=bits)
 
     def decode(self, bs: Bitstream) -> ImageBuffer:
         try:
@@ -321,15 +382,9 @@ class BlockDctCodec(Codec):
         if got != expected:
             raise CodecError(f"corrupt payload: expected {expected} body bytes, got {got}")
         out = np.empty((height, width, channels), np.uint8)
-        ws = self._workspace(height, width)
-        hb, wb = ws.hb, ws.wb
-        # the payload's row-major blocks, viewed as block rows (hb, 8, wb, 8)
         body = np.frombuffer(bs.payload, "<i2", offset=_HEADER.size)
-        body = body.reshape(channels, hb, wb, 8, 8).transpose(0, 1, 3, 2, 4)
-        table = ws.tables[q - 1].reshape(8, wb, 8)
-        for c in range(channels):
-            np.multiply(body[c], table, out=ws.rows[:hb].reshape(hb, 8, wb, 8))
-            _pixels_from_coeffs(ws, [out[:, :, c]])
+        self._bands(self._workspace(height, width), [q] * channels, None,
+                    body.reshape(channels, nblocks, 64), [out[:, :, c] for c in range(channels)])
         return ImageBuffer(width, height, channels, out)
 
     def stage(self, img: ImageBuffer, q: int, rate: bool = False):
@@ -337,12 +392,11 @@ class BlockDctCodec(Codec):
 
     def stage_many(self, imgs: list, qs: list[int], rates: list[bool]) -> list[tuple]:
         """Codec.stage_many with no payload, on stacked planes.  The planes of
-        all images, sorted by level, go through the workspace's transforms
-        ws.planes at a time, each run of one level divided and multiplied by
-        that level's table; each plane's indices go straight to the rate, for
-        an image whose rates entry is true, and to the inverse, not through
-        int16 bytes.  Each image is written to its own fresh uint8 array.
-        Images of more than one shape go one at a time."""
+        all images, sorted by level, go through the workspace's bands; each
+        plane's indices go to an int16 copy in the workspace for the rate,
+        for an image whose rates entry is true, and to the inverse, not
+        through int16 bytes.  Each image is written to its own fresh uint8
+        array.  Images of more than one shape go one at a time."""
         for q in qs:
             self.check_quality(q)
         if len({(img.height, img.width, img.channels) for img in imgs}) != 1:
@@ -350,20 +404,21 @@ class BlockDctCodec(Codec):
         h, w, channels = imgs[0].height, imgs[0].width, imgs[0].channels
         ws = self._workspace(h, w)
         outs = [np.empty((h, w, channels), np.uint8) for _ in imgs]
-        bits = [0.0 if rate else None for rate in rates]
-        # (image, level, input plane, output plane) of every plane, images in
-        # level order
+        # (image, level, input plane, output plane, rate indices or None) of
+        # every plane, images in level order
         planes = []
+        if len(ws.rated) < channels * sum(rates):
+            ws.rated = np.empty((channels * sum(rates), ws.hb * ws.wb, 64), np.int16)
+        slots = iter(ws.rated)
         for j in sorted(range(len(imgs)), key=qs.__getitem__):
             pixels = imgs[j].samples.reshape(h, w, channels)
-            planes += [(j, qs[j], pixels[:, :, c], outs[j][:, :, c]) for c in range(channels)]
-        for start in range(0, len(planes), ws.planes):
-            images, levels, sources, targets = zip(*planes[start : start + ws.planes])
-            rows = self._channel_indices(sources, levels)
-            for p, j in enumerate(images):
-                if rates[j]:
-                    bits[j] += _entropy_bits(ws.block_order(rows[p * ws.hb : (p + 1) * ws.hb]))
-            for q, first, stop in _runs(levels):
-                rows[first * ws.hb : stop * ws.hb] *= ws.tables[q - 1]
-            _pixels_from_coeffs(ws, targets)
+            for c in range(channels):
+                blocks = next(slots) if rates[j] else None
+                planes.append((j, qs[j], pixels[:, :, c], outs[j][:, :, c], blocks))
+        images, levels, sources, targets, blocks = zip(*planes)
+        self._bands(ws, levels, sources, blocks, targets)
+        bits = [0.0 if rate else None for rate in rates]
+        for j, b in zip(images, blocks):
+            if b is not None:
+                bits[j] += _entropy_bits(b)
         return [(ImageBuffer(w, h, channels, out), b) for out, b in zip(outs, bits)]

@@ -337,13 +337,19 @@ REFERENCE_SHAPES = MIXED_SHAPES + [(4096, 8, 1), (8, 4096, 1), (512, 384, 3), (5
 class TestPadToBlocks:
     @pytest.mark.parametrize("height, width", [(8, 40), (40, 8), (8, 8), (9, 8), (21, 37), (1, 1)])
     def test_matches_np_pad(self, height, width):
+        """Every band of 1, 2 or all block rows, the last one partial where
+        the block rows do not divide evenly."""
         rng = np.random.default_rng(height * width)
         planes = [rng.integers(0, 256, (height, width)).astype(np.uint8) for _ in range(3)]
-        out = np.full((3, -(-height // 8) * 8, -(-width // 8) * 8), 7, np.uint8)
-        assert _pad_to_blocks(planes, out) is out
-        for plane, padded in zip(planes, out):
-            expected = np.pad(plane, ((0, -height % 8), (0, -width % 8)), mode="edge")
-            assert np.array_equal(padded, expected)
+        padded_h = -(-height // 8) * 8
+        expected = [np.pad(plane, ((0, -height % 8), (0, -width % 8)), mode="edge") - 128.0
+                    for plane in planes]
+        for band in (8, 16, padded_h):
+            for y0 in range(0, padded_h, band):
+                out = np.full((3, min(band, padded_h - y0), -(-width // 8) * 8), 7.0)
+                assert _pad_to_blocks(planes, y0, out) is out
+                for got, want in zip(out, expected):
+                    assert np.array_equal(got, want[y0 : y0 + band])
 
 
 def _check_against_reference(codec, x, q):
@@ -400,12 +406,13 @@ class TestWorkspace:
         for r in results:
             assert r.samples.flags.c_contiguous
             assert not np.shares_memory(r.samples, x.samples)
-            for buf in (ws.rows, ws.scratch, ws.padded, ws.tables):
+            for buf in (ws.rows, ws.scratch, ws.rated, ws.tables):
                 assert not np.shares_memory(r.samples, buf)
         # later stages on the same shape and on others reuse or replace the
         # workspace; the earlier results must not move
         for q in range(1, 9):
             codec.stage(staged, q)
+            codec.stage(x, q, rate=True)
             codec.reconstruct(decoded, q)
             codec.stage(_random_image(64, 48, 3, q), q)
         for r, k in zip(results, kept):
@@ -424,25 +431,33 @@ class TestWorkspace:
                 assert dct_codec.stage(img, q)[0].same_as(dct_codec.decode(bs))
                 assert bs.payload == payload
                 dct_codec.reconstruct(img, q)
-                for plane in _planes(img):
-                    dct_codec._channel_indices([plane], [q])
+                dct_codec.stage_many([img, img], [q, 1], [True, False])
                 assert np.array_equal(img.samples, before)
 
     def test_channel_indices_live_in_the_workspace(self, dct_codec):
         x = _rgb_37x21()
+        ws = dct_codec._workspace(x.height, x.width)
         for plane in _planes(x):
-            idx = dct_codec._channel_indices([plane], [3])
-            assert idx.base is dct_codec._ws.rows and idx.shape == (3, 8, 40)
+            idx = dct_codec._channel_indices(ws, [plane], [[3, 0, 1]], 0, 3)
+            assert idx.base is ws.rows and idx.shape == (3, 8, 40)
             expected = _reference_indices(plane, dct_codec._tables[2])
             assert np.array_equal(_as_blocks(idx, x.height, x.width), expected)
         # a stack: plane p in block rows 3p .. 3p + 2, each at its own level
         levels = [3, 3, 5]
-        idx = dct_codec._channel_indices(_planes(x), levels)
-        assert idx.base is dct_codec._ws.rows and idx.shape == (9, 8, 40)
+        idx = dct_codec._channel_indices(ws, _planes(x), [[3, 0, 2], [5, 2, 3]], 0, 3)
+        assert idx.base is ws.rows and idx.shape == (9, 8, 40)
         for p, (plane, q) in enumerate(zip(_planes(x), levels)):
             expected = _reference_indices(plane, dct_codec._tables[q - 1])
             assert np.array_equal(_as_blocks(idx[3 * p : 3 * p + 3], x.height, x.width),
                                   expected)
+        # a band: block rows 1 .. 2 of each plane, plane p in rows 2p .. 2p + 1,
+        # blocks 5 .. 14 in row-major block order; the bottom row is padded
+        idx = dct_codec._channel_indices(ws, _planes(x), [[4, 0, 3]], 1, 3)
+        assert idx.base is ws.rows and idx.shape == (6, 8, 40)
+        for p, plane in enumerate(_planes(x)):
+            expected = _reference_indices(plane, dct_codec._tables[3])[5:]
+            band = idx[2 * p : 2 * p + 2].reshape(2, 8, 5, 8).transpose(0, 2, 1, 3)
+            assert np.array_equal(band.reshape(-1, 8, 8), expected)
 
 
 # gray and RGB, aligned and padded: stacks of one workspace call (up to four
@@ -451,14 +466,25 @@ class TestWorkspace:
 STACK_SHAPES = [(64, 64, 1), (64, 64, 3), (16, 8, 1), (40, 24, 3), (37, 21, 3),
                 (13, 11, 1), (9, 17, 3), (131, 77, 1), (1, 1, 3)]
 
+# a band budget under which small planes split into bands of block rows
+SMALL_STACK_BYTES = 4 * 1024
+# (width, height, channels, block rows per band) at SMALL_STACK_BYTES: full
+# and partial last bands, edge padding on the right, at the bottom or both,
+# one-row bands, a block row wider than the budget, and planes that still
+# stack whole
+BAND_SHAPES = [(13, 70, 1, 4), (16, 72, 1, 4), (37, 21, 3, 1), (30, 50, 3, 2),
+               (64, 64, 1, 1), (100, 9, 1, 1), (8, 8, 3, 1), (16, 16, 1, 2)]
+
 
 class TestStageMany:
-    @given(shape=st.sampled_from(STACK_SHAPES), data=st.data())
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_equals_loop_of_stage(self, shape, data):
+    @given(shape=st.sampled_from(STACK_SHAPES + [s[:3] for s in BAND_SHAPES]),
+           small=st.booleans(), data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_equals_loop_of_stage(self, shape, small, data):
         """stage_many over 1-6 images of one shape at mixed levels and rates
         gives, image for image, the samples and bits of one-image stages,
-        each in an array of its own."""
+        each in an array of its own; with small, under a band budget that
+        splits most of these planes into bands."""
         width, height, channels = shape
         m = data.draw(st.integers(1, 6))
         draws = st.lists(st.tuples(st.integers(0, 2**32), st.integers(1, 8), st.booleans(),
@@ -472,10 +498,13 @@ class TestStageMany:
             imgs.append(img)
             qs.append(q)
             rates.append(rate)
-        stacked = BlockDctCodec().stage_many(imgs, qs, rates)
+        refs = [loop.stage(img, q, rate) for img, q, rate in zip(imgs, qs, rates)]
+        with pytest.MonkeyPatch.context() as mp:
+            if small:
+                mp.setattr(codeclab.blockdct, "STACK_BYTES", SMALL_STACK_BYTES)
+            stacked = BlockDctCodec().stage_many(imgs, qs, rates)
         assert len(stacked) == m
-        for img, q, rate, (y, bits) in zip(imgs, qs, rates, stacked):
-            ref, ref_bits = loop.stage(img, q, rate)
+        for rate, (ref, ref_bits), (y, bits) in zip(rates, refs, stacked):
             assert (y.width, y.height, y.channels) == (width, height, channels)
             assert np.array_equal(y.samples, ref.samples)
             assert bits == ref_bits and (bits is None) == (not rate)
@@ -499,6 +528,71 @@ class TestStageMany:
         (64, 64, 1, 4), (64, 64, 3, 1), (37, 21, 3, 5), (512, 384, 3, 1), (1, 1, 1, 256)])
     def test_stack_size(self, dct_codec, width, height, channels, size):
         assert dct_codec.stack_size(_random_image(width, height, channels, 0)) == size
+
+
+class TestBands:
+    @pytest.mark.parametrize("width, height, channels, band", BAND_SHAPES)
+    def test_split_planes_match_reference(self, monkeypatch, width, height, channels, band):
+        """Under a small band budget, stage, rated stage, encode and decode
+        equal the per-block reference paths, and stage_many, stage and
+        encode give the samples, payload bytes and bits of a codec at the
+        default budget."""
+        imgs = [_random_image(width, height, channels, 500 + i) for i in range(3)]
+        qs, rates = [2, 7, 2], [True, False, True]
+
+        def outputs(codec):
+            out = [(y.samples.tobytes(), bits) for y, bits in codec.stage_many(imgs, qs, rates)]
+            for x in imgs:
+                for q in (1, 8):
+                    bs, (y, bits) = codec.encode(x, q), codec.stage(x, q, True)
+                    out.append((bs.payload, bs.bits_used, y.samples.tobytes(), bits))
+            return out
+
+        default = outputs(BlockDctCodec())
+        monkeypatch.setattr(codeclab.blockdct, "STACK_BYTES", SMALL_STACK_BYTES)
+        codec = BlockDctCodec()
+        for x in imgs:
+            for q in range(1, codec.num_levels + 1):
+                _check_against_reference(codec, x, q)
+        assert codec._ws.band == band and (band < codec._ws.hb or codec._ws.planes > 1)
+        assert outputs(codec) == default
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_int16_error_in_the_last_band(self, channels):
+        """The tampered table of test_int16_bound_on_dc_index puts the DC
+        index of a constant 0 block at -32768.  Only the bottom block row of
+        a 512x384 image, the last of its 12 bands, holds such blocks: encode
+        and stage both raise, and later stages on the instance are right."""
+        codec = BlockDctCodec()
+        codec._tables[0] = np.ones((8, 8))
+        codec._tables[0][0, 0] = 1 / 32
+        pixels = np.full((384, 512, channels), 128, np.uint8)
+        pixels[-8:] = 0
+        x = ImageBuffer(512, 384, channels, pixels.ravel().copy())
+        assert codec._workspace(384, 512).band == 4
+        with pytest.raises(CodecError, match="int16"):
+            codec.encode(x, 1)
+        with pytest.raises(CodecError, match="int16"):
+            codec.stage(x, 1)
+        pixels[-8:] = 255  # DC index 32512, in range
+        in_range = ImageBuffer(512, 384, channels, pixels.ravel())
+        noise = _random_image(512, 384, channels, 3)
+        for img, q in [(in_range, 1), (noise, 4), (x, 2)]:
+            samples, _, bits = _reference_stage(codec, img, q)
+            y, y_bits = codec.stage(img, q, rate=True)
+            assert np.array_equal(y.samples, samples) and y_bits == bits
+
+    def test_workspace_holds_one_band(self):
+        """The float64 block-row buffers of a 512x384 RGB workspace hold one
+        band, 4 block rows, not a plane."""
+        codec = BlockDctCodec()
+        x = _random_image(512, 384, 3, 1)
+        codec.decode(codec.encode(x, 3))
+        codec.stage_many([x, x], [2, 5], [True, False])
+        ws = codec._ws
+        for buf in (ws.rows, ws.scratch):
+            assert buf.dtype == np.float64 and buf.shape == (4, 8, 512)
+            assert buf.nbytes <= codeclab.blockdct.STACK_BYTES
 
 
 class TestPixelRounding:
@@ -573,9 +667,9 @@ class TestEntropyBits:
     def test_equals_loop_on_codec_indices(self, dct_codec, gray_images):
         for q in range(1, dct_codec.num_levels + 1):
             for img in [*gray_images, _rgb_37x21()]:
-                for plane in _planes(img):
-                    idx = dct_codec._channel_indices([plane], [q])
-                    idx = dct_codec._ws.block_order(idx)
+                payload = dct_codec.encode(img, q).payload
+                body = np.frombuffer(payload, "<i2", offset=codeclab.blockdct._HEADER.size)
+                for idx in body.reshape(img.channels, -1, 64):
                     assert _entropy_bits(idx) == _entropy_bits_loop(idx)
 
     def test_random_arrays(self):

@@ -48,6 +48,11 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
     # block rows, so the transform runs long block-row and 2-D products
     rgb_large = work / "rgb-large"
     _corpus(rgb_large, "rgb", 1, 512, 384)
+    # planes cut into bands of block rows: 38 blocks to a block row, so bands
+    # of 6 of its 26 block rows, the last one 2; 5 rows padded at the bottom
+    # and 4 columns on the right
+    rgb_bands = work / "rgb-bands"
+    _corpus(rgb_bands, "rgb", 1, 300, 203)
     # one 64x64 gray image whose b = 1 theorem-1 check fails (exit 4)
     gray64 = work / "gray64"
     _corpus(gray64, "gray", 1, 64, 64)
@@ -102,6 +107,9 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
                                 "master_seed": 17},
         "dct-large-rgb": {"codec": "block-dct", "dataset": str(rgb_large), "k_list": [1, 2],
                           "b": 1},
+        "dct-rgb-bands": {"codec": "block-dct", "dataset": str(rgb_bands),
+                          "q_min_list": [4, 1], "k_list": [1, 3], "b": 2,
+                          "distortion": "PSNR", "master_seed": 23},
         # the benchmark's dct-chains shape: four chains of a 64x64 gray item
         # go through each stacked block-DCT call
         "dct-chains": {"codec": "block-dct", "dataset": str(gray64), "q_min_list": [2, 5],
