@@ -10,13 +10,16 @@ Rounding everywhere is half-away-from-zero.
 A codec instance owns the scratch buffers of one plane shape (_Workspace).
 The unit of work is a band: at most STACK_BYTES of float64 block rows, as
 many whole planes as fit or, for a larger plane, as many of its block rows.
-Each band runs the whole pipeline while it is in cache, in place on the
-edge-padded planes viewed as rows of 8x8 blocks: uint8 samples are
-level-shifted straight into them, and decoded pixels go from them straight
-into the band's rows of fresh uint8 images, so a stage allocates no
-full-plane float temporary.  Only the payload and the rate read the indices
-in block order, from an int16 copy that each band fills its part of.  One
-instance must not run two stages at once.
+Planes run in call order, each at its own level.  Each band runs the whole
+pipeline while it is in cache, in place on the edge-padded planes viewed as
+rows of 8x8 blocks: uint8 samples are level-shifted straight into them, the
+band is divided and multiplied by its planes' tables, gathered once per
+group of planes, and decoded pixels go from them straight into the band's
+rows of fresh uint8 images, so a stage allocates no full-plane float
+temporary.  Only the payload and the rate read the indices in block order,
+from an int16 copy that each band fills its part of; decode copies them
+back into the band and shares the stage's multiply, inverse and pixel
+tail.  One instance must not run two stages at once.
 """
 from __future__ import annotations
 
@@ -144,22 +147,6 @@ def _pad_to_blocks(planes: Sequence[np.ndarray], y0: int, out: np.ndarray) -> np
     return out
 
 
-def _block_rows(height: int, width: int) -> tuple[int, int]:
-    """(hb, wb): a plane's sides in 8x8 blocks, rounded up."""
-    return -(-height // 8), -(-width // 8)
-
-
-def _runs(levels: Sequence[int]) -> list[list[int]]:
-    """[q, first, stop] of each run of equal levels, in order."""
-    runs = []
-    for p, q in enumerate(levels):
-        if runs and runs[-1][0] == q:
-            runs[-1][2] = p + 1
-        else:
-            runs.append([q, p, p + 1])
-    return runs
-
-
 class _Workspace:
     """Scratch buffers for bands of planes of one (height, width), padded to
     hb x wb blocks.  A band is `planes` planes and `band` block rows of each,
@@ -167,19 +154,21 @@ class _Workspace:
     and at least one (band = hb); a plane larger than STACK_BYTES alone is
     cut into bands of `band` consecutive block rows, the last one possibly
     shorter, and at least one row.  rows, (planes * band, 8, 8 * wb), holds a
-    band of n block rows per plane, plane p in rows p * n .. (p + 1) * n - 1:
-    the level-shifted samples, then the coefficients and indices, then the
-    decoded pixels; scratch, a second such buffer, takes the DCT intermediate
-    and the rounding signs; tables holds every level's quantization table
-    tiled along a block row, (levels, 8, 8 * wb); rated, (k, hb * wb, 64),
-    holds the int16 block-order indices of a stage_many call's rated planes,
-    k the most that any call has rated.  rated is kept across calls because
-    fresh arrays of its size, 1.2 MB for 512x384 RGB, go back to the system
-    between calls and are faulted in again."""
+    band of n block rows per plane, plane p in rows p * n .. (p + 1) * n - 1,
+    planes in call order: the level-shifted samples or decode's indices, then
+    the coefficients and indices, then the decoded pixels; scratch, a second
+    such buffer, takes the DCT intermediate and the rounding signs; tables
+    holds every level's quantization table tiled along a block row,
+    (levels, 8, 8 * wb), from which a group of planes gathers its planes'
+    tables; rated, (k, hb * wb, 64), holds the int16 block-order indices of
+    a stage_many call's rated planes, k the most that any call has rated.
+    rated is kept across calls because fresh arrays of its size, 1.2 MB for
+    512x384 RGB, go back to the system between calls and are faulted in
+    again."""
 
     def __init__(self, height: int, width: int, tables: list[np.ndarray]):
         self.shape = (height, width)
-        self.hb, self.wb = _block_rows(height, width)
+        self.hb, self.wb = -(-height // 8), -(-width // 8)
         self.planes = max(1, STACK_BYTES // (512 * self.hb * self.wb))
         self.band = min(self.hb, max(1, STACK_BYTES // (512 * self.wb)))
         self.rows = np.empty((self.planes * self.band, 8, 8 * self.wb))
@@ -286,21 +275,21 @@ class BlockDctCodec(Codec):
         return ws
 
     def _channel_indices(
-        self, ws: _Workspace, planes: Sequence[np.ndarray], runs: list[list[int]], r0: int,
-        r1: int,
+        self, ws: _Workspace, planes: Sequence[np.ndarray], tables: np.ndarray, r0: int, r1: int,
     ) -> np.ndarray:
         """Quantization indices of block rows r0 .. r1 - 1 of uint8 (height,
         width) planes, at most ws.planes of them, as block rows (m * n, 8,
         8 * wb) of float64 integers in int16 range, n = r1 - r0, plane p in
-        rows p * n .. (p + 1) * n - 1.  Each run [q, first, stop] of planes
-        is divided by level q's table.  They live in the workspace's ws.rows,
-        which the next band overwrites."""
+        rows p * n .. (p + 1) * n - 1.  The band is divided by tables, the
+        planes' gathered tables, (m, 1, 8, 8 * wb), plane p by tables[p].
+        They live in the workspace's ws.rows, which the next band
+        overwrites."""
         n, m = r1 - r0, len(planes)
         rows, scratch = ws.rows[: m * n], ws.scratch[: m * n]
         _pad_to_blocks(planes, 8 * r0, rows.reshape(m, 8 * n, 8 * ws.wb))
         dct2_8x8(rows, out=rows, scratch=scratch)
-        for q, first, stop in runs:
-            rows[first * n : stop * n] /= ws.tables[q - 1]
+        coeffs = rows.reshape(m, n, 8, 8 * ws.wb)
+        coeffs /= tables
         round_half_away(rows, out=rows, scratch=scratch)
         if rows.max() > 32767 or rows.min() < -32767:
             raise CodecError("quantized coefficient out of int16 range")
@@ -311,48 +300,47 @@ class BlockDctCodec(Codec):
         blocks: Sequence[np.ndarray | None], targets: Sequence[np.ndarray] | None,
     ) -> None:
         """The block-DCT pipeline on planes of ws.shape, plane p at level
-        levels[p], one band at a time: ws.planes planes and ws.band block rows
-        of each, so that a band's float64 rows stay in cache through every
-        step.  Each run of one level is divided and multiplied by that
-        level's table.
+        levels[p], in call order, one band at a time: ws.planes planes and
+        ws.band block rows of each, so that a band's float64 rows stay in
+        cache through every step.  Each group of planes gathers its levels'
+        tables once, and each band is divided and multiplied by them.
 
         sources are the uint8 (height, width) planes to quantize, or None to
-        dequantize the indices in blocks.  blocks[p], a (hb * wb, 64) int16
-        array in row-major block order or None, takes plane p's indices band
-        by band when sources is given, and gives them when it is not.
-        targets are the uint8 (height, width) arrays that take the decoded
-        planes, or None to stop at the indices.  Raises CodecError at the
-        first band whose indices leave int16 range."""
+        dequantize the indices in blocks, which are copied into the band and
+        go through the same multiply, inverse and pixel tail as a stage's.
+        blocks[p], a (hb * wb, 64) int16 array in row-major block order or
+        None, takes plane p's indices band by band when sources is given,
+        and gives them when it is not.  targets are the uint8 (height,
+        width) arrays that take the decoded planes, or None to stop at the
+        indices.  Raises CodecError at the first band whose indices leave
+        int16 range."""
         for start in range(0, len(levels), ws.planes):
             stop = start + ws.planes
-            group = levels[start:stop]
-            runs = _runs(group)
-            outs = None if targets is None else targets[start:stop]
+            tables = ws.tables[np.asarray(levels[start:stop]) - 1][:, None]
             for r0 in range(0, ws.hb, ws.band):
                 r1 = min(r0 + ws.band, ws.hb)
                 n = r1 - r0
                 if sources is None:
-                    rows = ws.rows[: len(group) * n]
-                    for i, (q, b) in enumerate(zip(group, blocks[start:stop])):
-                        np.multiply(ws.block_view(b, r0, r1), ws.tables[q - 1].reshape(8, -1, 8),
-                                    out=rows[i * n : (i + 1) * n].reshape(n, 8, ws.wb, 8))
+                    rows = ws.rows[: len(tables) * n]
                 else:
-                    rows = self._channel_indices(ws, sources[start:stop], runs, r0, r1)
-                    for i, b in enumerate(blocks[start:stop]):
-                        if b is not None:
-                            ws.block_view(b, r0, r1)[...] = rows[i * n : (i + 1) * n].reshape(
-                                n, 8, ws.wb, 8)
-                    if outs is None:
-                        continue
-                    for q, first, last in runs:
-                        rows[first * n : last * n] *= ws.tables[q - 1]
-                _pixels_from_coeffs(ws, rows, 8 * r0, outs)
+                    rows = self._channel_indices(ws, sources[start:stop], tables, r0, r1)
+                for i, b in enumerate(blocks[start:stop]):
+                    if b is not None:
+                        plane = rows[i * n : (i + 1) * n].reshape(n, 8, ws.wb, 8)
+                        if sources is None:
+                            plane[...] = ws.block_view(b, r0, r1)
+                        else:
+                            ws.block_view(b, r0, r1)[...] = plane
+                if targets is not None:
+                    coeffs = rows.reshape(len(tables), n, 8, 8 * ws.wb)
+                    coeffs *= tables
+                    _pixels_from_coeffs(ws, rows, 8 * r0, targets[start:stop])
 
     def stack_size(self, img: ImageBuffer) -> int:
-        """As many images of img's shape as fit STACK_BYTES of float64 block
-        rows, and at least one: 4 for a 64x64 gray image, 1 for 512x384 RGB."""
-        hb, wb = _block_rows(img.height, img.width)
-        return max(1, STACK_BYTES // (512 * hb * wb * img.channels))
+        """As many images of img's shape as their planes fit one band of the
+        workspace, and at least one: 4 for a 64x64 gray image, 1 for 512x384
+        RGB."""
+        return max(1, self._workspace(img.height, img.width).planes // img.channels)
 
     def encode(self, img: ImageBuffer, q: int) -> Bitstream:
         self.check_quality(q)
@@ -392,7 +380,7 @@ class BlockDctCodec(Codec):
 
     def stage_many(self, imgs: list, qs: list[int], rates: list[bool]) -> list[tuple]:
         """Codec.stage_many with no payload, on stacked planes.  The planes of
-        all images, sorted by level, go through the workspace's bands; each
+        all images, in call order, go through the workspace's bands; each
         plane's indices go to an int16 copy in the workspace for the rate,
         for an image whose rates entry is true, and to the inverse, not
         through int16 bytes.  Each image is written to its own fresh uint8
@@ -404,21 +392,17 @@ class BlockDctCodec(Codec):
         h, w, channels = imgs[0].height, imgs[0].width, imgs[0].channels
         ws = self._workspace(h, w)
         outs = [np.empty((h, w, channels), np.uint8) for _ in imgs]
-        # (image, level, input plane, output plane, rate indices or None) of
-        # every plane, images in level order
-        planes = []
         if len(ws.rated) < channels * sum(rates):
             ws.rated = np.empty((channels * sum(rates), ws.hb * ws.wb, 64), np.int16)
         slots = iter(ws.rated)
-        for j in sorted(range(len(imgs)), key=qs.__getitem__):
-            pixels = imgs[j].samples.reshape(h, w, channels)
-            for c in range(channels):
-                blocks = next(slots) if rates[j] else None
-                planes.append((j, qs[j], pixels[:, :, c], outs[j][:, :, c], blocks))
-        images, levels, sources, targets, blocks = zip(*planes)
-        self._bands(ws, levels, sources, blocks, targets)
+        # plane p is channel p % channels of image p // channels
+        blocks = [next(slots) if rate else None for rate in rates for _ in range(channels)]
+        self._bands(ws, [q for q in qs for _ in range(channels)],
+                    [img.samples.reshape(h, w, channels)[:, :, c]
+                     for img in imgs for c in range(channels)],
+                    blocks, [out[:, :, c] for out in outs for c in range(channels)])
         bits = [0.0 if rate else None for rate in rates]
-        for j, b in zip(images, blocks):
+        for p, b in enumerate(blocks):
             if b is not None:
-                bits[j] += _entropy_bits(b)
+                bits[p // channels] += _entropy_bits(b)
         return [(ImageBuffer(w, h, channels, out), b) for out, b in zip(outs, bits)]

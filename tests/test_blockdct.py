@@ -437,14 +437,19 @@ class TestWorkspace:
     def test_channel_indices_live_in_the_workspace(self, dct_codec):
         x = _rgb_37x21()
         ws = dct_codec._workspace(x.height, x.width)
+
+        def tables(levels):  # the gathered tables of planes at these levels
+            return ws.tables[np.asarray(levels) - 1][:, None]
+
         for plane in _planes(x):
-            idx = dct_codec._channel_indices(ws, [plane], [[3, 0, 1]], 0, 3)
+            idx = dct_codec._channel_indices(ws, [plane], tables([3]), 0, 3)
             assert idx.base is ws.rows and idx.shape == (3, 8, 40)
             expected = _reference_indices(plane, dct_codec._tables[2])
             assert np.array_equal(_as_blocks(idx, x.height, x.width), expected)
-        # a stack: plane p in block rows 3p .. 3p + 2, each at its own level
-        levels = [3, 3, 5]
-        idx = dct_codec._channel_indices(ws, _planes(x), [[3, 0, 2], [5, 2, 3]], 0, 3)
+        # a stack: plane p in block rows 3p .. 3p + 2, each at its own level,
+        # the levels out of order
+        levels = [5, 3, 5]
+        idx = dct_codec._channel_indices(ws, _planes(x), tables(levels), 0, 3)
         assert idx.base is ws.rows and idx.shape == (9, 8, 40)
         for p, (plane, q) in enumerate(zip(_planes(x), levels)):
             expected = _reference_indices(plane, dct_codec._tables[q - 1])
@@ -452,7 +457,7 @@ class TestWorkspace:
                                   expected)
         # a band: block rows 1 .. 2 of each plane, plane p in rows 2p .. 2p + 1,
         # blocks 5 .. 14 in row-major block order; the bottom row is padded
-        idx = dct_codec._channel_indices(ws, _planes(x), [[4, 0, 3]], 1, 3)
+        idx = dct_codec._channel_indices(ws, _planes(x), tables([4, 4, 4]), 1, 3)
         assert idx.base is ws.rows and idx.shape == (6, 8, 40)
         for p, plane in enumerate(_planes(x)):
             expected = _reference_indices(plane, dct_codec._tables[3])[5:]

@@ -6,9 +6,9 @@ Extracts `git archive REF` into a temporary directory, writes small image
 corpora (perfbench/corpus.py), the configs and a `cp` external codec spec into
 the same directory, and runs one fixed set of `python3 -m codeclab.cli`
 commands against each tree's `src/`.  Prints `same` or `DIFFERS` for every
-artefact (a report or SVG file, or a command's exit code and stdout) and exits
-1 if any differs, 2 if REF cannot be archived.  The temporary directory is
-removed afterwards.
+artefact (a report or SVG file, or a command's exit code and stdout), then one
+tally line, `N same, M DIFFERS`, and exits 1 if any differs, 2 if REF cannot be
+archived.  The temporary directory is removed afterwards.
 """
 from __future__ import annotations
 
@@ -207,12 +207,14 @@ def main(argv=None) -> int:
             return 2
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
         differs = 0
-        for name, args, out in _commands(work):
+        cmds = _commands(work)
+        for name, args, out in cmds:
             old = _run(base, work / "out-base", args, out)
             new = _run(ROOT, work / "out-head", args, out)
             same = old is not None and old == new
             differs += not same
             print(f"{'same' if same else 'DIFFERS':8s}{name}", flush=True)
+        print(f"{len(cmds) - differs} same, {differs} DIFFERS")
         return 1 if differs else 0
     finally:
         shutil.rmtree(work)
