@@ -145,36 +145,17 @@ def _equal_samples(a: Signal, b: Signal) -> bool:
     )
 
 
-def _recall(kept: list, y: Signal) -> tuple:
-    """(the kept [input, fingerprint, output, bits] whose input holds y's
-    samples, or None; y's fingerprint if taken, else None).  Identity goes
-    first.  A lone entry is compared exactly when y is an image, with no
-    fingerprint: reading both images costs less than a CRC-32 of one.
-    Otherwise fingerprints are taken, each once; a factored vector's reads
-    only its table, which costs less than comparing tables."""
-    for entry in kept:
-        if entry[0] is y:
-            return entry, None
-    if not kept:
-        return None, None
-    if len(kept) == 1 and isinstance(y, ImageBuffer):
-        return (kept[0] if _equal_samples(kept[0][0], y) else None), None
-    fp = _fingerprint(y)
-    for entry in kept:
-        if entry[1] is None:
-            entry[1] = _fingerprint(entry[0])
-        if entry[1] == fp and _equal_samples(entry[0], y):
-            return entry, fp
-    return None, fp
-
-
 class SinglePasses:
     """An input x's single passes, by_q = {q: codec.stage(x, q, ...)} as
-    (reconstruction, bits), and x's fingerprint, taken once here for every
-    chain they seed rather than kept on x, whose samples may be written."""
+    (reconstruction, bits), and the stage memo they seed every chain with:
+    memo = {(q, x's fingerprint): (x, reconstruction, bits, its fingerprint)}.
+    The fingerprints are taken once here for every chain, rather than kept
+    on x, whose samples may be written."""
 
     def __init__(self, x: Signal, by_q: dict[int, tuple]):
         self.x, self.by_q, self.fingerprint = x, by_q, _fingerprint(x)
+        self.memo = {(q, self.fingerprint): (x, out, bits, _fingerprint(out))
+                     for q, (out, bits) in by_q.items()}
 
 
 def compress_chains(
@@ -188,50 +169,52 @@ def compress_chains(
 
     The chains run in lockstep, one depth at a time, and the stages of a
     depth that no chain's memo answers go through one codec.stage_many call.
-    A chain runs no stage twice.  Each keeps every stage it runs, and x's
-    single passes in seed, as (input, q) -> (output, bits), and a stage whose
-    input holds the samples of a kept input at its q takes that output with
-    no codec call.  This is exact by the Codec contract: stage is a pure
-    function of its input's samples and q.  A lookup tries identity, then an
-    exact compare or, among several kept inputs, a fingerprint first, so a
-    fingerprint collision costs one compare.  A rated last stage that finds
-    only a stage kept without its rate runs.  Chains share no memo, so each
-    runs the stages it would run alone, and the memos live for this call.  A
-    failure raises CodecError naming the depth, numbered from the chains'
-    start, and the qualities of that call."""
+    A chain runs no stage twice.  Its memo is one dict, (q, fingerprint of
+    the input) -> (input, output, bits, fingerprint of the output), seeded
+    with x's single passes in seed, and a stage whose key is kept and whose
+    input holds the kept input's samples (_equal_samples) takes that output
+    with no codec call.  This is exact by the Codec contract: stage is a
+    pure function of its input's samples and q.  A fingerprint collision is
+    a miss: the stage runs and takes the slot.  Each signal is fingerprinted
+    at most once, an output only when its chain has a later stage.  A rated
+    last stage that finds only a stage kept without its rate runs.  Chains
+    share no memo, so each runs the stages it would run alone, and the
+    memos live for this call.  A failure raises CodecError naming the depth,
+    numbered from the chains' start, and the qualities of that call."""
     if not all(sequences):
         raise ValueError("empty quality sequence")
     if seed is not None and seed.x is not x:
         raise ValueError("seed holds the single passes of another input")
-    # per chain, q -> [[input, its fingerprint or None until taken, output, bits]]
-    memos = [{} if seed is None else {
-        q: [[x, seed.fingerprint, out, out_bits]] for q, (out, out_bits) in seed.by_q.items()
-    } for _ in sequences]
-    ys, bits = [x] * len(sequences), [None] * len(sequences)
-    for depth in range(1, max(map(len, sequences), default=0) + 1):
-        misses = []  # (chain, q, rated, kept list at q, input fingerprint)
+    longest = max(map(len, sequences), default=0)
+    if seed is None:
+        memos, fp = [{} for _ in sequences], _fingerprint(x) if longest > 1 else None
+    else:
+        memos, fp = [dict(seed.memo) for _ in sequences], seed.fingerprint
+    ys, fps, bits = [x] * len(sequences), [fp] * len(sequences), [None] * len(sequences)
+    for depth in range(1, longest + 1):
+        misses = []  # (chain, q, rated)
         for c, levels in enumerate(sequences):
             if depth > len(levels):
                 continue
             q = levels[depth - 1]
             rated = rates[c] and depth == len(levels)
-            kept = memos[c].setdefault(q, [])
-            hit, fp = _recall(kept, ys[c])
-            if hit is not None and not (rated and hit[3] is None):
-                ys[c], bits[c] = hit[2], hit[3]
+            hit = memos[c].get((q, fps[c]))  # (input, output, bits, output fingerprint)
+            if hit and not (rated and hit[2] is None) and _equal_samples(hit[0], ys[c]):
+                _, ys[c], bits[c], fps[c] = hit
             else:
-                misses.append((c, q, rated, kept, fp))
+                misses.append((c, q, rated))
         if not misses:
             continue
-        missed, qs, rated, _, _ = zip(*misses)
+        missed, qs, rated = zip(*misses)
         try:
             outs = codec.stage_many([ys[c] for c in missed], qs, rated)
         except Exception as e:
             where = f"quality {qs[0]}" if len(qs) == 1 else f"qualities {list(qs)}"
             raise CodecError(f"chain stage {depth} ({where}) failed: {e}") from e
-        for (c, _, _, kept, fp), (out, out_bits) in zip(misses, outs):
-            kept.append([ys[c], fp, out, out_bits])
-            ys[c], bits[c] = out, out_bits
+        for (c, q, _), (out, out_bits) in zip(misses, outs):
+            out_fp = _fingerprint(out) if depth < len(sequences[c]) else None
+            memos[c][q, fps[c]] = (ys[c], out, out_bits, out_fp)
+            ys[c], fps[c], bits[c] = out, out_fp, out_bits
     return [(y, b if rate else None) for y, b, rate in zip(ys, bits, rates)]
 
 

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 config error, 3 codec/runtime error,
-4 verification failed (nonzero deviation where zero was required).
+Exit codes: 0 success, 2 config error, 3 codec/runtime error or out of
+memory, 4 verification failed (nonzero deviation where zero was required).
 """
 from __future__ import annotations
 
@@ -160,6 +160,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except RuntimeError as e:
         print(f"runtime error: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as e:  # numpy says which allocation failed
+        print(f"runtime error: out of memory{f': {e}' if str(e) else ''}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -295,6 +295,32 @@ def test_item_fingerprinted_once_per_report(monkeypatch):
     assert taken == [0, 1]
 
 
+def test_fingerprints_at_most_one_per_stage_and_item(monkeypatch):
+    """A sweep takes at most one fingerprint per item and one per stage it
+    runs: each signal is fingerprinted once, when it is made, and a
+    chain's last stage not at all."""
+    rng = np.random.default_rng(3)
+    items = [ImageBuffer(16, 16, 1, rng.integers(0, 256, 256)) for _ in range(2)]
+    ds = Dataset(items=items, item_names=["a", "b"])
+    codec = make_codec("block-dct")
+    fingerprint, stage_many, taken, stages = codeclab.chains._fingerprint, codec.stage_many, [], []
+
+    def counting(a):
+        taken.append(a)
+        return fingerprint(a)
+
+    def counting_stages(xs, qs, rates):
+        stages.extend(xs)
+        return stage_many(xs, qs, rates)
+
+    monkeypatch.setattr(codeclab.chains, "_fingerprint", counting)
+    monkeypatch.setattr(codec, "stage_many", counting_stages)
+    cells = {q: (STREAM_RHO, STREAM_RD) if q in (2, 5) else (STREAM_RD,)
+             for q in range(1, codec.num_levels + 1)}
+    sweep_levels(ds, codec, cells, [20], 2, "forced-min", 3)
+    assert stages and len(taken) <= len(stages) + len(items)
+
+
 @pytest.mark.parametrize("case", ["dct-rgb", "dct-gray", "nested-scalar", "midpoint-scalar"])
 def test_protocol_builds_no_payload(tmp_path, monkeypatch, case):
     """run_protocol calls no codec method but Codec.stage: with encode,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import codeclab.external
+import codeclab.protocol
 from codeclab import EvalConfig, ImageBuffer, make_codec, run_protocol, serialize_pnm
 from codeclab.cli import main
 from codeclab.chains import RhoEstimate, Theorem1Record
@@ -368,6 +369,24 @@ class TestCli:
         assert main(["check-theorem1", "--codec", f"external:{spec}",
                      "--dataset", str(tiny_image_dir),
                      "--qmin", "1", "--k", "2", "--b", "1"]) == 3
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 72.8 TiB", ""])
+    def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch, message):
+        """Running out of memory, as a huge source_n does, exits 3 with one
+        `runtime error:` line and no traceback."""
+        def no_memory(n, seed):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(codeclab.protocol, "generate_uniform_source", no_memory)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"codec": "midpoint-scalar",
+                                        "codec_options": {"source_n": 10000000000000},
+                                        "k_list": [2], "b": 1}))
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"runtime error: out of memory{': ' + message if message else ''}\n"
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -93,6 +93,11 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
         "midpoint-scalar": {"codec": "midpoint-scalar", "codec_options": {"levels": 4},
                             "k_list": [3, 5], "b": 3, "mode": "literal",
                             "distortion": "RMSE", "master_seed": 2},
+        # long literal chains that revisit states: memo keys built from a
+        # factored vector's cell map and table CRC-32
+        "midpoint-scalar-memo": {"codec": "midpoint-scalar:6",
+                                 "codec_options": {"source_n": 2000}, "k_list": [50],
+                                 "b": 3, "mode": "literal", "master_seed": 25},
         "external-cp": {"codec": f"external:{spec}", "dataset": str(gray),
                         "q_min_list": [1, 3], "k_list": [1, 2], "b": 1},
         # long chains and repeated q: stages that a chain's memo answers
