@@ -36,6 +36,7 @@ from .chains import (  # noqa: F401
     distortion,
     rho_from_outcomes,
     sample_quality_sequence,
+    sweep_levels,
     theorem1_from_outcomes,
 )
 from .registry import make_codec  # noqa: F401
@@ -45,7 +46,6 @@ from .protocol import (  # noqa: F401
     EvalReport,
     rd_points,
     run_protocol,
-    sweep_levels,
     top_cell_inputs,
     verify_strong_idempotence,
 )

@@ -243,6 +243,7 @@ def _entropy_bits(indices: np.ndarray) -> float:
 
 _HEADER = struct.Struct("<2sBBHH")  # magic, quality, channels, width, height
 _MAGIC = b"BD"
+_MAX_SIDE = 0xFFFF  # the header's unsigned 16-bit width and height
 
 
 class BlockDctCodec(Codec):
@@ -344,6 +345,9 @@ class BlockDctCodec(Codec):
 
     def encode(self, img: ImageBuffer, q: int) -> Bitstream:
         self.check_quality(q)
+        if max(img.width, img.height) > _MAX_SIDE:
+            raise CodecError(f"{img.width}x{img.height} image: the payload header "
+                             f"holds sides up to {_MAX_SIDE}")
         pixels = img.samples.reshape(img.height, img.width, img.channels)
         ws = self._workspace(img.height, img.width)
         body = np.empty((img.channels, ws.hb * ws.wb, 64), "<i2")

@@ -6,8 +6,8 @@ reconstruction at q_min and the k-round chained reconstruction, estimated
 over (item, trial) pairs with a fresh quality sequence per pair.
 
 Every random draw comes from a stream derived deterministically from
-(master_seed, purpose, q_min, k, item, trial).  evaluate_item is the one
-place that runs Monte Carlo chains, all of one item's, in lockstep groups:
+(master_seed, purpose, q_min, k, item, trial).  sweep_levels is the one
+place that runs Monte Carlo chains, an item at a time, in lockstep groups:
 the rho grid, the theorem-1 check and the RD curves all read its
 PairOutcomes.  It relies on the Codec contract that f is deterministic: a
 chain runs no stage that it has run already, a stage f(x, q) is the item's
@@ -279,57 +279,46 @@ def single_passes(
     return SinglePasses(x, by_q)
 
 
-def _empty_cells(streams: tuple[int, ...], k_list: list[int], b: int) -> dict:
-    """{stream: {k: []}}, to collect one cell's outcomes, once streams and b
-    are checked: streams must be distinct ids of STREAM_NAMES, at least one."""
-    if not streams or len(set(streams)) < len(streams) or not set(streams) <= set(STREAM_NAMES):
-        raise ValueError(f"streams must be distinct ids in {sorted(STREAM_NAMES)}: {streams!r}")
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    return {stream: {k: [] for k in k_list} for stream in streams}
-
-
-def evaluate_item(
-    cells: dict[int, dict[int, dict[int, list[PairOutcome]]]],
-    i: int,
-    passes: SinglePasses,
+def sweep_levels(
+    ds: Dataset,
     codec: Codec,
+    cells: dict[int, tuple[int, ...]],
+    k_list: list[int],
     b: int,
     mode: str = "forced-min",
     master_seed: int = 0,
-) -> None:
-    """Run item i's b chains per k for each q_min, stream and k of cells
-    ({q_min: {stream: {k: outcomes}}}), and append their outcomes to
-    cells[q_min][stream][k].
+) -> dict[int, dict[int, dict[int, list[PairOutcome]]]]:
+    """Run the cells that cells names, {q_min: streams}, b chains per item
+    and k, and return their outcomes as {q_min: {stream: {k: outcomes}}},
+    each ordered by (item, trial).  STREAM_RHO chains (the rho grid) read
+    d(f(x, q_min), chain) and no rate, STREAM_RD chains (the RD curves) the
+    rates and d(x, chain).  Streams, b, k_list and every q_min are checked,
+    and each item's sequences drawn, before that item's first stage.
 
-    passes are the item's single passes (single_passes), every q_min's among
-    them, with their rates when STREAM_RD is in cells.  The stream decides
-    what a chain measures: STREAM_RHO (the rho grid) reads d(f(x, q_min),
-    chain) and no rate, STREAM_RD (the RD curves) reads the rates and d(x,
-    chain).  passes seed every chain's stage memo (compress_chains), so a
-    stage whose input holds x's samples at a level of passes makes no codec
-    call, and the chain (q_min,) is the single pass.
-
-    The item's quality sequences are drawn first, in (q_min, stream, k,
-    trial) order, and run in that order in groups of codec.stack_size(x)
-    chains, each group in lockstep (compress_chains).  A group's outcomes are
-    appended, and its outputs dropped, before the next group runs.  A group
-    that fails runs again one chain at a time, so the failure raised is the
-    first in chain order, as CodecError naming its stream and q_min."""
-    x = passes.x
-    peak, samples = signal_peak(x), signal_samples(x)
+    Items go one at a time.  An item's sequences are drawn over each cell's
+    distinct k in (q_min, stream, k, trial) order; its single passes at the
+    named levels, rated when some cell runs STREAM_RD (whose name a failing
+    pass then takes), seed every chain's memo (compress_chains), so the
+    chain (q_min,) is the single pass.  The chains run in draw order, in
+    lockstep groups of codec.stack_size(x); a group's outputs are dropped
+    before the next runs, and the item's passes before the next item's.  A
+    failing group runs again one chain at a time, so the CodecError raised
+    names the first failing chain's stream and q_min."""
+    for streams in cells.values():
+        if not streams or len(set(streams)) < len(streams) or not set(streams) <= set(STREAM_NAMES):
+            raise ValueError(f"streams must be distinct ids in {sorted(STREAM_NAMES)}: {streams!r}")
+    if b < 1:
+        raise ValueError("b must be >= 1")
+    if not k_list:
+        raise ValueError("k_list must be non-empty")
+    for q in cells:
+        codec.check_quality(q)
+    out = {q: {stream: {k: [] for k in k_list} for stream in streams}
+           for q, streams in cells.items()}
+    rated = any(STREAM_RD in streams for streams in cells.values())
     q_max = codec.num_levels
-    chains = []  # (q_min, stream, k, trial, levels)
-    for q_min, by_stream in cells.items():
-        for stream, by_k in by_stream.items():
-            with _failing_in(stream, q_min):
-                for k, t in itertools.product(by_k, range(b)):
-                    rng = derive_rng(master_seed, stream, q_min, k, i, t)
-                    levels = sample_quality_sequence(q_min, q_max, k, mode, rng)
-                    chains.append((q_min, stream, k, t, levels))
-    mse_x_single = {}  # q_min -> d(x, f(x, q_min)), taken before its first chain
 
-    def run_group(group: list) -> None:
+    def run_group(group: list) -> None:  # of item i, in the loop below
         results = [None] * len(group)
         if len(group) > 1:
             # on failure, each chain runs alone below, in its own cell
@@ -338,16 +327,15 @@ def evaluate_item(
                                           [c[1] == STREAM_RD for c in group], passes)
         for (q_min, stream, k, t, levels), result in zip(group, results):
             single, single_bits = passes.by_q[q_min]
-            if q_min not in mse_x_single:
-                with _failing_in(STREAM_RD if STREAM_RD in cells[q_min] else STREAM_RHO, q_min):
-                    mse_x_single[q_min] = _mse(x, single)
             rd = stream == STREAM_RD
             with _failing_in(stream, q_min):
+                if q_min not in mse_x_single:
+                    mse_x_single[q_min] = _mse(x, single)
                 y, bits = result or compress_chain(x, levels, codec, rd, passes)
                 # a chain that ends on the single pass's samples is 0 from
                 # it and mse_x_single from x: no _mse
                 is_single = _same_signal(y, single)
-                cells[q_min][stream][k].append(
+                out[q_min][stream][k].append(
                     PairOutcome(
                         item=i,
                         trial=t,
@@ -363,9 +351,22 @@ def evaluate_item(
                     )
                 )
 
-    size = codec.stack_size(x)
-    for start in range(0, len(chains), size):
-        run_group(chains[start : start + size])  # its outputs go with its frame
+    for i, x in enumerate(ds.items):
+        chains = [  # (q_min, stream, k, trial, levels)
+            (q_min, stream, k, t, sample_quality_sequence(
+                q_min, q_max, k, mode, derive_rng(master_seed, stream, q_min, k, i, t)))
+            for q_min, by_stream in out.items()
+            for stream, by_k in by_stream.items()
+            for k, t in itertools.product(by_k, range(b))
+        ]
+        passes = single_passes(x, codec, cells, rated, STREAM_RD if rated else STREAM_RHO)
+        peak, samples = signal_peak(x), signal_samples(x)
+        mse_x_single = {}  # q_min -> d(x, f(x, q_min)), taken in its first chain's cell
+        size = codec.stack_size(x)
+        for start in range(0, len(chains), size):
+            run_group(chains[start : start + size])  # its outputs go with its frame
+        del passes  # before the next item's passes are built
+    return out
 
 
 @dataclasses.dataclass

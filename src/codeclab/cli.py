@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .chains import STREAM_RD, STREAM_RHO, theorem1_from_outcomes
+from .chains import STREAM_RD, STREAM_RHO, sweep_levels, theorem1_from_outcomes
 from .protocol import (
     ConfigError,
     EvalConfig,
@@ -17,7 +17,6 @@ from .protocol import (
     resolve_dataset,
     resolve_q_min_list,
     run_protocol,
-    sweep_levels,
     top_cell_inputs,
     verify_strong_idempotence,
 )

@@ -19,13 +19,12 @@ from .chains import (
     STREAM_RHO,
     STREAM_SOURCE,
     Theorem1Record,
-    _empty_cells,
     compress_chain,
     distortion,
-    evaluate_item,
     psnr_from_mse,
     rho_from_outcomes,
     single_passes,
+    sweep_levels,
     theorem1_from_outcomes,
 )
 from .codecs import Codec
@@ -74,8 +73,8 @@ class EvalConfig:
             raise ConfigError("codec must be a string")
         if not isinstance(self.codec_options, dict):
             raise ConfigError("codec_options must be an object")
-        if self.dataset is not None and not isinstance(self.dataset, str):
-            raise ConfigError("dataset must be a string or null")
+        if self.dataset is not None and not (isinstance(self.dataset, str) and self.dataset):
+            raise ConfigError("dataset must be a non-empty string or null")
         if not _is_int(self.b) or self.b < 1:
             raise ConfigError("b must be an integer >= 1")
         if not (isinstance(self.k_list, list) and self.k_list
@@ -171,38 +170,6 @@ def _rd_point(q: int, bpps: list[float], mses: list[float], peak: float) -> RdPo
     psnrs = [psnr_from_mse(m, peak) for m in mses]
     mean_psnr = math.inf if any(math.isinf(p) for p in psnrs) else float(np.mean(psnrs))
     return RdPoint(q, float(np.mean(bpps)), mean_psnr, float(np.mean(mses)))
-
-
-def sweep_levels(
-    ds: Dataset,
-    codec: Codec,
-    cells: dict[int, tuple[int, ...]],
-    k_list: list[int],
-    b: int,
-    mode: str = "forced-min",
-    master_seed: int = 0,
-) -> dict[int, dict[int, dict[int, list[PairOutcome]]]]:
-    """Run the cells that cells names, {q_min: streams}, and return their
-    outcomes as {q_min: {stream: {k: outcomes}}}, each ordered by (item,
-    trial) (evaluate_item).  Every streams tuple and q_min is checked before
-    any stage runs: streams as _empty_cells checks them, q_min against the
-    codec's ladder.
-
-    Items go one at a time: an item's single passes at the named levels,
-    with their rates when some cell runs STREAM_RD, seed every chain of that
-    item in every cell (evaluate_item), and are dropped before the next
-    item's, so the sweep holds one item's passes and one group of its chains.
-    A failing pass names STREAM_RD when some cell runs it, else STREAM_RHO.
-    """
-    out = {q: _empty_cells(streams, k_list, b) for q, streams in cells.items()}
-    for q in out:
-        codec.check_quality(q)
-    rated = any(STREAM_RD in by_stream for by_stream in out.values())
-    for i, x in enumerate(ds.items):
-        passes = single_passes(x, codec, cells, rated, STREAM_RD if rated else STREAM_RHO)
-        evaluate_item(out, i, passes, codec, b, mode, master_seed)
-        del passes  # before the next item's passes are built
-    return out
 
 
 def rd_points(

@@ -185,6 +185,22 @@ class TestBlockDctCodec:
         with pytest.raises(CodecError, match="corrupt payload"):
             dct_codec.decode(bs)
 
+    @pytest.mark.parametrize("width, height", [(65536, 1), (1, 65536)])
+    def test_side_beyond_header_refused(self, monkeypatch, width, height):
+        """A side the "<2sBBHH" header cannot hold is a CodecError that names
+        the limit, raised before any transform; stage, which writes no
+        header, takes the image, and a side of 65535 encodes."""
+        codec, img = BlockDctCodec(), ImageBuffer(width, height, 1, np.zeros(65536, np.uint8))
+        y, _ = codec.stage(img, 4)
+        assert y.same_as(img)
+        monkeypatch.setattr(BlockDctCodec, "_bands", lambda *args: pytest.fail("transformed"))
+        for call in (codec.encode, codec.reconstruct):
+            with pytest.raises(CodecError, match="holds sides up to 65535"):
+                call(img, 4)
+        monkeypatch.undo()
+        edge = ImageBuffer(min(width, 65535), min(height, 65535), 1, np.zeros(65535, np.uint8))
+        assert codec.reconstruct(edge, 4)[0].same_as(edge)
+
     def test_quality_improves_distortion(self, dct_codec, gray_images):
         img = gray_images[0]
         mses = []

@@ -555,9 +555,16 @@ def test_sweep_refuses_bad_streams(source_ds, streams):
         sweep_levels(source_ds, Codec(), {1: (STREAM_RHO,), 2: streams}, [3], 2)
 
 
-def test_sweep_checks_every_q_min_before_any_stage(source_ds):
-    """A q_min off the ladder in any named cell raises CodecError before the
-    first stage of the first cell runs."""
+@pytest.mark.parametrize("q_min, k_list, mode, error, match", [
+    (4, [3], "forced-min", CodecError, r"quality 4 outside ladder \[1, 3\]"),
+    (2, [0], "forced-min", ValueError, "k must be >= 1"),
+    (2, [], "forced-min", ValueError, "k_list must be non-empty"),
+    (2, [3], "bogus", ValueError, "unknown mode 'bogus'"),
+], ids=["q_min", "k", "no-k", "mode"])
+def test_sweep_checks_every_q_min_before_any_stage(source_ds, q_min, k_list, mode, error, match):
+    """A q_min off the ladder in any named cell raises CodecError, and a k
+    below 1, an empty k_list or an unknown mode ValueError, before the first
+    stage of the first cell runs."""
     codec, calls = make_codec("midpoint-scalar:3"), []
 
     class Counting(Codec):
@@ -567,8 +574,9 @@ def test_sweep_checks_every_q_min_before_any_stage(source_ds):
             calls.append(q)
             return codec.stage(x, q, rate)
 
-    with pytest.raises(CodecError, match=r"quality 4 outside ladder \[1, 3\]"):
-        sweep_levels(source_ds, Counting(), {1: (STREAM_RHO,), 4: (STREAM_RD,)}, [3], 2)
+    with pytest.raises(error, match=match):
+        sweep_levels(source_ds, Counting(), {1: (STREAM_RHO,), q_min: (STREAM_RD,)},
+                     k_list, 2, mode)
     assert calls == []
 
 
@@ -665,6 +673,19 @@ class TestSharedSinglePass:
                     ds, codec, q_min, k_list, b, "literal", 8, stream, stream == STREAM_RD
                 )
                 assert cells[q_min][stream] == _as_measured_in(stream, ref)
+
+    def test_repeated_k_runs_once(self, case):
+        """A k that k_list names twice is one key, drawn and run once: the
+        sweep equals one that names it once, items x b outcomes per (q,
+        stream, k)."""
+        ds, codec = case
+        named = {2: (STREAM_RHO, STREAM_RD), 1: (STREAM_RD,)}
+        twice = sweep_levels(ds, codec, named, [3, 1, 3], 2, "literal", 4)
+        assert twice == sweep_levels(ds, codec, named, [3, 1], 2, "literal", 4)
+        for by_stream in twice.values():
+            for by_k in by_stream.values():
+                assert list(by_k) == [3, 1]
+                assert all(len(outcomes) == 2 * len(ds.items) for outcomes in by_k.values())
 
     def test_run_protocol_equals_per_stream_loops(self, case):
         """The grid in q_min_list order (unsorted, with a repeat) and the RD

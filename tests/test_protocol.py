@@ -196,7 +196,7 @@ def test_one_single_pass_per_item_and_level(monkeypatch, mode):
     # an _mse call belongs to the item whose single passes ran last and the
     # q_min of the cell that names its failure
     items_run, cells_open, mse_calls = [], [], []
-    passes_of, failing_in = codeclab.protocol.single_passes, codeclab.chains._failing_in
+    passes_of, failing_in = codeclab.chains.single_passes, codeclab.chains._failing_in
     mse = codeclab.chains._mse
 
     def counting_passes(x, *args):
@@ -216,7 +216,7 @@ def test_one_single_pass_per_item_and_level(monkeypatch, mode):
         mse_calls.append((items_run[-1], cells_open[-1]))
         return mse(a, b)
 
-    monkeypatch.setattr(codeclab.protocol, "single_passes", counting_passes)
+    monkeypatch.setattr(codeclab.chains, "single_passes", counting_passes)
     monkeypatch.setattr(codeclab.chains, "_failing_in", counting_cell)
     monkeypatch.setattr(codeclab.chains, "_mse", counting_mse)
     k_list, b, seed, q_min_list = [1, 3], 2, 7, [5, 2, 5]

@@ -310,6 +310,26 @@ class TestCli:
         assert "'nested-scalar' takes no dataset" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "rd-curve", "check-theorem1"])
+    def test_empty_dataset_exit_2(self, tmp_path, capsys, monkeypatch, tiny_image_dir, command):
+        """An empty dataset path is refused, not read as the working
+        directory, which here holds an image."""
+        monkeypatch.chdir(tiny_image_dir)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"codec": "block-dct", "dataset": "",
+                                        "k_list": [1], "b": 1}))
+        out = tmp_path / "out"
+        args = {
+            "evaluate": ["--config", str(cfg_path), "--out", str(out)],
+            "rd-curve": ["--codec", "block-dct", "--dataset", "", "--k", "1", "--b", "1",
+                         "--out", str(out)],
+            "check-theorem1": ["--codec", "block-dct", "--dataset", "", "--qmin", "1",
+                               "--k", "1", "--b", "1"],
+        }[command]
+        assert main([command, *args]) == 2
+        assert "dataset must be a non-empty string or null" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rd_curve_svg(self, tmp_path):
         out = tmp_path / "rd.svg"
         assert main(["rd-curve", "--codec", "midpoint-scalar", "--k", "3",
