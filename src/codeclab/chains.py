@@ -8,11 +8,11 @@ over (item, trial) pairs with a fresh quality sequence per pair.
 Every random draw comes from a stream derived deterministically from
 (master_seed, purpose, q_min, k, item, trial).  sweep_levels is the one
 place that runs Monte Carlo chains, an item at a time, in lockstep groups:
-the rho grid, the theorem-1 check and the RD curves all read its
-PairOutcomes.  It relies on the Codec contract that f is deterministic: a
-chain runs no stage that it has run already, a stage f(x, q) is the item's
-single pass at q, and stages stacked into one stage_many call give what each
-gives alone.
+the rho grid and the theorem-1 check read its grid cells, at the levels its
+caller names, and the RD curves its RD cells, at every level.  It relies
+on the Codec contract that f is deterministic: a chain runs no stage that
+it has run already, a stage f(x, q) is the item's single pass at q, and
+stages stacked into one stage_many call give what each gives alone.
 """
 from __future__ import annotations
 
@@ -282,41 +282,42 @@ def single_passes(
 def sweep_levels(
     ds: Dataset,
     codec: Codec,
-    cells: dict[int, tuple[int, ...]],
+    grid: list[int],
+    rd: bool,
     k_list: list[int],
     b: int,
     mode: str = "forced-min",
     master_seed: int = 0,
-) -> dict[int, dict[int, dict[int, list[PairOutcome]]]]:
-    """Run the cells that cells names, {q_min: streams}, b chains per item
-    and k, and return their outcomes as {q_min: {stream: {k: outcomes}}},
-    each ordered by (item, trial).  STREAM_RHO chains (the rho grid) read
-    d(f(x, q_min), chain) and no rate, STREAM_RD chains (the RD curves) the
-    rates and d(x, chain).  Streams, b, k_list and every q_min are checked,
-    and each item's sequences drawn, before that item's first stage.
+) -> tuple[dict[int, dict[int, list[PairOutcome]]], dict[int, dict[int, list[PairOutcome]]]]:
+    """Run b chains per item and k in each cell, and return (grid_cells,
+    rd_cells), each {q_min: {k: outcomes}} with outcomes in (item, trial)
+    order.  grid_cells holds a cell per distinct level of grid, in first-seen
+    order, whose chains read d(f(x, q_min), chain) and no rate; rd_cells, if
+    rd, one per ladder level, whose chains read the rates and d(x, chain).
+    b, k_list and every grid level are checked, and each item's sequences
+    drawn, before that item's first stage.
 
-    Items go one at a time.  An item's sequences are drawn over each cell's
-    distinct k in (q_min, stream, k, trial) order; its single passes at the
-    named levels, rated when some cell runs STREAM_RD (whose name a failing
-    pass then takes), seed every chain's memo (compress_chains), so the
-    chain (q_min,) is the single pass.  The chains run in draw order, in
-    lockstep groups of codec.stack_size(x); a group's outputs are dropped
-    before the next runs, and the item's passes before the next item's.  A
-    failing group runs again one chain at a time, so the CodecError raised
-    names the first failing chain's stream and q_min."""
-    for streams in cells.values():
-        if not streams or len(set(streams)) < len(streams) or not set(streams) <= set(STREAM_NAMES):
-            raise ValueError(f"streams must be distinct ids in {sorted(STREAM_NAMES)}: {streams!r}")
+    Items go one at a time.  An item's sequences are drawn over the sorted
+    levels, the grid's before the RD's at each, in (k, trial) order.  Its
+    single passes at those levels, rated (and named RD in a failure) iff rd,
+    seed every chain's memo (compress_chains), so the chain (q_min,) is the
+    single pass.  The chains run in draw order, in lockstep groups of
+    codec.stack_size(x); a group's outputs are dropped before the next runs,
+    and the item's passes before the next item's.  A failing group runs
+    again one chain at a time, so the CodecError raised names the first
+    failing chain's cell."""
     if b < 1:
         raise ValueError("b must be >= 1")
     if not k_list:
         raise ValueError("k_list must be non-empty")
-    for q in cells:
+    for q in grid:
         codec.check_quality(q)
-    out = {q: {stream: {k: [] for k in k_list} for stream in streams}
-           for q, streams in cells.items()}
-    rated = any(STREAM_RD in streams for streams in cells.values())
     q_max = codec.num_levels
+    grid_cells = {q: {k: [] for k in k_list} for q in grid}
+    rd_cells = {q: {k: [] for k in k_list} for q in range(1, q_max + 1)} if rd else {}
+    levels = sorted(grid_cells.keys() | rd_cells.keys())
+    cells = [(stream, q, by_q[q]) for q in levels  # in draw order
+             for stream, by_q in ((STREAM_RHO, grid_cells), (STREAM_RD, rd_cells)) if q in by_q]
 
     def run_group(group: list) -> None:  # of item i, in the loop below
         results = [None] * len(group)
@@ -324,49 +325,48 @@ def sweep_levels(
             # on failure, each chain runs alone below, in its own cell
             with contextlib.suppress(CodecError):
                 results = compress_chains(x, [c[4] for c in group], codec,
-                                          [c[1] == STREAM_RD for c in group], passes)
-        for (q_min, stream, k, t, levels), result in zip(group, results):
+                                          [c[0] == STREAM_RD for c in group], passes)
+        for (stream, q_min, outcomes, t, levels), result in zip(group, results):
             single, single_bits = passes.by_q[q_min]
-            rd = stream == STREAM_RD
+            rated = stream == STREAM_RD
             with _failing_in(stream, q_min):
                 if q_min not in mse_x_single:
                     mse_x_single[q_min] = _mse(x, single)
-                y, bits = result or compress_chain(x, levels, codec, rd, passes)
+                y, bits = result or compress_chain(x, levels, codec, rated, passes)
                 # a chain that ends on the single pass's samples is 0 from
                 # it and mse_x_single from x: no _mse
                 is_single = _same_signal(y, single)
-                out[q_min][stream][k].append(
+                outcomes.append(
                     PairOutcome(
                         item=i,
                         trial=t,
                         levels=levels,
                         mse_single_vs_chain=(
-                            None if rd else 0.0 if is_single else _mse(single, y)
+                            None if rated else 0.0 if is_single else _mse(single, y)
                         ),
                         mse_x_vs_single=mse_x_single[q_min],
                         mse_x_vs_chain=mse_x_single[q_min] if is_single else _mse(x, y),
-                        single_bpp=single_bits / samples if rd else None,
-                        chain_final_bpp=bits / samples if rd else None,
+                        single_bpp=single_bits / samples if rated else None,
+                        chain_final_bpp=bits / samples if rated else None,
                         peak=peak,
                     )
                 )
 
     for i, x in enumerate(ds.items):
-        chains = [  # (q_min, stream, k, trial, levels)
-            (q_min, stream, k, t, sample_quality_sequence(
+        chains = [  # (stream, q_min, outcomes, trial, levels)
+            (stream, q_min, by_k[k], t, sample_quality_sequence(
                 q_min, q_max, k, mode, derive_rng(master_seed, stream, q_min, k, i, t)))
-            for q_min, by_stream in out.items()
-            for stream, by_k in by_stream.items()
+            for stream, q_min, by_k in cells
             for k, t in itertools.product(by_k, range(b))
         ]
-        passes = single_passes(x, codec, cells, rated, STREAM_RD if rated else STREAM_RHO)
+        passes = single_passes(x, codec, levels, rd, STREAM_RD if rd else STREAM_RHO)
         peak, samples = signal_peak(x), signal_samples(x)
         mse_x_single = {}  # q_min -> d(x, f(x, q_min)), taken in its first chain's cell
         size = codec.stack_size(x)
         for start in range(0, len(chains), size):
             run_group(chains[start : start + size])  # its outputs go with its frame
         del passes  # before the next item's passes are built
-    return out
+    return grid_cells, rd_cells
 
 
 @dataclasses.dataclass

@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .chains import STREAM_RD, STREAM_RHO, sweep_levels, theorem1_from_outcomes
+from .chains import sweep_levels, theorem1_from_outcomes
 from .protocol import (
     ConfigError,
     EvalConfig,
@@ -73,10 +73,8 @@ def _cell_inputs(args, mode: str, q_min_list: list[int] | None = None):
 
 def _cmd_rd_curve(args) -> int:
     cfg, codec, ds = _cell_inputs(args, args.mode)
-    cells = dict.fromkeys(range(1, codec.num_levels + 1), (STREAM_RD,))
-    rd_single, rd_multi = rd_points(
-        sweep_levels(ds, codec, cells, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed)
-    )
+    _, rd_cells = sweep_levels(ds, codec, [], True, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed)
+    rd_single, rd_multi = rd_points(rd_cells)
     svg = render_svg(rd_single, rd_multi[args.k], title=f"{codec.codec_id} RD, k={args.k}")
     Path(args.out).write_bytes(svg)
     print(f"wrote RD chart to {args.out}")
@@ -86,10 +84,10 @@ def _cmd_rd_curve(args) -> int:
 def _cmd_check_theorem1(args) -> int:
     cfg, codec, ds = _cell_inputs(args, "forced-min", [args.qmin])
     (q_min,) = resolve_q_min_list(cfg, codec)
-    cells = sweep_levels(
-        ds, codec, {q_min: (STREAM_RHO,)}, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed
+    grid_cells, _ = sweep_levels(
+        ds, codec, [q_min], False, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed
     )
-    rec = theorem1_from_outcomes(cells[q_min][STREAM_RHO][args.k], q_min, args.k)
+    rec = theorem1_from_outcomes(grid_cells[q_min][args.k], q_min, args.k)
     print(f"q_min={rec.q_min} k={rec.k}")
     print(f"mean MSE single-pass: {rec.mean_single!r} (SE {rec.std_err_single!r})")
     print(f"mean MSE chain:       {rec.mean_chain!r} (SE {rec.std_err_chain!r})")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -74,12 +75,10 @@ class ExternalCodecSpec:
 
 
 def _substitute(template: str, mapping: dict[str, str]) -> list[str]:
-    argv = []
-    for token in shlex.split(template):
-        for key, value in mapping.items():
-            token = token.replace("{" + key + "}", value)
-        argv.append(token)
-    return argv
+    """The template's words, each {key} of mapping replaced in one pass: a
+    value that holds a placeholder, say a t{quality} directory, stays as is."""
+    return [re.sub(r"\{(\w+)\}", lambda m: mapping.get(m[1], m[0]), token)
+            for token in shlex.split(template)]
 
 
 def _run(argv: list[str], timeout: float, cwd: Path, what: str) -> None:

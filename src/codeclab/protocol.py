@@ -15,8 +15,6 @@ from .chains import (
     MODES,
     PairOutcome,
     RhoEstimate,
-    STREAM_RD,
-    STREAM_RHO,
     STREAM_SOURCE,
     Theorem1Record,
     compress_chain,
@@ -173,19 +171,17 @@ def _rd_point(q: int, bpps: list[float], mses: list[float], peak: float) -> RdPo
 
 
 def rd_points(
-    cells: dict[int, dict[int, dict[int, list[PairOutcome]]]],
+    rd_cells: dict[int, dict[int, list[PairOutcome]]],
 ) -> tuple[list[RdPoint], dict[int, list[RdPoint]]]:
     """The single-pass RD point per level and the multi-round points per k,
-    in the order of cells, a sweep_levels result whose every cell runs
-    STREAM_RD.
+    in level order, from the rd_cells of a sweep_levels run with rd true.
 
     rd_multi PSNR compares the chain final against the ORIGINAL signal; its
     bitrate is the final stage's (what a downstream consumer would hold).
     """
     rd_single: list[RdPoint] = []
     rd_multi: dict[int, list[RdPoint]] = {}
-    for q, by_stream in cells.items():
-        rd = by_stream[STREAM_RD]
+    for q, rd in rd_cells.items():
         singles = [o for o in next(iter(rd.values())) if o.trial == 0]
         peak = singles[0].peak
         rd_single.append(_rd_point(
@@ -217,9 +213,9 @@ def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> Idemp
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     q_levels = codec.num_levels
-    total = sum(q_levels**length for length in range(1, max_len + 1))
-    if total > SEQUENCE_GUARD:
-        raise ValueError(f"{total} sequences exceeds the {SEQUENCE_GUARD} guard")
+    totals = itertools.accumulate(q_levels**length for length in range(1, max_len + 1))
+    if any(total > SEQUENCE_GUARD for total in totals):  # stops at the first over it
+        raise ValueError(f"more than {SEQUENCE_GUARD} sequences: over the verify guard")
     max_mse = 0.0
     sum_mse = 0.0
     count = 0
@@ -250,16 +246,15 @@ def run_protocol(cfg: EvalConfig) -> EvalReport:
     codec = make_codec(cfg.codec, cfg.codec_options)
     ds = resolve_dataset(cfg, codec)
     q_min_list = resolve_q_min_list(cfg, codec)
-    cells = sweep_levels(ds, codec, {
-        q: (STREAM_RHO, STREAM_RD) if q in q_min_list else (STREAM_RD,)
-        for q in range(1, codec.num_levels + 1)
-    }, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed)
-    rd_single, rd_multi = rd_points(cells)
+    grid_cells, rd_cells = sweep_levels(
+        ds, codec, q_min_list, True, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed
+    )
+    rd_single, rd_multi = rd_points(rd_cells)
     grid: list[RhoEstimate] = []
     theorem1: list[Theorem1Record] = []
     for q_min in q_min_list:
         for k in cfg.k_list:
-            outcomes = cells[q_min][STREAM_RHO][k]
+            outcomes = grid_cells[q_min][k]
             grid.append(rho_from_outcomes(outcomes, q_min, k, cfg.b, cfg.distortion))
             theorem1.append(theorem1_from_outcomes(outcomes, q_min, k))
     config_echo = {

@@ -21,7 +21,7 @@ from codeclab import (
     sweep_levels,
     verify_strong_idempotence,
 )
-from codeclab.chains import STREAM_RD, STREAM_RHO, rho_from_outcomes, theorem1_from_outcomes
+from codeclab.chains import rho_from_outcomes, theorem1_from_outcomes
 from codeclab.cli import main
 from codeclab.signals import Dataset
 
@@ -39,12 +39,12 @@ def grid_source():
 @pytest.fixture(scope="module")
 def dct_cells(image_dataset, dct_codec):
     """Per-pair outcomes for every (q_min, k) cell used by criteria 4-6."""
-    swept = sweep_levels(
-        image_dataset, dct_codec, dict.fromkeys(range(1, 9), (STREAM_RHO,)), [10, 50], b=10,
+    grid_cells, _ = sweep_levels(
+        image_dataset, dct_codec, list(range(1, 9)), False, [10, 50], b=10,
         mode="forced-min", master_seed=2024,
     )
-    return {(q_min, k): outcomes for q_min, by_stream in swept.items()
-            for k, outcomes in by_stream[STREAM_RHO].items()}
+    return {(q_min, k): outcomes for q_min, by_k in grid_cells.items()
+            for k, outcomes in by_k.items()}
 
 
 def test_criterion_1_exhaustive_strong_idempotence(grid_source):
@@ -124,10 +124,9 @@ def test_criterion_7_bitrate_property():
     x = generate_uniform_source(4000, 13)
     ds = Dataset.from_source(x)
     ok = True
-    cells = sweep_levels(ds, codec, dict.fromkeys((1, 2, 3), (STREAM_RHO,)), [6], b=5,
-                         master_seed=3)
-    for q_min, by_stream in cells.items():
-        for o in by_stream[STREAM_RHO][6]:
+    grid_cells, _ = sweep_levels(ds, codec, [1, 2, 3], False, [6], b=5, master_seed=3)
+    for q_min, by_k in grid_cells.items():
+        for o in by_k[6]:
             y, _ = compress_chain(x, o.levels, codec)
             single, _ = codec.reconstruct(x, q_min)
             ok &= (
@@ -211,7 +210,7 @@ def test_criterion_10_external_jpeg(image_dataset, tmp_path):
         items=image_dataset.items[:1],
         item_names=image_dataset.item_names[:1],
     )
-    cells = dict.fromkeys(range(1, codec.num_levels + 1), (STREAM_RD,))
-    rd_single, rd_multi = rd_points(sweep_levels(ds, codec, cells, [5], b=2, master_seed=5))
+    _, rd_cells = sweep_levels(ds, codec, [], True, [5], b=2, master_seed=5)
+    rd_single, rd_multi = rd_points(rd_cells)
     ok = all(m.mean_psnr <= s.mean_psnr for s, m in zip(rd_single, rd_multi[5]))
     _verdict(10, ok, "multi-round JPEG curve at or below single-pass in PSNR")

@@ -396,7 +396,7 @@ class _BrokenDct(BlockDctCodec):
 def test_failure_in_a_group_is_the_first_in_chain_order(tmp_path, monkeypatch, capsys, seed):
     """A chain failing inside a lockstep group gives the CodecError text and
     the exit code that running the chains one at a time gives: the first
-    failing chain in (q_min, stream, k, trial) order names its stage."""
+    failing chain in (q_min, grid before RD, k, trial) order names its stage."""
     rng = np.random.default_rng(seed)
     items = [ImageBuffer(16, 16, 1, rng.integers(0, 256, 256, dtype=np.uint8))
              for _ in range(2)]
@@ -407,8 +407,7 @@ def test_failure_in_a_group_is_the_first_in_chain_order(tmp_path, monkeypatch, c
     messages = []
     for alone in (False, True):
         with pytest.raises(CodecError) as err:
-            sweep_levels(ds, _BrokenDct(alone), {2: (STREAM_RHO, STREAM_RD)}, [6, 2], 3,
-                         "literal", seed)
+            sweep_levels(ds, _BrokenDct(alone), [2], True, [6, 2], 3, "literal", seed)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert messages[0].endswith("(quality 3) failed: kaput at 3")
@@ -424,21 +423,22 @@ def test_failure_in_a_group_is_the_first_in_chain_order(tmp_path, monkeypatch, c
     assert runs[0][0] == 3 and "kaput at 3" in runs[0][1]
 
 
-def _cell(ds, codec, q_min, k_list, b, mode="forced-min", master_seed=0, streams=(STREAM_RHO,)):
-    """One cell's {stream: {k: outcomes}}, from a sweep that names it alone."""
-    return sweep_levels(ds, codec, {q_min: streams}, k_list, b, mode, master_seed)[q_min]
+def _cell(ds, codec, q_min, k_list, b, mode="forced-min", master_seed=0):
+    """One grid cell's {k: outcomes}, from a sweep that names it alone."""
+    grid_cells, _ = sweep_levels(ds, codec, [q_min], False, k_list, b, mode, master_seed)
+    return grid_cells[q_min]
 
 
 def _rho(ds, codec, q_min, k, b, master_seed=0):
     return rho_from_outcomes(
-        _cell(ds, codec, q_min, [k], b, master_seed=master_seed)[STREAM_RHO][k], q_min, k, b,
+        _cell(ds, codec, q_min, [k], b, master_seed=master_seed)[k], q_min, k, b,
     )
 
 
 def _per_trial(ds, codec, q_min, k, b, master_seed):
     return [
         o.mse_single_vs_chain
-        for o in _cell(ds, codec, q_min, [k], b, master_seed=master_seed)[STREAM_RHO][k]
+        for o in _cell(ds, codec, q_min, [k], b, master_seed=master_seed)[k]
     ]
 
 
@@ -481,7 +481,7 @@ class TestEstimateRho:
 
     def test_rmse_triangle_per_pair(self, source_ds):
         codec = make_codec("midpoint-scalar:3")
-        outcomes = _cell(source_ds, codec, 1, [6], 20, "forced-min", 11)[STREAM_RHO][6]
+        outcomes = _cell(source_ds, codec, 1, [6], 20, "forced-min", 11)[6]
         for o in outcomes:
             lhs = math.sqrt(o.mse_x_vs_chain)
             rhs = math.sqrt(o.mse_x_vs_single) + math.sqrt(o.mse_single_vs_chain)
@@ -497,7 +497,7 @@ class TestSweepRates:
         else:
             ds, codec = source_ds, make_codec("midpoint-scalar:3")
         with_rates = _reference_cell(ds, codec, 2, [1, 4], 2, "forced-min", 5, STREAM_RHO, True)
-        without = _cell(ds, codec, 2, [1, 4], 2, master_seed=5)[STREAM_RHO]
+        without = _cell(ds, codec, 2, [1, 4], 2, master_seed=5)
         for k, outcomes in with_rates.items():
             assert len(without[k]) == len(outcomes)
             for o, lean in zip(outcomes, without[k]):
@@ -520,16 +520,18 @@ class TestSweepRates:
                     calls.append(q)
                 return codec.stage(x, q, rate)
 
-        _cell(source_ds, Counting(), 1, [3, 5], 2, streams=(STREAM_RHO,))
+        _cell(source_ds, Counting(), 1, [3, 5], 2)
         assert calls == []
-        _cell(source_ds, Counting(), 1, [3, 5], 2, streams=(STREAM_RD,))
-        assert len(calls) == 1 + 2 * 2
+        sweep_levels(source_ds, Counting(), [], True, [3, 5], 2)
+        # at each of the 3 levels, the rated single pass and the last stage
+        # of each of the 2 x 2 chains
+        assert len(calls) == 3 * (1 + 2 * 2)
 
 
 def test_chain_ending_on_the_single_pass_reads_no_mse(monkeypatch, source_ds):
     """A nested forced-min chain ends on the single pass's cell map and
     table, so its distortions are the single pass's, with no _mse call and
-    no values gathered: one _mse per item, the single pass's own."""
+    no values gathered: one _mse per item and level, the single pass's own."""
     mse, calls = codeclab.chains._mse, []
 
     def counting(a, b):
@@ -537,22 +539,13 @@ def test_chain_ending_on_the_single_pass_reads_no_mse(monkeypatch, source_ds):
         return mse(a, b)
 
     monkeypatch.setattr(codeclab.chains, "_mse", counting)
-    cells = _cell(source_ds, make_codec("nested-scalar:3"), 2, [4, 7], 3,
-                  streams=(STREAM_RHO, STREAM_RD))
-    assert len(calls) == 1
-    for outcomes in cells.values():
-        for o in itertools.chain(*outcomes.values()):
+    grid_cells, rd_cells = sweep_levels(source_ds, make_codec("nested-scalar:3"), [2], True,
+                                        [4, 7], 3)
+    assert len(calls) == 3
+    for by_k in [*grid_cells.values(), *rd_cells.values()]:
+        for o in itertools.chain(*by_k.values()):
             assert o.mse_x_vs_chain == o.mse_x_vs_single
             assert o.mse_single_vs_chain in (0.0, None)
-
-
-@pytest.mark.parametrize("streams", [(7,), (STREAM_RHO, STREAM_RHO), ()],
-                         ids=["unknown", "repeated", "empty"])
-def test_sweep_refuses_bad_streams(source_ds, streams):
-    # the base Codec raises NotImplementedError on any call, so the
-    # ValueError must come before the first one, whichever cell names them
-    with pytest.raises(ValueError, match="streams must be distinct ids"):
-        sweep_levels(source_ds, Codec(), {1: (STREAM_RHO,), 2: streams}, [3], 2)
 
 
 @pytest.mark.parametrize("q_min, k_list, mode, error, match", [
@@ -562,7 +555,7 @@ def test_sweep_refuses_bad_streams(source_ds, streams):
     (2, [3], "bogus", ValueError, "unknown mode 'bogus'"),
 ], ids=["q_min", "k", "no-k", "mode"])
 def test_sweep_checks_every_q_min_before_any_stage(source_ds, q_min, k_list, mode, error, match):
-    """A q_min off the ladder in any named cell raises CodecError, and a k
+    """A grid level off the ladder, in any place, raises CodecError, and a k
     below 1, an empty k_list or an unknown mode ValueError, before the first
     stage of the first cell runs."""
     codec, calls = make_codec("midpoint-scalar:3"), []
@@ -575,8 +568,7 @@ def test_sweep_checks_every_q_min_before_any_stage(source_ds, q_min, k_list, mod
             return codec.stage(x, q, rate)
 
     with pytest.raises(error, match=match):
-        sweep_levels(source_ds, Counting(), {1: (STREAM_RHO,), q_min: (STREAM_RD,)},
-                     k_list, 2, mode)
+        sweep_levels(source_ds, Counting(), [1, q_min], True, k_list, 2, mode)
     assert calls == []
 
 
@@ -629,8 +621,8 @@ def _rgb_dataset():
 
 
 class TestSharedSinglePass:
-    """Streams that share one single pass give the outcomes each stream gives
-    on its own, chain for chain."""
+    """Grid and RD cells that share one single pass give the outcomes each
+    cell gives on its own, chain for chain."""
 
     @pytest.fixture(params=["midpoint", "nested", "dct-gray", "dct-rgb"])
     def case(self, request, source_ds, gray_images, dct_codec):
@@ -650,40 +642,40 @@ class TestSharedSinglePass:
         ds, codec = case
         k_list, b = [1, 3, 2], 3
         for q_min in (3, 1, 3, codec.num_levels):
-            cells = _cell(ds, codec, q_min, k_list, b, mode, 6, (STREAM_RHO, STREAM_RD))
-            assert list(cells) == [STREAM_RHO, STREAM_RD]
-            for stream, rates in {STREAM_RHO: False, STREAM_RD: True}.items():
+            cells = sweep_levels(ds, codec, [q_min], True, k_list, b, mode, 6)
+            for stream, by_q in zip((STREAM_RHO, STREAM_RD), cells):
                 ref = _reference_cell(
-                    ds, codec, q_min, k_list, b, mode, 6, stream, rates
+                    ds, codec, q_min, k_list, b, mode, 6, stream, stream == STREAM_RD
                 )
-                assert cells[stream] == _as_measured_in(stream, ref)
+                assert by_q[q_min] == _as_measured_in(stream, ref)
 
-    def test_cells_of_one_sweep_equal_per_stream(self, case):
-        """One sweep over cells that name different streams, in an unsorted
-        level order, gives each cell what that cell gives on its own."""
+    @pytest.mark.parametrize("rd", [True, False])
+    def test_cells_of_one_sweep_equal_per_stream(self, case, rd):
+        """One sweep over an unsorted grid with a repeat, with or without the
+        RD cells, gives each cell what that cell gives on its own: the grid
+        cells in first-seen order, and the RD cells at every level."""
         ds, codec = case
         k_list, b, top = [2, 1], 2, codec.num_levels
-        named = {3: (STREAM_RD, STREAM_RHO), 1: (STREAM_RD,), top: (STREAM_RHO,)}
-        cells = sweep_levels(ds, codec, named, k_list, b, "literal", 8)
-        assert {q: tuple(by_stream) for q, by_stream in cells.items()} == named
-        assert list(cells) == list(named)
-        for q_min, streams in named.items():
-            for stream in streams:
+        grid_cells, rd_cells = sweep_levels(ds, codec, [3, top, 1, 3], rd, k_list, b,
+                                            "literal", 8)
+        assert list(grid_cells) == [3, top, 1]
+        assert list(rd_cells) == (list(range(1, top + 1)) if rd else [])
+        for stream, cells in ((STREAM_RHO, grid_cells), (STREAM_RD, rd_cells)):
+            for q_min, by_k in cells.items():
                 ref = _reference_cell(
                     ds, codec, q_min, k_list, b, "literal", 8, stream, stream == STREAM_RD
                 )
-                assert cells[q_min][stream] == _as_measured_in(stream, ref)
+                assert by_k == _as_measured_in(stream, ref)
 
     def test_repeated_k_runs_once(self, case):
         """A k that k_list names twice is one key, drawn and run once: the
-        sweep equals one that names it once, items x b outcomes per (q,
-        stream, k)."""
+        sweep equals one that names it once, items x b outcomes per cell and
+        k."""
         ds, codec = case
-        named = {2: (STREAM_RHO, STREAM_RD), 1: (STREAM_RD,)}
-        twice = sweep_levels(ds, codec, named, [3, 1, 3], 2, "literal", 4)
-        assert twice == sweep_levels(ds, codec, named, [3, 1], 2, "literal", 4)
-        for by_stream in twice.values():
-            for by_k in by_stream.values():
+        twice = sweep_levels(ds, codec, [2], True, [3, 1, 3], 2, "literal", 4)
+        assert twice == sweep_levels(ds, codec, [2], True, [3, 1], 2, "literal", 4)
+        for cells in twice:
+            for by_k in cells.values():
                 assert list(by_k) == [3, 1]
                 assert all(len(outcomes) == 2 * len(ds.items) for outcomes in by_k.values())
 

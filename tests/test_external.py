@@ -2,6 +2,7 @@ import json
 import math
 import shutil
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -113,6 +114,19 @@ def test_quality_placeholder_substitution(tmp_path):
     out, bs = ExternalCodec(spec).reconstruct(img, 2)
     assert bs.payload == b"high"
     assert out.samples[0] == ord("h")
+
+
+def test_placeholder_in_a_substituted_path_stays(tmp_path, monkeypatch, copy_spec):
+    """A temporary directory whose name holds a placeholder reaches the coder
+    as it is: each placeholder of a template is replaced once, and a
+    substituted value is not searched again."""
+    tmp = tmp_path / "t{quality}"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    img = _random_image(4)
+    out, bs = ExternalCodec(copy_spec).reconstruct(img, 2)
+    assert out.same_as(img)
+    assert bs.payload == serialize_pnm(img)
 
 
 def test_encoder_failure_carries_diagnostics():

@@ -270,9 +270,7 @@ def test_sweep_holds_one_item_at_a_time():
             return y, bits
 
     codec = Tracking(make_codec("block-dct"), items)
-    cells = {q: (STREAM_RHO, STREAM_RD) if q in (1, 4) else (STREAM_RD,)
-             for q in range(1, codec.num_levels + 1)}
-    sweep_levels(ds, codec, cells, [1, 3], 2, "literal", 5)
+    sweep_levels(ds, codec, [1, 4], True, [1, 3], 2, "literal", 5)
     assert sorted(outputs) == [0, 1, 2]
     assert all(len(refs) > codec.num_levels for refs in outputs.values())
 
@@ -315,9 +313,7 @@ def test_fingerprints_at_most_one_per_stage_and_item(monkeypatch):
 
     monkeypatch.setattr(codeclab.chains, "_fingerprint", counting)
     monkeypatch.setattr(codec, "stage_many", counting_stages)
-    cells = {q: (STREAM_RHO, STREAM_RD) if q in (2, 5) else (STREAM_RD,)
-             for q in range(1, codec.num_levels + 1)}
-    sweep_levels(ds, codec, cells, [20], 2, "forced-min", 3)
+    sweep_levels(ds, codec, [2, 5], True, [20], 2, "forced-min", 3)
     assert stages and len(taken) <= len(stages) + len(items)
 
 
@@ -351,9 +347,45 @@ def test_protocol_builds_no_payload(tmp_path, monkeypatch, case):
     assert reports() == expected
 
 
+@pytest.mark.parametrize("case, expected", [
+    ("block-dct", (701, 212, 24)),
+    ("midpoint-scalar:4", (93, 93, 0)),
+], ids=["block-dct", "midpoint-scalar"])
+def test_work_per_report(tmp_path, monkeypatch, gray_images, case, expected):
+    """The stages, Codec.stage_many calls and block-DCT entropy codings that
+    one seeded report runs: a 64x64 crop of a test image through block-dct,
+    and a synthetic source through a midpoint ladder."""
+    stages, calls, entropy = [], [], []
+    dct = case == "block-dct"
+    cls = BlockDctCodec if dct else Codec
+    stage_many, entropy_bits = cls.stage_many, codeclab.blockdct._entropy_bits
+
+    def counting_stages(self, xs, qs, rates):
+        stages.extend(xs)
+        calls.append(len(xs))
+        return stage_many(self, xs, qs, rates)
+
+    def counting_entropy(blocks):
+        entropy.append(blocks.shape)
+        return entropy_bits(blocks)
+
+    monkeypatch.setattr(cls, "stage_many", counting_stages)
+    monkeypatch.setattr(codeclab.blockdct, "_entropy_bits", counting_entropy)
+    if dct:
+        crop = ImageBuffer(64, 64, 1, gray_images[0].samples.reshape(128, 192)[:64, :64])
+        (tmp_path / "a.pgm").write_bytes(serialize_pnm(crop))
+        cfg = EvalConfig(codec=case, dataset=str(tmp_path), q_min_list=[2, 5], k_list=[50],
+                         b=2, master_seed=1)
+    else:
+        cfg = EvalConfig(codec=case, codec_options={"source_n": 500}, q_min_list=[2, 3],
+                         k_list=[3, 10], b=2, master_seed=1)
+    run_protocol(cfg)
+    assert (len(stages), len(calls), len(entropy)) == expected
+
+
 def _theorem1(ds, codec, q_min, k, b):
-    cells = sweep_levels(ds, codec, {q_min: (STREAM_RHO,)}, [k], b)
-    return theorem1_from_outcomes(cells[q_min][STREAM_RHO][k], q_min, k)
+    grid_cells, _ = sweep_levels(ds, codec, [q_min], False, [k], b)
+    return theorem1_from_outcomes(grid_cells[q_min][k], q_min, k)
 
 
 class TestTheorem1:
@@ -375,9 +407,8 @@ class TestTheorem1:
 
 
 def _rd_curves(ds, codec, k_list, b):
-    """rd_points of a sweep that runs STREAM_RD at every level, as rd-curve does."""
-    cells = dict.fromkeys(range(1, codec.num_levels + 1), (STREAM_RD,))
-    return rd_points(sweep_levels(ds, codec, cells, k_list, b))
+    """rd_points of a sweep with no grid level, as rd-curve does."""
+    return rd_points(sweep_levels(ds, codec, [], True, k_list, b)[1])
 
 
 class TestRdCurves:

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from codeclab import EvalConfig, ImageBuffer, make_codec, run_protocol, serializ
 from codeclab.cli import main
 from codeclab.chains import RhoEstimate, Theorem1Record
 from codeclab.codecs import ScalarQuantizerCodec
-from codeclab.protocol import EvalReport, RdPoint
+from codeclab.protocol import EvalReport, RdPoint, verify_strong_idempotence
 from codeclab.report import emit_report, render_svg
 
 
@@ -159,6 +160,17 @@ class TestCli:
 
     def test_verify_rejects_image_codec(self):
         assert main(["verify", "--codec", "block-dct", "--max-len", "2"]) == 2
+
+    def test_verify_guard_refuses_before_counting_every_length(self, capsys):
+        """A sweep over the guard is refused as soon as the count passes it,
+        not after summing L**len up to max_len: at max_len 200000 that sum
+        runs for most of a minute and is too long to print."""
+        start = time.monotonic()
+        assert main(["verify", "--codec", "nested-scalar:2", "--max-len", "200000"]) == 2
+        assert time.monotonic() - start < 5.0
+        assert "more than 1000000 sequences" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="guard"):
+            verify_strong_idempotence(make_codec("nested-scalar:2"), [], 200_000)
 
     @pytest.mark.parametrize("max_len", ["0", "-2"])
     def test_verify_max_len_below_one_exit_2(self, capsys, max_len):

@@ -3,12 +3,13 @@
     python3 tools/cmp_reports.py --base REF
 
 Extracts `git archive REF` into a temporary directory, writes small image
-corpora (perfbench/corpus.py), the configs and a `cp` external codec spec into
-the same directory, and runs one fixed set of `python3 -m codeclab.cli`
-commands against each tree's `src/`.  Prints `same` or `DIFFERS` for every
-artefact (a report or SVG file, or a command's exit code and stdout), then one
-tally line, `N same, M DIFFERS`, and exits 1 if any differs, 2 if REF cannot be
-archived.  The temporary directory is removed afterwards.
+corpora (perfbench/corpus.py), the configs and two external codec specs, `cp`
+and an always failing `false`, into the same directory, and runs one fixed set
+of `python3 -m codeclab.cli` commands against each tree's `src/`.  Prints
+`same` or `DIFFERS` for every artefact (a report or SVG file, or a command's
+exit code, stdout and stderr), then one tally line, `N same, M DIFFERS`, and
+exits 1 if any differs, 2 if REF cannot be archived.  The temporary directory
+is removed afterwards.
 """
 from __future__ import annotations
 
@@ -73,6 +74,16 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
         "decode_cmd": "cp {input} {output}",
         "quality_map": ["1", "2", "3"],
     }))
+    # a coder that always fails: the error text names the failing cell
+    failing = work / "false.json"
+    failing.write_text(json.dumps({
+        "encode_cmd": "false",
+        "decode_cmd": "cp {input} {output}",
+        "quality_map": ["1", "2", "3"],
+    }))
+    (work / "failing.json").write_text(json.dumps({
+        "codec": f"external:{failing}", "dataset": str(gray), "q_min_list": [2],
+        "k_list": [2], "b": 1}))
     configs = {
         "dct-gray": {"codec": "block-dct", "dataset": str(gray), "q_min_list": [5, 2, 2],
                      "k_list": [3, 1, 3], "b": 2, "distortion": "PSNR", "master_seed": 3},
@@ -174,6 +185,12 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
         ("check-theorem1-dct-exit-4", ["check-theorem1", "--codec", "block-dct", "--dataset",
                                        str(gray64), "--qmin", "6", "--k", "2", "--b", "1",
                                        "--seed", "1"], None),
+        # exit 3 with the failing RD cell's and grid cell's names on stderr
+        ("evaluate-external-failing", ["evaluate", "--config", str(work / "failing.json"),
+                                       "--out", "failing-report.json"], None),
+        ("check-theorem1-external-failing", ["check-theorem1", "--codec",
+                                             f"external:{failing}", "--dataset", str(gray),
+                                             "--qmin", "2", "--k", "2", "--b", "1"], None),
         ("toy-demo-nested", ["toy-demo", "--levels", "3", "--ladder", "nested"], None),
         # the 4-level nested ladder's lowest level is 9/16, not a midpoint
         ("toy-demo-nested-4", ["toy-demo", "--levels", "4", "--ladder", "nested"], None),
@@ -183,13 +200,13 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
 
 
 def _run(tree: Path, out_dir: Path, args: list[str], out: str | None) -> bytes | None:
-    """The artefact's bytes: the output file, or exit code and stdout."""
+    """The artefact's bytes: the output file, or exit code, stdout and stderr."""
     out_dir.mkdir(exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run([sys.executable, "-m", "codeclab.cli", *args], cwd=out_dir,
                           env=env, capture_output=True)
     if out is None:
-        return b"exit %d\n" % proc.returncode + proc.stdout
+        return b"exit %d\n" % proc.returncode + proc.stdout + b"stderr:\n" + proc.stderr
     if proc.returncode != 0 or not (out_dir / out).is_file():
         sys.stderr.write(f"{tree.name}: {' '.join(args[:1])} {out} failed:\n"
                          f"{proc.stderr.decode(errors='replace')}")
