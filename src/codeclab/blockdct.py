@@ -14,12 +14,15 @@ Planes run in call order, each at its own level.  Each band runs the whole
 pipeline while it is in cache, in place on the edge-padded planes viewed as
 rows of 8x8 blocks: uint8 samples are level-shifted straight into them, the
 band is divided and multiplied by its planes' tables, gathered once per
-group of planes, and decoded pixels go from them straight into the band's
-rows of fresh uint8 images, so a stage allocates no full-plane float
-temporary.  Only the payload and the rate read the indices in block order,
-from an int16 copy that each band fills its part of; decode copies them
-back into the band and shares the stage's multiply, inverse and pixel
-tail.  One instance must not run two stages at once.
+group of planes into a buffer of the band's shape, and decoded pixels go
+from them straight into the band's rows of fresh uint8 images, so a stage
+allocates no full-plane float temporary.  No index of uint8 samples passes
+1024 with tables of at least 1, so a band's int16 range is checked only
+when some level's table could let one out.  Only the payload and the rate
+read the indices in block order, from an int16 copy that each band fills
+its part of; decode copies them back into the band and shares the stage's
+multiply, inverse and pixel tail.  One instance must not run two stages at
+once.
 """
 from __future__ import annotations
 
@@ -65,6 +68,20 @@ def _dct_matrix() -> np.ndarray:
 _DCT = _dct_matrix()
 # contiguous, so that matmul takes the BLAS path with it as either operand
 _DCT_T = np.ascontiguousarray(_DCT.T)
+
+
+def _coefficient_bound() -> np.ndarray:
+    """The largest |coefficient| at each of the 64 positions of a block of
+    level-shifted uint8 samples, -128 .. 127: coefficient (u, v) is the sum
+    of the samples times basis b = D[u, x] * D[v, y], largest in magnitude
+    at s = 127 or -128 by the sign of b, which gives 127.5 * sum |b| +
+    0.5 * |sum b|, both sums outer products of row sums of D.  It peaks at
+    1024, the DC term of a block of all 0 samples."""
+    a, c = np.abs(_DCT).sum(axis=1), _DCT.sum(axis=1)
+    return 127.5 * np.outer(a, a) + 0.5 * np.abs(np.outer(c, c))
+
+
+_COEFF_BOUND = _coefficient_bound()
 
 
 def dct2_8x8(
@@ -117,15 +134,27 @@ def scale_quant_table(q_native: int) -> np.ndarray:
     return np.clip(scaled, 1, 255)
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+_HALF_BITS = np.float64(0.5).view(np.uint64)
+
+
 def round_half_away(
     x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    """trunc(x + copysign(0.5, x)); out may be x itself, and scratch, an array
-    of x's shape distinct from both, takes the signed halves."""
-    y = np.copysign(0.5, x, out=scratch)
+    """trunc(x + copysign(0.5, x)) in float64; out may be x itself, and
+    scratch, a float64 array of x's shape distinct from both, takes the
+    signed halves.  Each half is built on the bits, x's sign bit or'ed into
+    those of 0.5, which is copysign(0.5, x) bit for bit in two integer
+    passes that cost less than np.copysign."""
+    x = np.asarray(x, dtype=np.float64)
+    if scratch is None:
+        scratch = np.empty_like(x)
+    bits = scratch.view(np.uint64)
+    np.bitwise_and(x.view(np.uint64), _SIGN_BIT, out=bits)
+    bits |= _HALF_BITS
     if out is None:
-        out = y
-    np.add(x, y, out=out)
+        out = scratch
+    np.add(x, scratch, out=out)
     return np.trunc(out, out=out)
 
 
@@ -160,11 +189,20 @@ class _Workspace:
     such buffer, takes the DCT intermediate and the rounding signs; tables
     holds every level's quantization table tiled along a block row,
     (levels, 8, 8 * wb), from which a group of planes gathers its planes'
-    tables; rated, (k, hb * wb, 64), holds the int16 block-order indices of
-    a stage_many call's rated planes, k the most that any call has rated.
-    rated is kept across calls because fresh arrays of its size, 1.2 MB for
-    512x384 RGB, go back to the system between calls and are faulted in
-    again."""
+    tables into band_tables, (planes, band, 8, 8 * wb), plane p's table in
+    every block row of band_tables[p], so that a band is divided and
+    multiplied by an array of its own shape; rated, (k, hb * wb, 64), holds
+    the int16 block-order indices of a stage_many call's rated planes, k the
+    most that any call has rated.  rated is kept across calls because fresh
+    arrays of its size, 1.2 MB for 512x384 RGB, go back to the system
+    between calls and are faulted in again.
+
+    may_overflow is whether an index of uint8 samples can leave int16 range
+    at some level, decided once from the tables: an index of 32768 needs a
+    quotient of 32767.5, so a level whose coefficient bound over its table
+    stays below 32767 cannot give one, the half to spare absorbing the float
+    error of the transform.  With tables of at least 1, as every native
+    quality gives, no index passes 1024 and no band is checked."""
 
     def __init__(self, height: int, width: int, tables: list[np.ndarray]):
         self.shape = (height, width)
@@ -174,7 +212,9 @@ class _Workspace:
         self.rows = np.empty((self.planes * self.band, 8, 8 * self.wb))
         self.scratch = np.empty_like(self.rows)
         self.tables = np.tile(tables, self.wb)
+        self.band_tables = np.empty((self.planes, self.band, 8, 8 * self.wb))
         self.rated = np.empty((0, self.hb * self.wb, 64), np.int16)
+        self.may_overflow = bool((_COEFF_BOUND / np.asarray(tables)).max() >= 32767)
 
     def block_view(self, blocks: np.ndarray, r0: int, r1: int) -> np.ndarray:
         """Block rows r0 .. r1 - 1 of a plane's (hb * wb, 64) indices in
@@ -213,6 +253,24 @@ def _pixels_from_coeffs(ws: _Workspace, rows: np.ndarray, y0: int,
     _round_to_pixels(pixels[:, : y1 - y0, :w], [out[y0:y1] for out in outs])
 
 
+def _position_extremes(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-position min and max of (nblocks, 64) indices.  A reduction over
+    axis 0 steps one 64-wide row at a time, so from 192 blocks on, where
+    that per-row cost outweighs two more reductions (timeit), each run of
+    64 whole blocks is one row of 64 * 64, reduced over the runs, then over
+    its 64 blocks; the tail rows, fewer than 64, are reduced on their own."""
+    if len(indices) < 192:
+        return indices.min(axis=0), indices.max(axis=0)
+    k = len(indices) - len(indices) % 64
+    wide = indices[:k].reshape(-1, 64 * 64)
+    lo = wide.min(axis=0).reshape(64, 64).min(axis=0)
+    hi = wide.max(axis=0).reshape(64, 64).max(axis=0)
+    if k < len(indices):
+        np.minimum(lo, indices[k:].min(axis=0), out=lo)
+        np.maximum(hi, indices[k:].max(axis=0), out=hi)
+    return lo, hi
+
+
 def _entropy_bits(indices: np.ndarray) -> float:
     """Sum over the 64 coefficient positions of blocks * H(position histogram).
 
@@ -223,7 +281,7 @@ def _entropy_bits(indices: np.ndarray) -> float:
     own, positions in order, so the result is bit-for-bit that of a loop over
     the 64 positions."""
     nblocks = indices.shape[0]
-    lo, hi = indices.min(axis=0), indices.max(axis=0)
+    lo, hi = _position_extremes(indices)
     multi = np.flatnonzero(hi > lo)
     lo = lo[multi].astype(np.int64)
     start = np.zeros(len(multi) + 1, dtype=np.int64)
@@ -282,7 +340,8 @@ class BlockDctCodec(Codec):
         width) planes, at most ws.planes of them, as block rows (m * n, 8,
         8 * wb) of float64 integers in int16 range, n = r1 - r0, plane p in
         rows p * n .. (p + 1) * n - 1.  The band is divided by tables, the
-        planes' gathered tables, (m, 1, 8, 8 * wb), plane p by tables[p].
+        planes' gathered tables of the band's shape, (m, n, 8, 8 * wb),
+        plane p by tables[p]; its range is checked only if ws.may_overflow.
         They live in the workspace's ws.rows, which the next band
         overwrites."""
         n, m = r1 - r0, len(planes)
@@ -292,7 +351,7 @@ class BlockDctCodec(Codec):
         coeffs = rows.reshape(m, n, 8, 8 * ws.wb)
         coeffs /= tables
         round_half_away(rows, out=rows, scratch=scratch)
-        if rows.max() > 32767 or rows.min() < -32767:
+        if ws.may_overflow and (rows.max() > 32767 or rows.min() < -32767):
             raise CodecError("quantized coefficient out of int16 range")
         return rows
 
@@ -304,7 +363,8 @@ class BlockDctCodec(Codec):
         levels[p], in call order, one band at a time: ws.planes planes and
         ws.band block rows of each, so that a band's float64 rows stay in
         cache through every step.  Each group of planes gathers its levels'
-        tables once, and each band is divided and multiplied by them.
+        tables once into ws.band_tables, and each band is divided and
+        multiplied by them.
 
         sources are the uint8 (height, width) planes to quantize, or None to
         dequantize the indices in blocks, which are copied into the band and
@@ -317,10 +377,12 @@ class BlockDctCodec(Codec):
         int16 range."""
         for start in range(0, len(levels), ws.planes):
             stop = start + ws.planes
-            tables = ws.tables[np.asarray(levels[start:stop]) - 1][:, None]
+            group = ws.tables[np.asarray(levels[start:stop]) - 1]
+            ws.band_tables[: len(group)] = group[:, None]
             for r0 in range(0, ws.hb, ws.band):
                 r1 = min(r0 + ws.band, ws.hb)
                 n = r1 - r0
+                tables = ws.band_tables[: len(group), :n]
                 if sources is None:
                     rows = ws.rows[: len(tables) * n]
                 else:

@@ -54,6 +54,9 @@ def _same_signal(a: Signal, b: Signal) -> bool:
     )
 
 
+_MSE_CHUNK = 32768  # squares summed per uint32 partial sum in an image _mse
+
+
 def _mse(a: Signal, b: Signal) -> float:
     if _same_signal(a, b):
         return 0.0  # equal samples: the mean of n zeros
@@ -78,7 +81,14 @@ def _mse(a: Signal, b: Signal) -> float:
         # < 2**16, so the wrapped product of their two's-complement bits is it
         diff = np.subtract(a.samples, b.samples, dtype=np.int16).view(np.uint16)
         diff *= diff
-        return int(diff.sum(dtype=np.int64)) / diff.size
+        n = diff.size
+        if n <= _MSE_CHUNK:
+            return int(diff.sum(dtype=np.int64)) / n
+        # uint32 sums of whole chunks, which cost about half an int64 sum
+        # and are exact: a chunk's sum is at most 32768 * 255**2 < 2**32
+        k = n - n % _MSE_CHUNK
+        chunks = diff[:k].reshape(-1, _MSE_CHUNK).sum(axis=1, dtype=np.uint32)
+        return (int(chunks.sum(dtype=np.int64)) + int(diff[k:].sum(dtype=np.int64))) / n
     raise ValueError("cannot compare an image with a source vector")
 
 

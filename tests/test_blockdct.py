@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 import codeclab.blockdct
 from codeclab import BlockDctCodec, ImageBuffer, compress_chain, dct2_8x8, scale_quant_table
 from codeclab.blockdct import (
+    _COEFF_BOUND,
     _DCT,
     BASE_QUANT_TABLE,
     _entropy_bits,
+    _position_extremes,
     _pad_to_blocks,
     _round_to_pixels,
     round_half_away,
@@ -134,6 +136,34 @@ class TestRounding:
         in_place = vals.copy()
         assert round_half_away(in_place, out=in_place) is in_place
         assert np.array_equal(in_place, reference(vals))
+
+    def test_sign_bit_halves_equal_copysign(self):
+        """The halves built on the bits are np.copysign(0.5, x), and the
+        result trunc(x + copysign(0.5, x)), bit for bit: a zero's sign
+        counts, as do subnormals, the neighbours of 2**52 and infinities."""
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edge = np.array([2.0**52, 2.0**53, 2.0**51 + 0.5])
+        pos = np.concatenate([
+            [0.0, tiny, 2 * tiny, np.finfo(np.float64).smallest_normal / 3, np.inf],
+            edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf),
+            np.arange(0, 2000) + 0.5, np.nextafter(np.arange(0, 2000) + 0.5, 0),
+        ])
+        vals = np.concatenate([pos, -pos])
+        halves, out = np.empty_like(vals), np.empty_like(vals)
+        assert round_half_away(vals, out=out, scratch=halves) is out
+        bits = np.copysign(0.5, vals)
+        assert np.array_equal(halves.view(np.uint64), bits.view(np.uint64))
+        old = np.trunc(vals + np.copysign(0.5, vals))
+        assert np.array_equal(out.view(np.uint64), old.view(np.uint64))
+        assert np.array_equal(round_half_away(vals).view(np.uint64), old.view(np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int16, np.float32])
+    def test_other_dtypes_round_in_float64(self, dtype):
+        vals = np.array([0, 1, -2, 7, -0.5, 2.5, 0.49999997], dtype=dtype)
+        wide = vals.astype(np.float64)
+        got = round_half_away(vals)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.trunc(wide + np.copysign(0.5, wide)))
 
 
 class TestBlockDctCodec:
@@ -259,6 +289,32 @@ class TestStage:
             codec.encode(x, 1)
         with pytest.raises(CodecError, match="int16"):
             codec.stage(x, 1)
+
+    def test_no_native_quality_checks_int16_range(self):
+        """Every table of native qualities 1-100 has entries of at least 1,
+        so no index of uint8 samples passes 1024 and no band is checked;
+        the tampered tables of the int16 tests keep the check on."""
+        codec = BlockDctCodec(range(1, 101))
+        assert not codec._workspace(64, 64).may_overflow
+        assert not BlockDctCodec()._workspace(37, 21).may_overflow
+        assert np.argmax(_COEFF_BOUND) == 0 and _COEFF_BOUND[0, 0] == pytest.approx(1024.0)
+        codec._tables[40] = np.ones((8, 8))
+        codec._tables[40][0, 0] = 1 / 32
+        assert codec._workspace(64, 48).may_overflow
+
+    def test_coefficient_bound_is_reached(self):
+        """A block of 0s and 255s by the sign of basis (u, v), or by its
+        opposite, the blocks of largest |coefficient| at (u, v), reaches the
+        bound there within 1 and does not pass it: 255 where the basis is
+        positive gives 127 * P + 128 * N, P and N the sums of its positive
+        and negative parts, the opposite 128 * P + 127 * N."""
+        for u, v in itertools.product(range(8), repeat=2):
+            basis = np.outer(_DCT[u], _DCT[v])
+            best = 0.0
+            for high in (basis > 0, basis < 0):
+                block = np.where(high, 255.0, 0.0) - 128.0
+                best = max(best, abs(dct2_8x8(block)[u, v]))
+            assert _COEFF_BOUND[u, v] - 1 <= best <= _COEFF_BOUND[u, v] + 1e-9
 
     @pytest.mark.parametrize("rgb, calls", [(False, 1), (True, 3)])
     def test_chain_entropy_codes_last_stage_only(
@@ -701,6 +757,22 @@ class TestEntropyBits:
             indices = np.clip(np.round(rng.laplace(0.0, spread, (n, 64))), -32767, 32767)
             indices = indices.astype(np.int16)
             assert _entropy_bits(indices) == _entropy_bits_loop(indices)
+
+    @pytest.mark.parametrize("nblocks", [1, 63, 64, 65, 191, 192, 3072, 3073])
+    def test_wide_rows_and_tail(self, nblocks):
+        """From 192 blocks on, runs of 64 whole blocks are reduced as wide
+        rows and the tail rows on their own: extremes placed in the last
+        row and in the last whole run are found, and the rate is the loop's."""
+        rng = np.random.default_rng(nblocks)
+        indices = np.round(rng.laplace(0.0, np.linspace(30.0, 0.5, 64), (nblocks, 64)))
+        indices[-1, ::2] = 900
+        indices[-1, 1::2] = -900
+        indices[(nblocks - 1) // 64 * 64 - 1, 3] = -1200
+        indices = indices.astype(np.int16)
+        lo, hi = _position_extremes(indices)
+        assert np.array_equal(lo, indices.min(axis=0))
+        assert np.array_equal(hi, indices.max(axis=0))
+        assert _entropy_bits(indices) == _entropy_bits_loop(indices)
 
     def test_constant_is_zero_bits(self):
         assert _entropy_bits(np.full((10, 64), 5, np.int16)) == 0.0

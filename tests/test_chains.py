@@ -74,10 +74,14 @@ class TestDistortion:
         with pytest.raises(ValueError):
             distortion(SourceVector(np.zeros(4) + 0.5), ImageBuffer(2, 2, 1, np.zeros(4, np.uint8)))
 
-    @pytest.mark.parametrize(
-        "width, height, channels", [(1, 1, 1), (1, 1, 3), (37, 21, 3), (64, 48, 1), (512, 384, 3)]
-    )
+    @pytest.mark.parametrize("width, height, channels", [
+        (1, 1, 1), (1, 1, 3), (37, 21, 3), (64, 48, 1), (217, 151, 1), (128, 256, 1),
+        (10923, 1, 3), (512, 384, 3),
+    ])
     def test_image_mse_equals_float_mean(self, width, height, channels):
+        """Also the Python-int sum of squares over n, at n of 1, 32767, 32768,
+        32769 and 589824 among others, all-0 against all-255 too: every
+        square 65025, so a partial sum that wrapped would show."""
         n = width * height * channels
         rng = np.random.default_rng(n)
         near = rng.integers(0, 256, n, dtype=np.uint8)
@@ -89,6 +93,7 @@ class TestDistortion:
         for a, b in pairs:
             diff = a.astype(np.float64) - b.astype(np.float64)
             expected = float(np.mean(diff * diff))
+            assert expected == sum(d * d for d in diff.astype(int).tolist()) / n
             x, y = (ImageBuffer(width, height, channels, s) for s in (a, b))
             assert distortion(x, y) == expected
             assert distortion(y, x) == expected
