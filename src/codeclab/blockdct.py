@@ -16,13 +16,12 @@ rows of 8x8 blocks: uint8 samples are level-shifted straight into them, the
 band is divided and multiplied by its planes' tables, gathered once per
 group of planes into a buffer of the band's shape, and decoded pixels go
 from them straight into the band's rows of fresh uint8 images, so a stage
-allocates no full-plane float temporary.  No index of uint8 samples passes
-1024 with tables of at least 1, so a band's int16 range is checked only
-when some level's table could let one out.  Only the payload and the rate
-read the indices in block order, from an int16 copy that each band fills
-its part of; decode copies them back into the band and shares the stage's
-multiply, inverse and pixel tail.  One instance must not run two stages at
-once.
+allocates no full-plane float temporary.  Every table entry is at least 1,
+so no index of uint8 samples passes 1024 and every index fits int16.  Only
+the payload and the rate read the indices in block order, from an int16
+copy that each band fills its part of; decode copies them back into the
+band and shares the stage's multiply, inverse and pixel tail.  One instance
+must not run two stages at once.
 """
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .codecs import Bitstream, Codec, CodecError
+from .codecs import Bitstream, Codec, CodecError, check_stage_lists
 from .signals import ImageBuffer
 
 # ITU-T T.81 Annex K luminance quantization table.
@@ -68,20 +67,6 @@ def _dct_matrix() -> np.ndarray:
 _DCT = _dct_matrix()
 # contiguous, so that matmul takes the BLAS path with it as either operand
 _DCT_T = np.ascontiguousarray(_DCT.T)
-
-
-def _coefficient_bound() -> np.ndarray:
-    """The largest |coefficient| at each of the 64 positions of a block of
-    level-shifted uint8 samples, -128 .. 127: coefficient (u, v) is the sum
-    of the samples times basis b = D[u, x] * D[v, y], largest in magnitude
-    at s = 127 or -128 by the sign of b, which gives 127.5 * sum |b| +
-    0.5 * |sum b|, both sums outer products of row sums of D.  It peaks at
-    1024, the DC term of a block of all 0 samples."""
-    a, c = np.abs(_DCT).sum(axis=1), _DCT.sum(axis=1)
-    return 127.5 * np.outer(a, a) + 0.5 * np.abs(np.outer(c, c))
-
-
-_COEFF_BOUND = _coefficient_bound()
 
 
 def dct2_8x8(
@@ -195,16 +180,9 @@ class _Workspace:
     the int16 block-order indices of a stage_many call's rated planes, k the
     most that any call has rated.  rated is kept across calls because fresh
     arrays of its size, 1.2 MB for 512x384 RGB, go back to the system
-    between calls and are faulted in again.
+    between calls and are faulted in again."""
 
-    may_overflow is whether an index of uint8 samples can leave int16 range
-    at some level, decided once from the tables: an index of 32768 needs a
-    quotient of 32767.5, so a level whose coefficient bound over its table
-    stays below 32767 cannot give one, the half to spare absorbing the float
-    error of the transform.  With tables of at least 1, as every native
-    quality gives, no index passes 1024 and no band is checked."""
-
-    def __init__(self, height: int, width: int, tables: list[np.ndarray]):
+    def __init__(self, height: int, width: int, tables: np.ndarray):
         self.shape = (height, width)
         self.hb, self.wb = -(-height // 8), -(-width // 8)
         self.planes = max(1, STACK_BYTES // (512 * self.hb * self.wb))
@@ -214,7 +192,6 @@ class _Workspace:
         self.tables = np.tile(tables, self.wb)
         self.band_tables = np.empty((self.planes, self.band, 8, 8 * self.wb))
         self.rated = np.empty((0, self.hb * self.wb, 64), np.int16)
-        self.may_overflow = bool((_COEFF_BOUND / np.asarray(tables)).max() >= 32767)
 
     def block_view(self, blocks: np.ndarray, r0: int, r1: int) -> np.ndarray:
         """Block rows r0 .. r1 - 1 of a plane's (hb * wb, 64) indices in
@@ -319,7 +296,10 @@ class BlockDctCodec(Codec):
         if not qs or list(qs) != sorted(set(qs)):
             raise ValueError("native qualities must be strictly increasing")
         self.native_qualities = qs
-        self._tables = [scale_quant_table(q).astype(np.float64) for q in qs]
+        # (levels, 8, 8), read-only: scale_quant_table's entries of at least 1
+        # are what keeps every index in int16
+        self._tables = np.array([scale_quant_table(q) for q in qs], np.float64)
+        self._tables.flags.writeable = False
         self._ws: _Workspace | None = None
 
     @property
@@ -341,19 +321,15 @@ class BlockDctCodec(Codec):
         8 * wb) of float64 integers in int16 range, n = r1 - r0, plane p in
         rows p * n .. (p + 1) * n - 1.  The band is divided by tables, the
         planes' gathered tables of the band's shape, (m, n, 8, 8 * wb),
-        plane p by tables[p]; its range is checked only if ws.may_overflow.
-        They live in the workspace's ws.rows, which the next band
-        overwrites."""
+        plane p by tables[p].  They live in the workspace's ws.rows, which
+        the next band overwrites."""
         n, m = r1 - r0, len(planes)
         rows, scratch = ws.rows[: m * n], ws.scratch[: m * n]
         _pad_to_blocks(planes, 8 * r0, rows.reshape(m, 8 * n, 8 * ws.wb))
         dct2_8x8(rows, out=rows, scratch=scratch)
         coeffs = rows.reshape(m, n, 8, 8 * ws.wb)
         coeffs /= tables
-        round_half_away(rows, out=rows, scratch=scratch)
-        if ws.may_overflow and (rows.max() > 32767 or rows.min() < -32767):
-            raise CodecError("quantized coefficient out of int16 range")
-        return rows
+        return round_half_away(rows, out=rows, scratch=scratch)
 
     def _bands(
         self, ws: _Workspace, levels: Sequence[int], sources: Sequence[np.ndarray] | None,
@@ -373,8 +349,7 @@ class BlockDctCodec(Codec):
         None, takes plane p's indices band by band when sources is given,
         and gives them when it is not.  targets are the uint8 (height,
         width) arrays that take the decoded planes, or None to stop at the
-        indices.  Raises CodecError at the first band whose indices leave
-        int16 range."""
+        indices."""
         for start in range(0, len(levels), ws.planes):
             stop = start + ws.planes
             group = ws.tables[np.asarray(levels[start:stop]) - 1]
@@ -451,6 +426,7 @@ class BlockDctCodec(Codec):
         for an image whose rates entry is true, and to the inverse, not
         through int16 bytes.  Each image is written to its own fresh uint8
         array.  Images of more than one shape go one at a time."""
+        check_stage_lists(imgs, qs, rates)
         for q in qs:
             self.check_quality(q)
         if len({(img.height, img.width, img.channels) for img in imgs}) != 1:

@@ -304,8 +304,8 @@ def sweep_levels(
     order.  grid_cells holds a cell per distinct level of grid, in first-seen
     order, whose chains read d(f(x, q_min), chain) and no rate; rd_cells, if
     rd, one per ladder level, whose chains read the rates and d(x, chain).
-    b, k_list and every grid level are checked, and each item's sequences
-    drawn, before that item's first stage.
+    b, k_list, ds's items (at least one) and every grid level are checked,
+    and each item's sequences drawn, before that item's first stage.
 
     Items go one at a time.  An item's sequences are drawn over the sorted
     levels, the grid's before the RD's at each, in (k, trial) order.  Its
@@ -320,6 +320,8 @@ def sweep_levels(
         raise ValueError("b must be >= 1")
     if not k_list:
         raise ValueError("k_list must be non-empty")
+    if not ds.items:
+        raise ValueError("dataset has no items")
     for q in grid:
         codec.check_quality(q)
     q_max = codec.num_levels

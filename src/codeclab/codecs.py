@@ -35,6 +35,13 @@ class Bitstream:
             raise ValueError("bits_used must be >= 0")
 
 
+def check_stage_lists(xs: list, qs: list, rates: list) -> None:
+    """Refuse stage_many lists of unequal lengths, which zip would cut short."""
+    if not len(xs) == len(qs) == len(rates):
+        raise ValueError(f"stage_many: {len(xs)} inputs, {len(qs)} qualities and "
+                         f"{len(rates)} rates")
+
+
 class Codec:
     """Encoder-decoder pair with a quality ladder, f(x, q)."""
 
@@ -72,7 +79,9 @@ class Codec:
     def stage_many(self, xs: list, qs: list[int], rates: list[bool]) -> list[tuple]:
         """[stage(x, q, rate) for each x, q, rate of xs, qs, rates], here as
         exactly that loop.  An override, which may run the stages together,
-        must return identical samples and identical bits."""
+        must return identical samples and identical bits, and refuse lists
+        of unequal lengths as check_stage_lists does, before any stage."""
+        check_stage_lists(xs, qs, rates)
         return [self.stage(x, q, rate) for x, q, rate in zip(xs, qs, rates)]
 
     def stack_size(self, x) -> int:

@@ -216,6 +216,8 @@ def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> Idemp
     totals = itertools.accumulate(q_levels**length for length in range(1, max_len + 1))
     if any(total > SEQUENCE_GUARD for total in totals):  # stops at the first over it
         raise ValueError(f"more than {SEQUENCE_GUARD} sequences: over the verify guard")
+    if not inputs:
+        raise ValueError("inputs must be non-empty")
     max_mse = 0.0
     sum_mse = 0.0
     count = 0

@@ -7,11 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codeclab.blockdct
-from codeclab import BlockDctCodec, ImageBuffer, compress_chain, dct2_8x8, scale_quant_table
+from codeclab import (
+    BlockDctCodec,
+    ImageBuffer,
+    SourceVector,
+    compress_chain,
+    dct2_8x8,
+    make_codec,
+    scale_quant_table,
+)
 from codeclab.blockdct import (
-    _COEFF_BOUND,
     _DCT,
+    _HEADER,
     BASE_QUANT_TABLE,
+    DEFAULT_NATIVE_QUALITIES,
     _entropy_bits,
     _position_extremes,
     _pad_to_blocks,
@@ -105,7 +114,9 @@ class TestQuantTable:
             scale_quant_table(q)
 
     def test_entries_bounded(self):
-        for q in (1, 5, 37, 50, 77, 99, 100):
+        """Entries of at least 1 at every quality keep every block-DCT index
+        within the coefficient bound, 1024, and so in int16."""
+        for q in range(1, 101):
             t = scale_quant_table(q)
             assert np.all(t >= 1) and np.all(t <= 255)
 
@@ -262,59 +273,78 @@ class TestStage:
         assert y.same_as(ref)
         assert bits == ref_bs.bits_used
 
-    def test_int16_range_checked_on_both_paths(self, gray_images):
+    def test_tables_are_read_only(self):
+        """The tables are one read-only (levels, 8, 8) float64 array of
+        scale_quant_table's entries, all at least 1, which is what keeps
+        every index in int16: no entry below 1 can be written into it."""
         codec = BlockDctCodec()
-        codec._tables[0] = np.full((8, 8), 0.01)  # indices up to ~1e5
-        with pytest.raises(CodecError, match="int16"):
-            codec.encode(gray_images[0], 1)
-        with pytest.raises(CodecError, match="int16"):
-            codec.stage(gray_images[0], 1)
+        assert codec._tables.shape == (8, 8, 8) and codec._tables.dtype == np.float64
+        assert np.array_equal(codec._tables,
+                              [scale_quant_table(q) for q in DEFAULT_NATIVE_QUALITIES])
+        with pytest.raises(ValueError, match="read-only"):
+            codec._tables[0] = np.full((8, 8), 0.01)
+        with pytest.raises(ValueError, match="read-only"):
+            codec._tables[0][0, 0] = 1 / 32
 
-    @pytest.mark.parametrize("value, dc_index, in_range", [(0, -32768, False), (255, 32512, True)])
+    @pytest.mark.parametrize("value, dc_index", [(0, -1024), (255, 1016)])
     @pytest.mark.parametrize("width, channels", [(8, 1), (9, 1), (8, 3)])
-    def test_int16_bound_on_dc_index(self, value, dc_index, in_range, width, channels):
-        """A constant block has only a DC coefficient, 8 * (value - 128); a
-        DC step of 1/32 puts its index at 32 times that.  Width 9 is padded on
-        the right, and its padded block is constant too."""
-        codec = BlockDctCodec()
-        codec._tables[0] = np.ones((8, 8))
-        codec._tables[0][0, 0] = 1 / 32
+    def test_int16_bound_on_dc_index(self, value, dc_index, width, channels):
+        """A constant block has only a DC coefficient, 8 * (value - 128), and
+        quality 100's table is all ones, so the payload holds it as is:
+        -1024 for 0s, the bound that no index passes, and 1016 for 255s.
+        Width 9 is padded on the right, and its padded block is constant
+        too."""
+        codec = BlockDctCodec([100])
         x = ImageBuffer(width, 8, channels, np.full(8 * width * channels, value, np.uint8))
-        if in_range:
-            body = codec.encode(x, 1).payload[-128:]
-            assert np.frombuffer(body, "<i2")[0] == dc_index
-            codec.stage(x, 1)
-            return
-        with pytest.raises(CodecError, match="int16"):
-            codec.encode(x, 1)
-        with pytest.raises(CodecError, match="int16"):
-            codec.stage(x, 1)
+        bs = codec.encode(x, 1)
+        body = np.frombuffer(bs.payload, "<i2", offset=_HEADER.size).reshape(-1, 64)
+        assert len(body) == channels * -(-width // 8)
+        assert np.all(body[:, 0] == dc_index) and not body[:, 1:].any()
+        assert codec.decode(bs).same_as(codec.stage(x, 1)[0])
 
-    def test_no_native_quality_checks_int16_range(self):
-        """Every table of native qualities 1-100 has entries of at least 1,
-        so no index of uint8 samples passes 1024 and no band is checked;
-        the tampered tables of the int16 tests keep the check on."""
+    def test_native_qualities_keep_indices_in_int16(self):
+        """At every native quality 1-100, the 128 blocks of largest
+        |coefficient| at one of the 64 positions, 0s and 255s by the sign of
+        its basis or by the opposite sign, encode to indices within 1024,
+        and quality 100's all-ones table gives 1024 itself, the DC index of
+        a block of 0s."""
+        blocks = []
+        for u, v in itertools.product(range(8), repeat=2):
+            basis = np.outer(_DCT[u], _DCT[v])
+            blocks += [np.where(basis > 0, 255, 0), np.where(basis < 0, 255, 0)]
+        # 8 block rows of 16 blocks
+        pixels = np.array(blocks, np.uint8).reshape(8, 16, 8, 8).transpose(0, 2, 1, 3)
+        x = ImageBuffer(128, 64, 1, pixels.ravel())
         codec = BlockDctCodec(range(1, 101))
-        assert not codec._workspace(64, 64).may_overflow
-        assert not BlockDctCodec()._workspace(37, 21).may_overflow
-        assert np.argmax(_COEFF_BOUND) == 0 and _COEFF_BOUND[0, 0] == pytest.approx(1024.0)
-        codec._tables[40] = np.ones((8, 8))
-        codec._tables[40][0, 0] = 1 / 32
-        assert codec._workspace(64, 48).may_overflow
+        peaks = []  # max |index| at each quality, in int64, where no |-32768| wraps
+        for q in range(1, 101):
+            body = np.frombuffer(codec.encode(x, q).payload, "<i2", offset=_HEADER.size)
+            peaks.append(np.abs(body.astype(np.int64)).max())
+        assert max(peaks) <= 1024 and peaks[-1] == 1024
 
     def test_coefficient_bound_is_reached(self):
         """A block of 0s and 255s by the sign of basis (u, v), or by its
         opposite, the blocks of largest |coefficient| at (u, v), reaches the
         bound there within 1 and does not pass it: 255 where the basis is
         positive gives 127 * P + 128 * N, P and N the sums of its positive
-        and negative parts, the opposite 128 * P + 127 * N."""
+        and negative parts, the opposite 128 * P + 127 * N.
+
+        The bound: coefficient (u, v) of level-shifted samples s, -128 ..
+        127, is the sum of s times basis b = D[u, x] * D[v, y], largest in
+        magnitude at s = 127 or -128 by the sign of b, which gives 127.5 *
+        sum |b| + 0.5 * |sum b|, both sums outer products of row sums of D.
+        It peaks at 1024, the DC term of a block of 0s, so a table of
+        entries of at least 1 keeps every index within 1024."""
+        a, c = np.abs(_DCT).sum(axis=1), _DCT.sum(axis=1)
+        bound = 127.5 * np.outer(a, a) + 0.5 * np.abs(np.outer(c, c))
+        assert np.argmax(bound) == 0 and bound[0, 0] == pytest.approx(1024.0)
         for u, v in itertools.product(range(8), repeat=2):
             basis = np.outer(_DCT[u], _DCT[v])
             best = 0.0
             for high in (basis > 0, basis < 0):
                 block = np.where(high, 255.0, 0.0) - 128.0
                 best = max(best, abs(dct2_8x8(block)[u, v]))
-            assert _COEFF_BOUND[u, v] - 1 <= best <= _COEFF_BOUND[u, v] + 1e-9
+            assert bound[u, v] - 1 <= best <= bound[u, v] + 1e-9
 
     @pytest.mark.parametrize("rgb, calls", [(False, 1), (True, 3)])
     def test_chain_entropy_codes_last_stage_only(
@@ -361,8 +391,7 @@ def _reference_indices(plane, table):
     ph, pw = padded.shape
     blocks = padded.reshape(ph // 8, 8, pw // 8, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
     idx = round_half_away(np.matmul(np.matmul(_D, blocks), _D_T) / table)
-    if idx.max() > 32767 or idx.min() < -32767:
-        raise CodecError("quantized coefficient out of int16 range")
+    assert np.abs(idx).max() <= 1024  # the coefficient bound over entries of at least 1
     return idx
 
 
@@ -601,6 +630,20 @@ class TestStageMany:
         with pytest.raises(CodecError, match="quality 9"):
             dct_codec.stage_many([_rgb_37x21()] * 2, [3, 9], [False, True])
 
+    @pytest.mark.parametrize("codec_id, n_xs, qs, rates", [
+        ("block-dct", 2, [1, 2], [False]),
+        ("midpoint-scalar:3", 2, [1], [False]),
+        ("block-dct", 1, [1, 2], [False, False]),
+    ], ids=["dct-rates", "scalar-qs", "dct-xs"])
+    def test_unequal_lengths_refused(self, codec_id, n_xs, qs, rates):
+        """Lists of unequal lengths are refused, naming the lengths, not cut
+        to the shortest by zip or broadcast against each other."""
+        codec = make_codec(codec_id)
+        x = _rgb_37x21() if codec.signal_kind == "image" else SourceVector(np.linspace(0, 1, 9))
+        with pytest.raises(ValueError, match=f"{n_xs} inputs, {len(qs)} qualities and "
+                                             f"{len(rates)} rates"):
+            codec.stage_many([x] * n_xs, qs, rates)
+
     @pytest.mark.parametrize("width, height, channels, size", [
         (64, 64, 1, 4), (64, 64, 3, 1), (37, 21, 3, 5), (512, 384, 3, 1), (1, 1, 1, 256)])
     def test_stack_size(self, dct_codec, width, height, channels, size):
@@ -635,26 +678,34 @@ class TestBands:
         assert outputs(codec) == default
 
     @pytest.mark.parametrize("channels", [1, 3])
-    def test_int16_error_in_the_last_band(self, channels):
-        """The tampered table of test_int16_bound_on_dc_index puts the DC
-        index of a constant 0 block at -32768.  Only the bottom block row of
-        a 512x384 image, the last of its 12 bands, holds such blocks: encode
-        and stage both raise, and later stages on the instance are right."""
-        codec = BlockDctCodec()
-        codec._tables[0] = np.ones((8, 8))
-        codec._tables[0][0, 0] = 1 / 32
+    def test_int16_extreme_in_the_last_band(self, channels):
+        """At quality 100, whose table is all ones, a constant 0 block has DC
+        index -1024, the largest |index| of any block.  Only the bottom block
+        row of a 512x384 image, the last of its 12 bands, holds such blocks,
+        on 128s that give indices of 0: the payload holds exactly those
+        indices, stage and decode(encode) equal the reference paths, and so
+        do later stages on the instance."""
+        codec = BlockDctCodec([75, 100])
         pixels = np.full((384, 512, channels), 128, np.uint8)
         pixels[-8:] = 0
         x = ImageBuffer(512, 384, channels, pixels.ravel().copy())
-        assert codec._workspace(384, 512).band == 4
-        with pytest.raises(CodecError, match="int16"):
-            codec.encode(x, 1)
-        with pytest.raises(CodecError, match="int16"):
-            codec.stage(x, 1)
-        pixels[-8:] = 255  # DC index 32512, in range
-        in_range = ImageBuffer(512, 384, channels, pixels.ravel())
+        ws = codec._workspace(384, 512)
+        assert ws.band == 4 and ws.hb == 48
+        bs = codec.encode(x, 2)
+        body = np.frombuffer(bs.payload, "<i2", offset=_HEADER.size).reshape(
+            channels, 48, 64, 64).copy()
+        assert np.all(body[:, -1, :, 0] == -1024)
+        body[:, -1, :, 0] = 0
+        assert not body.any()
+        samples, payload, bits = _reference_stage(codec, x, 2)
+        assert bs.payload[_HEADER.size :] == payload and bs.bits_used == bits
+        assert np.array_equal(codec.decode(bs).samples, samples)
+        y, y_bits = codec.stage(x, 2, rate=True)
+        assert np.array_equal(y.samples, samples) and y_bits == bits
+        pixels[-8:] = 255  # DC index 1016
+        bright = ImageBuffer(512, 384, channels, pixels.ravel())
         noise = _random_image(512, 384, channels, 3)
-        for img, q in [(in_range, 1), (noise, 4), (x, 2)]:
+        for img, q in [(bright, 2), (noise, 1), (noise, 2)]:
             samples, _, bits = _reference_stage(codec, img, q)
             y, y_bits = codec.stage(img, q, rate=True)
             assert np.array_equal(y.samples, samples) and y_bits == bits

@@ -577,6 +577,14 @@ def test_sweep_checks_every_q_min_before_any_stage(source_ds, q_min, k_list, mod
     assert calls == []
 
 
+def test_sweep_refuses_an_empty_dataset():
+    """A dataset of no items is refused, not swept into empty cells that
+    rd_points cannot index and rho_from_outcomes averages to NaN."""
+    with pytest.raises(ValueError, match="no items"):
+        sweep_levels(Dataset(items=[], item_names=[]), make_codec("midpoint-scalar:3"), [1],
+                     True, [2], 2)
+
+
 def _reference_cell(ds, codec, q_min, k_list, b, mode, master_seed, stream, rates):
     """One stream of one cell, evaluated on its own: every chain runs all of
     its stages from x in a plain loop, and the single pass is its own codec

@@ -539,6 +539,11 @@ class TestVerifySweep:
         with pytest.raises(ValueError, match="guard"):
             verify_strong_idempotence(codec, [], 20)
 
+    def test_no_inputs_refused(self):
+        """No inputs is refused, not divided by a count of 0 sequences."""
+        with pytest.raises(ValueError, match="inputs must be non-empty"):
+            verify_strong_idempotence(make_codec("midpoint-scalar:3"), [], 2)
+
 
 def test_make_codec_ids():
     assert make_codec("nested-scalar:4").num_levels == 4

@@ -93,6 +93,12 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
                                "b": 2, "master_seed": 5},
         "dct-rgb-aligned": {"codec": "block-dct", "dataset": str(rgb_aligned),
                             "k_list": [1, 3], "b": 2, "distortion": "RMSE", "master_seed": 7},
+        # the extremes of the native tables: level 2, quality 100, is all
+        # ones, the table that gives the largest indices
+        "dct-extreme-tables": {"codec": "block-dct",
+                               "codec_options": {"native_qualities": [1, 100]},
+                               "dataset": str(rgb_aligned), "k_list": [1, 3], "b": 2,
+                               "master_seed": 27},
         "dct-mixed": {"codec": "block-dct", "dataset": str(mixed), "q_min_list": [2, 6],
                       "k_list": [1, 3], "b": 2, "distortion": "PSNR", "master_seed": 9},
         # literal draws, k = 1 and an unsorted q_min_list with a repeat: the
