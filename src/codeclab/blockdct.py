@@ -294,7 +294,7 @@ class BlockDctCodec(Codec):
     def __init__(self, native_qualities=DEFAULT_NATIVE_QUALITIES):
         qs = tuple(int(q) for q in native_qualities)
         if not qs or list(qs) != sorted(set(qs)):
-            raise ValueError("native qualities must be strictly increasing")
+            raise ValueError("native qualities must be non-empty and strictly increasing")
         self.native_qualities = qs
         # (levels, 8, 8), read-only: scale_quant_table's entries of at least 1
         # are what keeps every index in int16

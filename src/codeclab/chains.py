@@ -276,15 +276,13 @@ class _failing_in:
             ) from e
 
 
-def single_passes(
-    x: Signal, codec: Codec, levels, rate: bool, stream: int | None = None
-) -> SinglePasses:
+def single_passes(x: Signal, codec: Codec, levels, rate: bool, stream: int) -> SinglePasses:
     """x's single pass at each q of levels, with its rate when rate is true.
-    Each runs as the chain (q,), so a failure names stage 1 at quality q,
-    and the cell of stream at q_min = q when stream is given."""
+    Each runs as the chain (q,), so a failure names stage 1 at quality q
+    and the cell of stream at q_min = q."""
     by_q = {}
     for q in levels:
-        with contextlib.nullcontext() if stream is None else _failing_in(stream, q):
+        with _failing_in(stream, q):
             by_q[q] = compress_chain(x, (q,), codec, rate)
     return SinglePasses(x, by_q)
 

@@ -17,11 +17,9 @@ from .chains import (
     RhoEstimate,
     STREAM_SOURCE,
     Theorem1Record,
-    compress_chain,
     distortion,
     psnr_from_mse,
     rho_from_outcomes,
-    single_passes,
     sweep_levels,
     theorem1_from_outcomes,
 )
@@ -207,9 +205,11 @@ def top_cell_inputs(codec: Codec) -> list[SourceVector]:
 
 def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> IdempotenceSweep:
     """Enumerate every quality sequence up to max_len and compare each chain
-    against the single pass at the sequence minimum.  No rate is read, and
-    the input's single passes at every level seed each chain's stage memo,
-    so a chain continues from the single pass at its first level."""
+    against the single pass at the sequence minimum, reading no rate.  Each
+    input's stage trie is walked depth-first, a node's children in one
+    stage_many call on its output, so each sequence is one stage and only
+    the outputs on the stack are kept.  Deviations are summed, and the first
+    worst kept, in (input, length, product) order."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     q_levels = codec.num_levels
@@ -218,21 +218,31 @@ def verify_strong_idempotence(codec: Codec, inputs: list, max_len: int) -> Idemp
         raise ValueError(f"more than {SEQUENCE_GUARD} sequences: over the verify guard")
     if not inputs:
         raise ValueError("inputs must be non-empty")
+    levels, unrated = list(range(1, q_levels + 1)), [False] * q_levels
     max_mse = 0.0
     sum_mse = 0.0
     count = 0
-    worst = None
+    worst = None  # (length, rank in product order)
     for x in inputs:
-        passes = single_passes(x, codec, range(1, q_levels + 1), False)
-        for length in range(1, max_len + 1):
-            for seq_levels in itertools.product(range(1, q_levels + 1), repeat=length):
-                y, _ = compress_chain(x, seq_levels, codec, rate=False, seed=passes)
-                dev = distortion(passes.by_q[min(seq_levels)][0], y)
+        devs = [[] for _ in range(max_len)]  # devs[n]: the length-(n + 1) deviations
+        stack = [(x, 0, q_levels)]  # (output, its sequence's length and minimum)
+        while stack:
+            y, n, lo = stack.pop()
+            outs = [out for out, _ in codec.stage_many([y] * q_levels, levels, unrated)]
+            singles = outs if n == 0 else singles  # the root's children
+            devs[n] += [distortion(singles[min(lo, q) - 1], out) for q, out in zip(levels, outs)]
+            if n + 1 < max_len:
+                # reversed, so that each length's sequences come in product order
+                stack += [(out, n + 1, min(lo, q)) for q, out in zip(levels, outs)][::-1]
+        for n, devs_n in enumerate(devs, start=1):
+            for rank, dev in enumerate(devs_n):
                 sum_mse += dev
-                count += 1
                 if dev > max_mse:
-                    max_mse = dev
-                    worst = seq_levels
+                    max_mse, worst = dev, (n, rank)
+            count += len(devs_n)
+    if worst is not None:  # rank's n base-q digits, most significant first
+        n, rank = worst
+        worst = tuple(rank // q_levels ** (n - 1 - i) % q_levels + 1 for i in range(n))
     return IdempotenceSweep(
         sequences_checked=count,
         max_mse=max_mse,

@@ -252,8 +252,9 @@ class TestBlockDctCodec:
         assert all(a > b for a, b in zip(mses, mses[1:]))
 
     def test_ladder_validation(self):
-        with pytest.raises(ValueError):
-            BlockDctCodec(native_qualities=(10, 10, 20))
+        for qs in ((10, 10, 20), ()):
+            with pytest.raises(ValueError, match="non-empty and strictly increasing"):
+                BlockDctCodec(native_qualities=qs)
 
 
 class TestStage:

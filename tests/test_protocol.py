@@ -2,10 +2,13 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import codeclab.blockdct
 import codeclab.codecs
@@ -30,10 +33,12 @@ from codeclab.chains import (
     STREAM_RD,
     STREAM_RHO,
     derive_rng,
+    distortion,
     sample_quality_sequence,
     theorem1_from_outcomes,
 )
 from codeclab.codecs import Codec, ScalarQuantizerCodec
+from codeclab.protocol import IdempotenceSweep
 from codeclab.ladders import quantize_array
 from codeclab.report import emit_report
 from codeclab.signals import Dataset
@@ -457,10 +462,30 @@ def _distinct_stages(codec, x, levels, known, rate=False):
     return runs, rated_runs
 
 
+def _plain_sweep(codec, inputs, max_len):
+    """verify_strong_idempotence as a plain loop: a Codec.stage chain per
+    sequence of itertools.product, a sequential sum and a strict > worst."""
+    levels = range(1, codec.num_levels + 1)
+    max_mse, sum_mse, count, worst = 0.0, 0.0, 0, None
+    for x in inputs:
+        singles = {q: codec.stage(x, q)[0] for q in levels}
+        for length in range(1, max_len + 1):
+            for sequence in itertools.product(levels, repeat=length):
+                y = x
+                for q in sequence:
+                    y, _ = codec.stage(y, q)
+                dev = distortion(singles[min(sequence)], y)
+                sum_mse += dev
+                count += 1
+                if dev > max_mse:
+                    max_mse, worst = dev, sequence
+    return IdempotenceSweep(count, max_mse, sum_mse / count, math.sqrt(max_mse), worst)
+
+
 class TestVerifySweep:
     def test_no_rate_and_first_stage_shared(self):
-        """The sweep reads no rate, each input's single passes seed every
-        chain, and a chain runs each distinct (samples, q) stage once."""
+        """The sweep reads no rate, runs one stage per sequence, and runs
+        each input's three single passes first, on the input itself."""
         inputs = [SourceVector(np.linspace(0, 1, 201)), SourceVector(np.linspace(0.2, 0.4, 50))]
         inner = make_codec("midpoint-scalar:3")
         codec = _Counting(inner, inputs)
@@ -468,15 +493,74 @@ class TestVerifySweep:
         assert sweep == verify_strong_idempotence(make_codec("midpoint-scalar:3"), inputs, 3)
         rates = [rate for rate, _, _ in codec.calls]
         assert rates.count(True) == 0
-        chain_stages = 0
-        for x in inputs:
-            known = {(_key(x), q): False for q in (1, 2, 3)}
-            for length in (1, 2, 3):
-                for levels in itertools.product((1, 2, 3), repeat=length):
-                    chain_stages += _distinct_stages(inner, x, levels, known)[0]
-        assert rates.count(False) == len(inputs) * 3 + chain_stages
+        assert rates.count(False) == len(inputs) * (3 + 9 + 27)
         singles = [(item, q) for _, item, q in codec.calls if item is not None]
         assert singles == [(i, q) for i in range(len(inputs)) for q in (1, 2, 3)]
+
+    @pytest.mark.parametrize("case", ["nested-scalar:8", "block-dct"])
+    def test_one_stage_per_trie_node(self, monkeypatch, case):
+        """Each sequence is one unrated stage from its prefix's output, and
+        a node's children go through one stage_many call: with 8 levels and
+        max_len 3, 8 + 64 + 512 stages in 1 + 8 + 64 calls per input.  No
+        stage runs outside stage_many, and no signal is fingerprinted."""
+        codec = make_codec(case)
+        if case == "block-dct":
+            rng = np.random.default_rng(29)
+            inputs = [ImageBuffer(16, 16, 1, rng.integers(0, 256, 256, dtype=np.uint8)),
+                      ImageBuffer(13, 9, 3, rng.integers(0, 256, 13 * 9 * 3, dtype=np.uint8))]
+        else:
+            inputs = top_cell_inputs(codec)
+        calls, alone, fingerprints, inside = [], [], [], []
+        stage_many, stage, fingerprint = codec.stage_many, codec.stage, codeclab.chains._fingerprint
+
+        def counting_many(xs, qs, rates):
+            calls.append(list(rates))
+            inside.append(True)
+            try:
+                return stage_many(xs, qs, rates)
+            finally:
+                inside.pop()
+
+        def counting_stage(x, q, rate=False):
+            if not inside:
+                alone.append((q, rate))
+            return stage(x, q, rate)
+
+        monkeypatch.setattr(codec, "stage_many", counting_many)
+        monkeypatch.setattr(codec, "stage", counting_stage)
+        monkeypatch.setattr(codeclab.chains, "_fingerprint",
+                            lambda a: fingerprints.append(a) or fingerprint(a))
+        sweep = verify_strong_idempotence(codec, inputs, 3)
+        assert sweep.sequences_checked == len(inputs) * 584
+        assert sum(map(len, calls)) == len(inputs) * 584
+        assert len(calls) == len(inputs) * 73
+        assert not any(itertools.chain(*calls))
+        assert alone == [] and fingerprints == []
+
+    @given(data=st.data(), kind=st.sampled_from(["midpoint", "nested"]),
+           levels=st.integers(1, 5), max_len=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_plain_stage_loop(self, data, kind, levels, max_len):
+        """The trie walk gives the sweep, bit for bit, that a plain stage
+        loop over itertools.product gives."""
+        codec = make_codec(f"{kind}-scalar:{levels}")
+        if data.draw(st.booleans()):
+            inputs = top_cell_inputs(codec)
+        else:
+            vector = st.lists(st.floats(0, 1), min_size=1, max_size=50)
+            inputs = [SourceVector(np.array(v))
+                      for v in data.draw(st.lists(vector, min_size=1, max_size=2))]
+        assert verify_strong_idempotence(codec, inputs, max_len) == _plain_sweep(
+            codec, inputs, max_len)
+
+    def test_first_worst_across_lengths(self):
+        """Of equal deviations, the shorter sequence's is the worst: on
+        midpoint-scalar:4, (1, 2, 3, 4) deviates as much as (1, 1, 2, 3, 4)."""
+        codec = make_codec("midpoint-scalar:4")
+        inputs = top_cell_inputs(codec)
+        sweep = verify_strong_idempotence(codec, inputs, 5)
+        assert sweep == _plain_sweep(codec, inputs, 5)
+        assert sweep.worst_sequence == (1, 2, 3, 4)
 
     def test_nested_zero(self):
         codec = make_codec("nested-scalar:3")

@@ -175,6 +175,13 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
          None),
         ("verify-midpoint-scalar:3", ["verify", "--codec", "midpoint-scalar:3",
                                       "--max-len", "4"], None),
+        # worst deviations that tie across lengths: the first, (1, 2, 3, 4),
+        # is printed, not (1, 1, 2, 3, 4)
+        ("verify-midpoint-scalar:4-len5", ["verify", "--codec", "midpoint-scalar:4",
+                                           "--max-len", "5"], None),
+        # 8,190 sequences over 12 lengths, whose mean is summed in order
+        ("verify-midpoint-scalar:2-len12", ["verify", "--codec", "midpoint-scalar:2",
+                                            "--max-len", "12"], None),
         ("check-theorem1-dct", ["check-theorem1", "--codec", "block-dct", "--dataset",
                                 str(gray), "--qmin", "3", "--k", "3", "--b", "2",
                                 "--seed", "6"], None),
