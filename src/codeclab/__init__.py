@@ -32,7 +32,6 @@ from .external import (  # noqa: F401
 from .chains import (  # noqa: F401
     RhoEstimate,
     Theorem1Record,
-    compress_chain,
     distortion,
     rho_from_outcomes,
     sample_quality_sequence,

@@ -228,15 +228,6 @@ def compress_chains(
     return [(y, b if rate else None) for y, b, rate in zip(ys, bits, rates)]
 
 
-def compress_chain(
-    x: Signal, levels: tuple[int, ...], codec: Codec, rate: bool = True,
-    seed: SinglePasses | None = None,
-):
-    """The last stage's (reconstruction, bits) of the one chain levels from
-    x: compress_chains(x, [levels], codec, [rate], seed)[0]."""
-    return compress_chains(x, [levels], codec, [rate], seed)[0]
-
-
 @dataclasses.dataclass
 class PairOutcome:
     """Per-(item, trial) measurements shared by rho, theorem-1, and RD checks.
@@ -276,17 +267,6 @@ class _failing_in:
             ) from e
 
 
-def single_passes(x: Signal, codec: Codec, levels, rate: bool, stream: int) -> SinglePasses:
-    """x's single pass at each q of levels, with its rate when rate is true.
-    Each runs as the chain (q,), so a failure names stage 1 at quality q
-    and the cell of stream at q_min = q."""
-    by_q = {}
-    for q in levels:
-        with _failing_in(stream, q):
-            by_q[q] = compress_chain(x, (q,), codec, rate)
-    return SinglePasses(x, by_q)
-
-
 def sweep_levels(
     ds: Dataset,
     codec: Codec,
@@ -307,13 +287,14 @@ def sweep_levels(
 
     Items go one at a time.  An item's sequences are drawn over the sorted
     levels, the grid's before the RD's at each, in (k, trial) order.  Its
-    single passes at those levels, rated (and named RD in a failure) iff rd,
-    seed every chain's memo (compress_chains), so the chain (q_min,) is the
-    single pass.  The chains run in draw order, in lockstep groups of
-    codec.stack_size(x); a group's outputs are dropped before the next runs,
-    and the item's passes before the next item's.  A failing group runs
-    again one chain at a time, so the CodecError raised names the first
-    failing chain's cell."""
+    single passes at those levels run first, as the chains (q,), unseeded,
+    and rated (and named RD in a failure) iff rd; they seed every chain's
+    memo (compress_chains), so the chain (q_min,) is the single pass.  The
+    chains then run in draw order.  Passes and chains alike go in lockstep
+    groups of codec.stack_size(x); a group's outputs are dropped before the
+    next runs, and the item's passes before the next item's.  A failing
+    group runs again one chain at a time, so the CodecError raised names the
+    first failing chain's cell."""
     if b < 1:
         raise ValueError("b must be >= 1")
     if not k_list:
@@ -329,20 +310,26 @@ def sweep_levels(
     cells = [(stream, q, by_q[q]) for q in levels  # in draw order
              for stream, by_q in ((STREAM_RHO, grid_cells), (STREAM_RD, rd_cells)) if q in by_q]
 
-    def run_group(group: list) -> None:  # of item i, in the loop below
-        results = [None] * len(group)
+    def run(group: list, seed: SinglePasses | None) -> list:  # from item x, in the loop below
+        """The group's chains (stream, q_min, ..., levels), rated iff RD, in
+        one compress_chains call; on failure, each alone in its own cell."""
+        rates = [c[0] == STREAM_RD for c in group]
         if len(group) > 1:
-            # on failure, each chain runs alone below, in its own cell
             with contextlib.suppress(CodecError):
-                results = compress_chains(x, [c[4] for c in group], codec,
-                                          [c[0] == STREAM_RD for c in group], passes)
-        for (stream, q_min, outcomes, t, levels), result in zip(group, results):
+                return compress_chains(x, [c[-1] for c in group], codec, rates, seed)
+        results = []
+        for (stream, q_min, *_, levels), rate in zip(group, rates):
+            with _failing_in(stream, q_min):
+                results += compress_chains(x, [levels], codec, [rate], seed)
+        return results
+
+    def record(group: list) -> None:  # of item i, in the loop below
+        for (stream, q_min, outcomes, t, levels), (y, bits) in zip(group, run(group, passes)):
             single, single_bits = passes.by_q[q_min]
             rated = stream == STREAM_RD
             with _failing_in(stream, q_min):
                 if q_min not in mse_x_single:
                     mse_x_single[q_min] = _mse(x, single)
-                y, bits = result or compress_chain(x, levels, codec, rated, passes)
                 # a chain that ends on the single pass's samples is 0 from
                 # it and mse_x_single from x: no _mse
                 is_single = _same_signal(y, single)
@@ -362,6 +349,7 @@ def sweep_levels(
                     )
                 )
 
+    singles = [(STREAM_RD if rd else STREAM_RHO, q, (q,)) for q in levels]  # each item's passes
     for i, x in enumerate(ds.items):
         chains = [  # (stream, q_min, outcomes, trial, levels)
             (stream, q_min, by_k[k], t, sample_quality_sequence(
@@ -369,12 +357,14 @@ def sweep_levels(
             for stream, q_min, by_k in cells
             for k, t in itertools.product(by_k, range(b))
         ]
-        passes = single_passes(x, codec, levels, rd, STREAM_RD if rd else STREAM_RHO)
+        size = codec.stack_size(x)
+        # no local holds a pass, so none is alive when the next item's first runs
+        passes = SinglePasses(x, dict(zip(levels, itertools.chain.from_iterable(
+            run(singles[s : s + size], None) for s in range(0, len(singles), size)))))
         peak, samples = signal_peak(x), signal_samples(x)
         mse_x_single = {}  # q_min -> d(x, f(x, q_min)), taken in its first chain's cell
-        size = codec.stack_size(x)
         for start in range(0, len(chains), size):
-            run_group(chains[start : start + size])  # its outputs go with its frame
+            record(chains[start : start + size])  # its outputs go with its frame
         del passes  # before the next item's passes are built
     return grid_cells, rd_cells
 

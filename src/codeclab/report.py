@@ -78,7 +78,8 @@ def render_svg(
 ) -> bytes:
     """Two-polyline bpp/PSNR chart (single-pass vs multi-round), 800x600.
 
-    Infinite-PSNR points are dropped with a note in the output.
+    Infinite-PSNR points are dropped with a note in the output; with no
+    finite point left, as for a lossless codec, the axes span -0.5 to 0.5.
     """
     curves = {
         "single-pass": [(p.mean_bpp, p.mean_psnr) for p in rd_single],
@@ -90,12 +91,10 @@ def render_svg(
         keep = [(x, y) for x, y in pts if math.isfinite(x) and math.isfinite(y)]
         dropped += len(pts) - len(keep)
         finite[name] = keep
-    if any(not pts for pts in finite.values()):
-        raise ValueError("a curve has no finite points to plot")
     xs = [x for pts in finite.values() for x, _ in pts]
     ys = [y for pts in finite.values() for _, y in pts]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    x_lo, x_hi = min(xs, default=0.0), max(xs, default=0.0)
+    y_lo, y_hi = min(ys, default=0.0), max(ys, default=0.0)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:

@@ -12,7 +12,6 @@ from codeclab import (
     ExternalCodecSpec,
     ExternalCodec,
     SourceVector,
-    compress_chain,
     distortion,
     generate_uniform_source,
     make_codec,
@@ -21,7 +20,7 @@ from codeclab import (
     sweep_levels,
     verify_strong_idempotence,
 )
-from codeclab.chains import rho_from_outcomes, theorem1_from_outcomes
+from codeclab.chains import compress_chains, rho_from_outcomes, theorem1_from_outcomes
 from codeclab.cli import main
 from codeclab.signals import Dataset
 
@@ -61,7 +60,7 @@ def test_criterion_2_midpoint_witness(grid_source):
     rhos = []
     for x in (grid_source[0], generate_uniform_source(5000, 77)):
         single, _ = codec.reconstruct(x, 1)
-        y, _ = compress_chain(x, (1, 3), codec)
+        y, _ = compress_chains(x, [(1, 3)], codec, [True])[0]
         rhos.append(distortion(single, y, "MSE"))
     sweep = verify_strong_idempotence(codec, grid_source, max_len=4)
     ok = all(r == 0.015625 for r in rhos) and sweep.max_mse > 0.0
@@ -127,7 +126,7 @@ def test_criterion_7_bitrate_property():
     grid_cells, _ = sweep_levels(ds, codec, [1, 2, 3], False, [6], b=5, master_seed=3)
     for q_min, by_k in grid_cells.items():
         for o in by_k[6]:
-            y, _ = compress_chain(x, o.levels, codec)
+            y, _ = compress_chains(x, [o.levels], codec, [True])[0]
             single, _ = codec.reconstruct(x, q_min)
             ok &= (
                 codec.encode(y, q_min).payload

@@ -11,7 +11,6 @@ from codeclab import (
     BlockDctCodec,
     ImageBuffer,
     SourceVector,
-    compress_chain,
     dct2_8x8,
     make_codec,
     scale_quant_table,
@@ -27,7 +26,7 @@ from codeclab.blockdct import (
     _round_to_pixels,
     round_half_away,
 )
-from codeclab.chains import derive_rng, sample_quality_sequence
+from codeclab.chains import compress_chains, derive_rng, sample_quality_sequence
 from codeclab.codecs import CodecError
 from codeclab.signals import parse_pnm, serialize_pnm
 
@@ -267,7 +266,7 @@ class TestStage:
     def test_chain_matches_reconstruct_loop(self, dct_codec, gray_images, rgb):
         x = _rgb_37x21() if rgb else gray_images[0]
         levels = sample_quality_sequence(1, 8, 50, "literal", derive_rng(50, rgb))
-        y, bits = compress_chain(x, levels, dct_codec)
+        y, bits = compress_chains(x, [levels], dct_codec, [True])[0]
         ref = x
         for q in levels:
             ref, ref_bs = dct_codec.reconstruct(ref, q)
@@ -361,7 +360,7 @@ class TestStage:
         monkeypatch.setattr(codeclab.blockdct, "_entropy_bits", counting)
         x = _rgb_37x21() if rgb else gray_images[0]
         levels = sample_quality_sequence(1, 8, 50, "literal", derive_rng(51))
-        compress_chain(x, levels, dct_codec)
+        compress_chains(x, [levels], dct_codec, [True])[0]
         assert len(seen) == calls
 
 

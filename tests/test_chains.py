@@ -11,7 +11,6 @@ from codeclab import (
     BlockDctCodec,
     ImageBuffer,
     SourceVector,
-    compress_chain,
     distortion,
     generate_uniform_source,
     make_codec,
@@ -168,14 +167,14 @@ class TestCompressChain:
     def test_single_stage_equals_reconstruct(self, source_ds):
         codec = make_codec("midpoint-scalar:3")
         x = source_ds.items[0]
-        y, bits = compress_chain(x, (2,), codec)
+        y, bits = compress_chains(x, [(2,)], codec, [True])[0]
         direct, bs = codec.reconstruct(x, 2)
         assert np.array_equal(y.values, direct.values)
         assert bits == bs.bits_used
 
     def test_midpoint_1_then_3_lands_on_five_eighths(self, source_ds):
         codec = make_codec("midpoint-scalar:3")
-        y, _ = compress_chain(source_ds.items[0], (1, 3), codec)
+        y, _ = compress_chains(source_ds.items[0], [(1, 3)], codec, [True])[0]
         assert np.all(y.values == 0.625)
 
     def test_nested_chain_collapses_to_min(self, source_ds):
@@ -184,7 +183,7 @@ class TestCompressChain:
         rng = np.random.default_rng(8)
         for _ in range(50):
             levels = tuple(int(q) for q in rng.integers(1, 4, size=rng.integers(1, 7)))
-            y, _ = compress_chain(x, levels, codec)
+            y, _ = compress_chains(x, [levels], codec, [True])[0]
             single, _ = codec.reconstruct(x, min(levels))
             assert np.array_equal(y.values, single.values)
 
@@ -202,25 +201,25 @@ class TestCompressChain:
 
         x = source_ds.items[0]
         with pytest.raises(CodecError, match="stage 2"):
-            compress_chain(x, (3, 2), Broken())
+            compress_chains(x, [(3, 2)], Broken(), [True])
         with pytest.raises(CodecError, match="stage 1 \\(quality 2\\) failed: kaput"):
-            compress_chain(x, (2, 3), Broken())
+            compress_chains(x, [(2, 3)], Broken(), [True])
         with pytest.raises(CodecError, match="stage 1 \\(quality 0\\)"):
-            compress_chain(x, (0, 3), Broken())
+            compress_chains(x, [(0, 3)], Broken(), [True])
         with pytest.raises(ValueError, match="empty"):
-            compress_chain(x, (), Broken())
+            compress_chains(x, [()], Broken(), [True])
         # a chain whose first stage is seeded still numbers from its start
         known = codec.stage(x, 3)
         with pytest.raises(CodecError, match="stage 2 \\(quality 2\\) failed: kaput"):
-            compress_chain(x, (3, 2), Broken(), seed=SinglePasses(x, {3: known}))
+            compress_chains(x, [(3, 2)], Broken(), [True], SinglePasses(x, {3: known}))
         # a seeded stage makes no codec call, and reads no rate with rate off
-        y, bs = compress_chain(x, (2,), Broken(), rate=False,
-                               seed=SinglePasses(x, {2: (known[0], 7.0)}))
+        seed = SinglePasses(x, {2: (known[0], 7.0)})
+        y, bs = compress_chains(x, [(2,)], Broken(), [False], seed)[0]
         assert y is known[0] and bs is None
 
     def test_failure_in_lean_stage_annotated(self, gray_images, dct_codec):
         with pytest.raises(CodecError, match="stage 1 \\(quality 9\\)"):
-            compress_chain(gray_images[0], (9, 3), dct_codec)
+            compress_chains(gray_images[0], [(9, 3)], dct_codec, [True])
 
 
 def _plain_chain(x, levels, codec, rate):
@@ -266,8 +265,8 @@ MEMO_CASES = _memo_cases()
 
 
 class TestStageMemo:
-    """compress_chain runs each distinct (samples, q) stage of a chain once,
-    and gives what a plain Codec.stage loop gives."""
+    """A chain runs each distinct (samples, q) stage once, and gives what a
+    plain Codec.stage loop gives."""
 
     @given(data=st.data(), case=st.sampled_from(MEMO_CASES), rate=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -279,7 +278,7 @@ class TestStageMemo:
         if data.draw(st.booleans()):
             first = data.draw(q)
             seed = SinglePasses(x, {first: codec.stage(x, first, data.draw(st.booleans()))})
-        y, bits = compress_chain(x, levels, codec, rate, seed)
+        y, bits = compress_chains(x, [levels], codec, [rate], seed)[0]
         ref, ref_bits = _plain_chain(x, levels, codec, rate)
         assert _samples(y) == _samples(ref)
         assert bits == ref_bits
@@ -289,13 +288,13 @@ class TestStageMemo:
         plain = [_plain_chain(x, levels, codec, True) for codec, x in MEMO_CASES]
         monkeypatch.setattr(codeclab.chains, "_fingerprint", lambda a: 0)
         for (codec, x), (ref, ref_bits) in zip(MEMO_CASES, plain):
-            y, bits = compress_chain(x, levels, codec)
+            y, bits = compress_chains(x, [levels], codec, [True])[0]
             assert _samples(y) == _samples(ref)
             assert bits == ref_bits
 
     def test_identity_codec_alternating_runs_two_stages(self, gray_images):
         codec = _Identity()
-        y, bits = compress_chain(gray_images[0], (1, 2) * 20, codec, rate=False)
+        y, bits = compress_chains(gray_images[0], [(1, 2) * 20], codec, [False])[0]
         assert codec.calls == [(1, False), (2, False)]
         assert y.same_as(gray_images[0]) and bits is None
 
@@ -303,14 +302,15 @@ class TestStageMemo:
         """A rated last stage that finds only an unrated stage runs; one that
         finds a rated seed does not."""
         x, codec = gray_images[0], _Identity()
-        assert compress_chain(x, (1, 2, 1, 2), codec)[1] == 16.0
+        assert compress_chains(x, [(1, 2, 1, 2)], codec, [True])[0][1] == 16.0
         assert codec.calls == [(1, False), (2, False), (2, True)]
         codec.calls.clear()
         seed = SinglePasses(x, {2: (x, 5.0)})
-        assert compress_chain(x, (2, 1, 2), codec, seed=seed)[1] == 5.0
+        assert compress_chains(x, [(2, 1, 2)], codec, [True], seed)[0][1] == 5.0
         assert codec.calls == [(1, False)]
         codec.calls.clear()
-        assert compress_chain(x, (2,), codec, seed=SinglePasses(x, {2: (x, None)}))[1] == 16.0
+        seed = SinglePasses(x, {2: (x, None)})
+        assert compress_chains(x, [(2,)], codec, [True], seed)[0][1] == 16.0
         assert codec.calls == [(2, True)]
 
 
@@ -332,7 +332,7 @@ class _StageLog(Codec):
 
 
 class TestLockstep:
-    """compress_chains gives each chain what compress_chain gives it alone,
+    """compress_chains gives each chain what it gives that chain alone,
     and runs the same stages in at most one codec call per depth."""
 
     @given(data=st.data(), case=st.sampled_from(MEMO_CASES))
@@ -353,7 +353,7 @@ class TestLockstep:
         results = compress_chains(x, sequences, stacked, rates, seed)
         assert len(results) == len(sequences)
         for levels, rate, (y, bits) in zip(sequences, rates, results):
-            ref, ref_bits = compress_chain(x, levels, alone, rate, seed)
+            ref, ref_bits = compress_chains(x, [levels], alone, [rate], seed)[0]
             assert _samples(y) == _samples(ref)
             assert bits == ref_bits
         assert sorted(itertools.chain(*stacked.calls)) == sorted(itertools.chain(*alone.calls))
@@ -378,19 +378,21 @@ class TestLockstep:
 
 class _BrokenDct(BlockDctCodec):
     """block-dct whose stages at quality 3 fail when their input is one of
-    its own outputs, naming the quality; it stacks as block-dct does, or
-    takes one chain at a time when alone is true."""
+    its own outputs, or holds the samples of one of items, naming the
+    quality; it stacks as block-dct does, or takes one chain at a time when
+    alone is true."""
 
-    def __init__(self, alone):
+    def __init__(self, alone, items=()):
         super().__init__()
-        self.alone, self.outputs = alone, []
+        self.alone, self.items, self.outputs = alone, items, []
 
     def stack_size(self, x):
         return 1 if self.alone else super().stack_size(x)
 
     def stage_many(self, imgs, qs, rates):
         for img, q in zip(imgs, qs):
-            if q == 3 and any(img is out for out in self.outputs):
+            made = any(img is out for out in self.outputs)
+            if q == 3 and (made or any(img.same_as(item) for item in self.items)):
                 raise RuntimeError(f"kaput at {q}")
         results = super().stage_many(imgs, qs, rates)
         self.outputs += [y for y, _ in results]
@@ -401,7 +403,9 @@ class _BrokenDct(BlockDctCodec):
 def test_failure_in_a_group_is_the_first_in_chain_order(tmp_path, monkeypatch, capsys, seed):
     """A chain failing inside a lockstep group gives the CodecError text and
     the exit code that running the chains one at a time gives: the first
-    failing chain in (q_min, grid before RD, k, trial) order names its stage."""
+    failing chain in (q_min, grid before RD, k, trial) order names its stage.
+    So does a failing single pass, whose groups stack as the chains' do: it
+    names the RD cell when the sweep is rated, the grid cell otherwise."""
     rng = np.random.default_rng(seed)
     items = [ImageBuffer(16, 16, 1, rng.integers(0, 256, 256, dtype=np.uint8))
              for _ in range(2)]
@@ -426,6 +430,17 @@ def test_failure_in_a_group_is_the_first_in_chain_order(tmp_path, monkeypatch, c
         runs.append((code, capsys.readouterr().err))
     assert runs[0] == runs[1]
     assert runs[0][0] == 3 and "kaput at 3" in runs[0][1]
+    failed = "cell (q_min=3) failed: chain stage 1 (quality 3) failed: kaput at 3"
+    for alone in (False, True):
+        with pytest.raises(CodecError) as err:
+            sweep_levels(ds, _BrokenDct(alone, items), [2], True, [6, 2], 3, "literal", seed)
+        assert str(err.value) == f"RD {failed}"
+        codec = _BrokenDct(alone, items)
+        monkeypatch.setattr(codeclab.cli, "make_codec", lambda *args: codec)
+        code = codeclab.cli.main(["check-theorem1", "--codec", "block-dct", "--dataset",
+                                  str(tmp_path), "--qmin", "3", "--k", "6", "--b", "3",
+                                  "--seed", str(seed)])
+        assert (code, capsys.readouterr().err) == (3, f"runtime error: grid {failed}\n")
 
 
 def _cell(ds, codec, q_min, k_list, b, mode="forced-min", master_seed=0):
@@ -459,7 +474,7 @@ class TestEstimateRho:
         # deterministic two-step oracle: f(x,1)=1/2, then quality 3 gives 5/8
         codec = make_codec("midpoint-scalar:3")
         x = source_ds.items[0]
-        y, _ = compress_chain(x, (1, 3), codec)
+        y, _ = compress_chains(x, [(1, 3)], codec, [True])[0]
         single, _ = codec.reconstruct(x, 1)
         assert distortion(single, y, "MSE") == 1 / 64
 

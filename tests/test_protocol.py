@@ -198,15 +198,11 @@ def test_one_single_pass_per_item_and_level(monkeypatch, mode):
     codec = _Counting(inner, items)
     monkeypatch.setattr(codeclab.protocol, "make_codec", lambda *args: codec)
     monkeypatch.setattr(codeclab.protocol, "resolve_dataset", lambda *args: ds)
-    # an _mse call belongs to the item whose single passes ran last and the
-    # q_min of the cell that names its failure
-    items_run, cells_open, mse_calls = [], [], []
-    passes_of, failing_in = codeclab.chains.single_passes, codeclab.chains._failing_in
-    mse = codeclab.chains._mse
-
-    def counting_passes(x, *args):
-        items_run.append(next(i for i, it in enumerate(items) if it is x))
-        return passes_of(x, *args)
+    # an _mse call belongs to the item whose single passes ran last, the last
+    # item a stage took as its input, and the q_min of the cell that names
+    # its failure
+    cells_open, mse_calls = [], []
+    failing_in, mse = codeclab.chains._failing_in, codeclab.chains._mse
 
     @contextlib.contextmanager
     def counting_cell(stream, q_min):
@@ -218,10 +214,10 @@ def test_one_single_pass_per_item_and_level(monkeypatch, mode):
             cells_open.pop()
 
     def counting_mse(a, b):
-        mse_calls.append((items_run[-1], cells_open[-1]))
+        item = next(item for _, item, _ in reversed(codec.calls) if item is not None)
+        mse_calls.append((item, cells_open[-1]))
         return mse(a, b)
 
-    monkeypatch.setattr(codeclab.chains, "single_passes", counting_passes)
     monkeypatch.setattr(codeclab.chains, "_failing_in", counting_cell)
     monkeypatch.setattr(codeclab.chains, "_mse", counting_mse)
     k_list, b, seed, q_min_list = [1, 3], 2, 7, [5, 2, 5]
@@ -353,13 +349,14 @@ def test_protocol_builds_no_payload(tmp_path, monkeypatch, case):
 
 
 @pytest.mark.parametrize("case, expected", [
-    ("block-dct", (701, 212, 24)),
+    ("block-dct", (701, 206, 24)),
     ("midpoint-scalar:4", (93, 93, 0)),
 ], ids=["block-dct", "midpoint-scalar"])
 def test_work_per_report(tmp_path, monkeypatch, gray_images, case, expected):
     """The stages, Codec.stage_many calls and block-DCT entropy codings that
     one seeded report runs: a 64x64 crop of a test image through block-dct,
-    and a synthetic source through a midpoint ladder."""
+    and a synthetic source through a midpoint ladder.  The block-DCT item's
+    eight single passes take it as input in two rated calls of four."""
     stages, calls, entropy = [], [], []
     dct = case == "block-dct"
     cls = BlockDctCodec if dct else Codec
@@ -367,7 +364,7 @@ def test_work_per_report(tmp_path, monkeypatch, gray_images, case, expected):
 
     def counting_stages(self, xs, qs, rates):
         stages.extend(xs)
-        calls.append(len(xs))
+        calls.append((xs, qs, rates))
         return stage_many(self, xs, qs, rates)
 
     def counting_entropy(blocks):
@@ -386,6 +383,13 @@ def test_work_per_report(tmp_path, monkeypatch, gray_images, case, expected):
                          k_list=[3, 10], b=2, master_seed=1)
     run_protocol(cfg)
     assert (len(stages), len(calls), len(entropy)) == expected
+    if dct:
+        item = stages[0]  # the first single pass's input
+        passes = [call for call in calls if any(x is item for x in call[0])]
+        assert len(passes) == math.ceil(8 / 4) == 2
+        assert all(x is item for xs, _, _ in passes for x in xs)
+        assert sorted(q for _, qs, _ in passes for q in qs) == list(range(1, 9))
+        assert all(all(rates) for _, _, rates in passes)
 
 
 def _theorem1(ds, codec, q_min, k, b):

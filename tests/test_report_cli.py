@@ -122,10 +122,10 @@ class TestRenderSvg:
         m = self._points([(1, 0.5, 25.0, 4.0), (2, 1.0, 28.0, 5.0)])
         assert b"not shown" in render_svg(s, m)
 
-    def test_empty_curve_rejected(self):
+    def test_no_finite_point_drawn_with_note(self):
         s = self._points([(1, 0.5, float("inf"), 0.0)])
-        with pytest.raises(ValueError):
-            render_svg(s, s)
+        out = render_svg(s, s)
+        assert b"2 infinite-PSNR point(s) not shown" in out and b"<circle" not in out
 
 
 class TestCli:
@@ -347,6 +347,19 @@ class TestCli:
         assert main(["rd-curve", "--codec", "midpoint-scalar", "--k", "3",
                      "--b", "2", "--out", str(out)]) == 0
         assert out.read_bytes().startswith(b"<svg")
+
+    def test_rd_curve_lossless_codec(self, tmp_path, tiny_image_dir):
+        """With cp as the coder every PSNR is infinite: the chart is written,
+        with each of the 2 x levels points noted and none drawn."""
+        spec = tmp_path / "cp.json"
+        spec.write_text(json.dumps({"encode_cmd": "cp {input} {output}",
+                                    "decode_cmd": "cp {input} {output}",
+                                    "quality_map": ["1", "2", "3"]}))
+        out = tmp_path / "rd.svg"
+        assert main(["rd-curve", "--codec", f"external:{spec}", "--dataset",
+                     str(tiny_image_dir), "--k", "2", "--b", "1", "--out", str(out)]) == 0
+        svg = out.read_bytes()
+        assert b"6 infinite-PSNR point(s) not shown" in svg and b"<circle" not in svg
 
     def test_rd_curve_image_codec_needs_dataset(self, tmp_path):
         assert main(["rd-curve", "--codec", "block-dct", "--k", "2", "--b", "1",

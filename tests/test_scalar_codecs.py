@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from codeclab import (
     SourceVector,
-    compress_chain,
     generate_uniform_source,
     make_codec,
 )
+from codeclab.chains import compress_chains
 from codeclab.codecs import (
     CodecError,
     ScalarQuantizerCodec,
@@ -90,7 +90,7 @@ def nested_codecs(ladder_codecs):
 def test_nested_chain_is_single_pass_at_min(source, nested_codecs, data, levels):
     seq = data.draw(st.lists(st.integers(1, levels), min_size=1, max_size=50))
     codec = nested_codecs[levels]
-    chained, _ = compress_chain(source, tuple(seq), codec, rate=False)
+    chained, _ = compress_chains(source, [tuple(seq)], codec, [False])[0]
     single, _ = codec.stage(source, min(seq))
     assert np.array_equal(chained.values, single.values)
 

@@ -171,6 +171,11 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
                                             "--b", "2", "--seed", "3",
                                             "--out", "rd-curve-dct-mixed-literal.svg"],
          "rd-curve-dct-mixed-literal.svg"),
+        # a lossless coder: every PSNR is infinite, so the chart draws no point
+        ("rd-curve-external-lossless.svg", ["rd-curve", "--codec", f"external:{spec}",
+                                            "--dataset", str(gray), "--k", "2", "--b", "1",
+                                            "--out", "rd-curve-external-lossless.svg"],
+         "rd-curve-external-lossless.svg"),
         ("verify-nested-scalar:4", ["verify", "--codec", "nested-scalar:4", "--max-len", "3"],
          None),
         ("verify-midpoint-scalar:3", ["verify", "--codec", "midpoint-scalar:3",
