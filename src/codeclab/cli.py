@@ -11,7 +11,6 @@ from pathlib import Path
 
 from .chains import sweep_levels, theorem1_from_outcomes
 from .protocol import (
-    ConfigError,
     EvalConfig,
     rd_points,
     resolve_dataset,
@@ -22,6 +21,7 @@ from .protocol import (
 )
 from .registry import make_codec
 from .report import emit_report, render_svg
+from .signals import Dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,18 +61,21 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _cell_inputs(args, mode: str, q_min_list: list[int] | None = None):
-    """Codec and dataset for a one-k command, resolved as `evaluate` does."""
-    cfg = EvalConfig(
-        codec=args.codec, dataset=args.dataset, q_min_list=q_min_list, k_list=[args.k],
-        b=args.b, mode=mode, master_seed=args.seed,
-    )
+def _cell_inputs(args, top_cells: bool = False, **fields):
+    """Config, codec and dataset of a one-cell command, resolved as `evaluate`
+    resolves them; fields are the EvalConfig fields the command sets.  With
+    top_cells a scalar codec given no dataset sweeps top_cell_inputs, and no
+    synthetic source is drawn."""
+    cfg = EvalConfig(codec=args.codec, dataset=args.dataset, **fields)
     codec = make_codec(cfg.codec)
+    if top_cells and codec.signal_kind == "source" and cfg.dataset is None:
+        return cfg, codec, Dataset(top_cell_inputs(codec), ["top-cells"])
     return cfg, codec, resolve_dataset(cfg, codec)
 
 
 def _cmd_rd_curve(args) -> int:
-    cfg, codec, ds = _cell_inputs(args, args.mode)
+    cfg, codec, ds = _cell_inputs(args, k_list=[args.k], b=args.b, mode=args.mode,
+                                  master_seed=args.seed)
     _, rd_cells = sweep_levels(ds, codec, [], True, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed)
     rd_single, rd_multi = rd_points(rd_cells)
     svg = render_svg(rd_single, rd_multi[args.k], title=f"{codec.codec_id} RD, k={args.k}")
@@ -82,7 +85,8 @@ def _cmd_rd_curve(args) -> int:
 
 
 def _cmd_check_theorem1(args) -> int:
-    cfg, codec, ds = _cell_inputs(args, "forced-min", [args.qmin])
+    cfg, codec, ds = _cell_inputs(args, q_min_list=[args.qmin], k_list=[args.k], b=args.b,
+                                  master_seed=args.seed)
     (q_min,) = resolve_q_min_list(cfg, codec)
     grid_cells, _ = sweep_levels(
         ds, codec, [q_min], False, cfg.k_list, cfg.b, cfg.mode, cfg.master_seed
@@ -96,10 +100,8 @@ def _cmd_check_theorem1(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    codec = make_codec(args.codec)
-    if codec.signal_kind != "source":
-        raise ConfigError("verify sweeps are exhaustive; scalar codecs only")
-    sweep = verify_strong_idempotence(codec, top_cell_inputs(codec), args.max_len)
+    _, codec, ds = _cell_inputs(args, top_cells=True)
+    sweep = verify_strong_idempotence(codec, ds.items, args.max_len)
     return _print_sweep(sweep, codec)
 
 
@@ -142,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive strong-idempotence sweep")
     p.add_argument("--codec", required=True)
+    p.add_argument("--dataset")
     p.add_argument("--max-len", type=int, required=True)
     p.set_defaults(func=_cmd_verify)
     return parser

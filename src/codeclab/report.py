@@ -78,21 +78,23 @@ def render_svg(
 ) -> bytes:
     """Two-polyline bpp/PSNR chart (single-pass vs multi-round), 800x600.
 
-    Infinite-PSNR points are dropped with a note in the output; with no
-    finite point left, as for a lossless codec, the axes span -0.5 to 0.5.
+    A point of finite bpp and infinite PSNR, as every point of a lossless
+    codec is, sits on the chart's top edge, with a note counting them; the
+    bpp axis spans every finite rate and the PSNR axis every finite PSNR
+    (-0.5 to 0.5 about a lone value).  Points of other non-finite values are
+    not drawn.
     """
     curves = {
         "single-pass": [(p.mean_bpp, p.mean_psnr) for p in rd_single],
         "multi-round": [(p.mean_bpp, p.mean_psnr) for p in rd_multi],
     }
-    dropped = 0
-    finite = {}
-    for name, pts in curves.items():
-        keep = [(x, y) for x, y in pts if math.isfinite(x) and math.isfinite(y)]
-        dropped += len(pts) - len(keep)
-        finite[name] = keep
-    xs = [x for pts in finite.values() for x, _ in pts]
-    ys = [y for pts in finite.values() for _, y in pts]
+    drawn = {
+        name: [(x, y) for x, y in pts if math.isfinite(x) and (math.isfinite(y) or y == math.inf)]
+        for name, pts in curves.items()
+    }
+    xs = [x for pts in drawn.values() for x, _ in pts]
+    ys = [y for pts in drawn.values() for _, y in pts if math.isfinite(y)]
+    on_top = sum(len(pts) for pts in drawn.values()) - len(ys)
     x_lo, x_hi = min(xs, default=0.0), max(xs, default=0.0)
     y_lo, y_hi = min(ys, default=0.0), max(ys, default=0.0)
     if x_hi == x_lo:
@@ -104,6 +106,7 @@ def render_svg(
         return _MARGIN + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - 2 * _MARGIN)
 
     def sy(y):
+        y = min(y, y_hi)  # infinite PSNR: the top edge
         return _HEIGHT - _MARGIN - (y - y_lo) / (y_hi - y_lo) * (_HEIGHT - 2 * _MARGIN)
 
     colors = {"single-pass": "#1f509e", "multi-round": "#c23b22"}
@@ -113,10 +116,10 @@ def render_svg(
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH // 2}" y="30" text-anchor="middle" font-size="18">{title}</text>',
     ]
-    if dropped:
+    if on_top:
         parts.append(
             f'<text x="{_WIDTH - _MARGIN}" y="50" text-anchor="end" font-size="11">'
-            f"{dropped} infinite-PSNR point(s) not shown</text>"
+            f"{on_top} infinite-PSNR point(s) on the top edge</text>"
         )
     # axes
     parts.append(
@@ -155,7 +158,7 @@ def render_svg(
         f'<text x="20" y="{_HEIGHT // 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 20 {_HEIGHT // 2})">PSNR (dB)</text>'
     )
-    for name, pts in finite.items():
+    for name, pts in drawn.items():
         coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{colors[name]}" stroke-width="2"/>'
@@ -165,7 +168,7 @@ def render_svg(
                 f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" fill="{colors[name]}"/>'
             )
     # legend
-    for i, name in enumerate(finite):
+    for i, name in enumerate(drawn):
         y0 = _MARGIN + 20 * i
         parts.append(
             f'<line x1="{_WIDTH - 220}" y1="{y0}" x2="{_WIDTH - 190}" y2="{y0}" '

@@ -541,14 +541,20 @@ class TestVerifySweep:
         assert not any(itertools.chain(*calls))
         assert alone == [] and fingerprints == []
 
-    @given(data=st.data(), kind=st.sampled_from(["midpoint", "nested"]),
+    @given(data=st.data(), kind=st.sampled_from(["midpoint", "nested", "block-dct"]),
            levels=st.integers(1, 5), max_len=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_equals_plain_stage_loop(self, data, kind, levels, max_len):
         """The trie walk gives the sweep, bit for bit, that a plain stage
-        loop over itertools.product gives."""
-        codec = make_codec(f"{kind}-scalar:{levels}")
-        if data.draw(st.booleans()):
+        loop over itertools.product gives; block-DCT sweeps a gray and an
+        RGB image of odd sides, up to length 3 (1,672 plain stages each)."""
+        codec = make_codec(kind if kind == "block-dct" else f"{kind}-scalar:{levels}")
+        if kind == "block-dct":
+            max_len = min(max_len, 3)
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            inputs = [ImageBuffer(11, 7, 1, rng.integers(0, 256, 11 * 7, dtype=np.uint8)),
+                      ImageBuffer(9, 5, 3, rng.integers(0, 256, 9 * 5 * 3, dtype=np.uint8))]
+        elif data.draw(st.booleans()):
             inputs = top_cell_inputs(codec)
         else:
             vector = st.lists(st.floats(0, 1), min_size=1, max_size=50)

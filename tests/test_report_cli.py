@@ -8,9 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import codeclab.cli
 import codeclab.external
 import codeclab.protocol
-from codeclab import EvalConfig, ImageBuffer, make_codec, run_protocol, serialize_pnm
+from codeclab import (
+    EvalConfig,
+    ImageBuffer,
+    load_dataset,
+    make_codec,
+    run_protocol,
+    serialize_pnm,
+)
 from codeclab.cli import main
 from codeclab.chains import RhoEstimate, Theorem1Record
 from codeclab.codecs import ScalarQuantizerCodec
@@ -117,15 +125,35 @@ class TestRenderSvg:
         assert out.startswith(b"<svg") and out.rstrip().endswith(b"</svg>")
         assert out.count(b"<circle") == 2
 
-    def test_infinite_points_dropped_with_note(self):
+    def test_infinite_points_on_top_edge_with_note(self):
+        """An infinite-PSNR point is drawn at its bpp on the top edge, the
+        PSNR axis's top, 30 dB here, at y = 70."""
         s = self._points([(1, 0.5, float("inf"), 0.0), (2, 1.0, 30.0, 3.0)])
         m = self._points([(1, 0.5, 25.0, 4.0), (2, 1.0, 28.0, 5.0)])
-        assert b"not shown" in render_svg(s, m)
+        out = render_svg(s, m)
+        assert b"1 infinite-PSNR point(s) on the top edge" in out
+        assert out.count(b"<circle") == 4
+        assert b'<polyline points="70,70 730,70" fill="none" stroke="#1f509e"' in out
+        assert b'<circle cx="70" cy="70" r="3" fill="#1f509e"/>' in out
 
     def test_no_finite_point_drawn_with_note(self):
-        s = self._points([(1, 0.5, float("inf"), 0.0)])
+        """With no finite PSNR, the points still span the bpp axis, all on
+        the top edge."""
+        s = self._points([(1, 0.5, float("inf"), 0.0), (2, 2.5, float("inf"), 0.0)])
         out = render_svg(s, s)
-        assert b"2 infinite-PSNR point(s) not shown" in out and b"<circle" not in out
+        assert b"4 infinite-PSNR point(s) on the top edge" in out
+        assert out.count(b'<polyline points="70,70 730,70"') == 2
+        assert out.count(b"<circle") == 4 and out.count(b'cy="70"') == 4
+        assert b">0.5</text>" in out and b">2.5</text>" in out
+
+
+def _no_sweep(monkeypatch):
+    """Make any sweep of the CLI fail the test: a refused command runs no stage."""
+    def refuse(*_):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(codeclab.cli, "sweep_levels", refuse)
+    monkeypatch.setattr(codeclab.cli, "verify_strong_idempotence", refuse)
 
 
 class TestCli:
@@ -142,7 +170,12 @@ class TestCli:
     def test_verify_nested(self, capsys):
         assert main(["verify", "--codec", "nested-scalar", "--max-len", "3"]) == 0
 
-    def test_verify_nested_eight_levels(self, capsys):
+    def test_verify_nested_eight_levels(self, capsys, monkeypatch):
+        """A scalar verify sweeps top_cell_inputs; no synthetic source is drawn."""
+        def no_source(*_):
+            raise AssertionError("synthetic source drawn")
+
+        monkeypatch.setattr(codeclab.protocol, "generate_uniform_source", no_source)
         assert main(["verify", "--codec", "nested-scalar:8", "--max-len", "3"]) == 0
         out = capsys.readouterr().out
         assert "sequences checked: 584" in out
@@ -158,8 +191,28 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_verify_rejects_image_codec(self):
-        assert main(["verify", "--codec", "block-dct", "--max-len", "2"]) == 2
+    def test_verify_image_codecs(self, tmp_path, capsys, tiny_image_dir):
+        """verify sweeps an image codec over its dataset's images: block-DCT
+        prints the sweep verify_strong_idempotence gives on them, and a cp
+        coder deviates nowhere."""
+        ds = str(tiny_image_dir)
+        assert main(["verify", "--codec", "block-dct", "--dataset", ds, "--max-len", "2"]) == 0
+        sweep = verify_strong_idempotence(make_codec("block-dct"), load_dataset(ds).items, 2)
+        out = capsys.readouterr().out
+        assert f"sequences checked: {sweep.sequences_checked}\n" in out
+        assert f"max deviation  MSE={sweep.max_mse!r}  RMSE={sweep.max_rmse!r}\n" in out
+        assert f"mean deviation MSE={sweep.mean_mse!r}\n" in out
+        assert f"worst sequence: {sweep.worst_sequence}\n" in out
+        assert "verdict: NOT strong idempotent" in out
+        spec = tmp_path / "cp.json"
+        spec.write_text(json.dumps({"encode_cmd": "cp {input} {output}",
+                                    "decode_cmd": "cp {input} {output}",
+                                    "quality_map": ["1", "2", "3"]}))
+        assert main(["verify", "--codec", f"external:{spec}", "--dataset", ds,
+                     "--max-len", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "sequences checked: 12\n" in out and "max deviation  MSE=0.0 " in out
+        assert "verdict: strong idempotent" in out
 
     def test_verify_guard_refuses_before_counting_every_length(self, capsys):
         """A sweep over the guard is refused as soon as the count passes it,
@@ -304,8 +357,10 @@ class TestCli:
             means.append(next(ln for ln in out.splitlines() if "single-pass" in ln))
         assert means[0] != means[1]
 
-    @pytest.mark.parametrize("command", ["evaluate", "rd-curve", "check-theorem1"])
-    def test_scalar_codec_with_dataset_exit_2(self, tmp_path, capsys, tiny_image_dir, command):
+    @pytest.mark.parametrize("command", ["evaluate", "rd-curve", "check-theorem1", "verify"])
+    def test_scalar_codec_with_dataset_exit_2(
+        self, tmp_path, capsys, monkeypatch, tiny_image_dir, command
+    ):
         ds = str(tiny_image_dir)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"codec": "nested-scalar", "dataset": ds,
@@ -317,12 +372,14 @@ class TestCli:
                          "--out", str(out)],
             "check-theorem1": ["--codec", "nested-scalar", "--dataset", ds, "--qmin", "1",
                                "--k", "2", "--b", "1"],
+            "verify": ["--codec", "nested-scalar", "--dataset", ds, "--max-len", "2"],
         }[command]
+        _no_sweep(monkeypatch)
         assert main([command, *args]) == 2
         assert "'nested-scalar' takes no dataset" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["evaluate", "rd-curve", "check-theorem1"])
+    @pytest.mark.parametrize("command", ["evaluate", "rd-curve", "check-theorem1", "verify"])
     def test_empty_dataset_exit_2(self, tmp_path, capsys, monkeypatch, tiny_image_dir, command):
         """An empty dataset path is refused, not read as the working
         directory, which here holds an image."""
@@ -337,6 +394,7 @@ class TestCli:
                          "--out", str(out)],
             "check-theorem1": ["--codec", "block-dct", "--dataset", "", "--qmin", "1",
                                "--k", "1", "--b", "1"],
+            "verify": ["--codec", "block-dct", "--dataset", "", "--max-len", "2"],
         }[command]
         assert main([command, *args]) == 2
         assert "dataset must be a non-empty string or null" in capsys.readouterr().err
@@ -350,7 +408,8 @@ class TestCli:
 
     def test_rd_curve_lossless_codec(self, tmp_path, tiny_image_dir):
         """With cp as the coder every PSNR is infinite: the chart is written,
-        with each of the 2 x levels points noted and none drawn."""
+        with each of the 2 x levels points on the top edge, at the one bpp
+        of a copied 16x16 PGM, in the middle of the bpp axis."""
         spec = tmp_path / "cp.json"
         spec.write_text(json.dumps({"encode_cmd": "cp {input} {output}",
                                     "decode_cmd": "cp {input} {output}",
@@ -359,11 +418,21 @@ class TestCli:
         assert main(["rd-curve", "--codec", f"external:{spec}", "--dataset",
                      str(tiny_image_dir), "--k", "2", "--b", "1", "--out", str(out)]) == 0
         svg = out.read_bytes()
-        assert b"6 infinite-PSNR point(s) not shown" in svg and b"<circle" not in svg
+        bpp = (tiny_image_dir / "t.pgm").stat().st_size * 8 / 256
+        assert b"6 infinite-PSNR point(s) on the top edge" in svg
+        assert svg.count(b'<circle cx="400" cy="70"') == 6
+        assert f">{bpp:.6g}</text>".encode() in svg
 
-    def test_rd_curve_image_codec_needs_dataset(self, tmp_path):
-        assert main(["rd-curve", "--codec", "block-dct", "--k", "2", "--b", "1",
-                     "--out", str(tmp_path / "x.svg")]) == 2
+    @pytest.mark.parametrize("command", ["rd-curve", "check-theorem1", "verify"])
+    def test_image_codec_without_dataset_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        args = {
+            "rd-curve": ["--k", "2", "--b", "1", "--out", str(tmp_path / "x.svg")],
+            "check-theorem1": ["--qmin", "1", "--k", "2", "--b", "1"],
+            "verify": ["--max-len", "2"],
+        }[command]
+        _no_sweep(monkeypatch)
+        assert main([command, "--codec", "block-dct", *args]) == 2
+        assert "codec 'block-dct' needs a dataset directory" in capsys.readouterr().err
 
     def test_check_theorem1(self, capsys):
         assert main(["check-theorem1", "--codec", "nested-scalar", "--qmin", "1",

@@ -171,7 +171,7 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
                                             "--b", "2", "--seed", "3",
                                             "--out", "rd-curve-dct-mixed-literal.svg"],
          "rd-curve-dct-mixed-literal.svg"),
-        # a lossless coder: every PSNR is infinite, so the chart draws no point
+        # a lossless coder: every PSNR is infinite, so every point is on the top edge
         ("rd-curve-external-lossless.svg", ["rd-curve", "--codec", f"external:{spec}",
                                             "--dataset", str(gray), "--k", "2", "--b", "1",
                                             "--out", "rd-curve-external-lossless.svg"],
@@ -187,6 +187,17 @@ def _commands(work: Path) -> list[tuple[str, list[str], str | None]]:
         # 8,190 sequences over 12 lengths, whose mean is summed in order
         ("verify-midpoint-scalar:2-len12", ["verify", "--codec", "midpoint-scalar:2",
                                             "--max-len", "12"], None),
+        # image codecs swept over their dataset's images: 1,168 and 584
+        # sequences, each worst a descending ladder, and a lossless coder
+        ("verify-block-dct-gray", ["verify", "--codec", "block-dct", "--dataset", str(gray),
+                                   "--max-len", "3"], None),
+        ("verify-block-dct-rgb", ["verify", "--codec", "block-dct", "--dataset", str(rgb),
+                                  "--max-len", "3"], None),
+        ("verify-external-cp", ["verify", "--codec", f"external:{spec}", "--dataset",
+                                str(gray), "--max-len", "2"], None),
+        # exit 2: an image codec needs a dataset directory
+        ("verify-block-dct-no-dataset", ["verify", "--codec", "block-dct", "--max-len", "2"],
+         None),
         ("check-theorem1-dct", ["check-theorem1", "--codec", "block-dct", "--dataset",
                                 str(gray), "--qmin", "3", "--k", "3", "--b", "2",
                                 "--seed", "6"], None),
