@@ -16,7 +16,6 @@ stages stacked into one stage_many call give what each gives alone.
 """
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import math
@@ -63,13 +62,12 @@ def _mse(a: Signal, b: Signal) -> float:
     if isinstance(a, SourceVector) and isinstance(b, SourceVector):
         if len(a) != len(b):
             raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-        # values are read, not kept: a vector held for a whole item keeps no
-        # gather.  On one cell map, gathering the table difference gives the
-        # same float64 per sample as subtracting the gathered values
+        # on one cell map, gathering the table difference gives the same
+        # float64 per sample as subtracting the gathered values
         if a.cells is not None and a.cells is b.cells:
             diff = (a.table - b.table)[a.cells]
         else:
-            diff = a.read_values() - b.read_values()
+            diff = a.values - b.values
         diff *= diff
         return float(np.mean(diff))
     if isinstance(a, ImageBuffer) and isinstance(b, ImageBuffer):
@@ -170,7 +168,7 @@ class SinglePasses:
 
 def compress_chains(
     x: Signal, sequences: list[tuple[int, ...]], codec: Codec, rates: list[bool],
-    seed: SinglePasses | None = None,
+    seed: SinglePasses | None = None, names: list[str] | None = None,
 ) -> list[tuple]:
     """Run one chain from x per quality sequence, y_i = f(y_{i-1}, q_i), and
     return each chain's last stage (reconstruction, bits): only that stage
@@ -189,8 +187,14 @@ def compress_chains(
     at most once, an output only when its chain has a later stage.  A rated
     last stage that finds only a stage kept without its rate runs.  Chains
     share no memo, so each runs the stages it would run alone, and the
-    memos live for this call.  A failure raises CodecError naming the depth,
-    numbered from the chains' start, and the qualities of that call."""
+    memos live for this call.
+
+    A failing stage_many call of more than one chain runs every chain again
+    alone, in order, and returns their results if none fails: a codec may
+    fail only on stacked input.  So the failure raised is the first a
+    chain-by-chain loop meets, a CodecError naming the depth, numbered from
+    the chains' start, and the quality, prefixed "{name} failed: " by the
+    chain's entry in names, if given."""
     if not all(sequences):
         raise ValueError("empty quality sequence")
     if seed is not None and seed.x is not x:
@@ -201,6 +205,7 @@ def compress_chains(
     else:
         memos, fp = [dict(seed.memo) for _ in sequences], seed.fingerprint
     ys, fps, bits = [x] * len(sequences), [fp] * len(sequences), [None] * len(sequences)
+    names = names or [None] * len(sequences)
     for depth in range(1, longest + 1):
         misses = []  # (chain, q, rated)
         for c, levels in enumerate(sequences):
@@ -219,13 +224,19 @@ def compress_chains(
         try:
             outs = codec.stage_many([ys[c] for c in missed], qs, rated)
         except Exception as e:
-            where = f"quality {qs[0]}" if len(qs) == 1 else f"qualities {list(qs)}"
-            raise CodecError(f"chain stage {depth} ({where}) failed: {e}") from e
+            if len(sequences) > 1:
+                break
+            label = f"{names[0]} failed: " if names[0] else ""
+            raise CodecError(f"{label}chain stage {depth} (quality {qs[0]}) failed: {e}") from e
         for (c, q, _), (out, out_bits) in zip(misses, outs):
             out_fp = _fingerprint(out) if depth < len(sequences[c]) else None
             memos[c][q, fps[c]] = (ys[c], out, out_bits, out_fp)
             ys[c], fps[c], bits[c] = out, out_fp, out_bits
-    return [(y, b if rate else None) for y, b, rate in zip(ys, bits, rates)]
+    else:
+        return [(y, b if rate else None) for y, b, rate in zip(ys, bits, rates)]
+    # a stacked call failed: each chain alone, in order
+    return [out for levels, rate, name in zip(sequences, rates, names)
+            for out in compress_chains(x, [levels], codec, [rate], seed, [name])]
 
 
 @dataclasses.dataclass
@@ -247,24 +258,6 @@ class PairOutcome:
     single_bpp: float | None
     chain_final_bpp: float | None
     peak: float
-
-
-class _failing_in:
-    """Name the stream and q_min in any failure, as a CodecError.  A class,
-    not a generator context manager, which costs several times more to
-    enter, and every chain enters one."""
-
-    def __init__(self, stream: int, q_min: int):
-        self.stream, self.q_min = stream, q_min
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, kind, e, traceback) -> None:
-        if kind is not None and issubclass(kind, Exception):
-            raise CodecError(
-                f"{STREAM_NAMES[self.stream]} cell (q_min={self.q_min}) failed: {e}"
-            ) from e
 
 
 def sweep_levels(
@@ -291,10 +284,10 @@ def sweep_levels(
     and rated (and named RD in a failure) iff rd; they seed every chain's
     memo (compress_chains), so the chain (q_min,) is the single pass.  The
     chains then run in draw order.  Passes and chains alike go in lockstep
-    groups of codec.stack_size(x); a group's outputs are dropped before the
-    next runs, and the item's passes before the next item's.  A failing
-    group runs again one chain at a time, so the CodecError raised names the
-    first failing chain's cell."""
+    groups of codec.stack_size(x), each one compress_chains call that names
+    every chain's cell, so the CodecError raised is the first failing
+    chain's, prefixed with its cell's name; a group's outputs are dropped
+    before the next runs, and the item's passes before the next item's."""
     if b < 1:
         raise ValueError("b must be >= 1")
     if not k_list:
@@ -307,27 +300,16 @@ def sweep_levels(
     grid_cells = {q: {k: [] for k in k_list} for q in grid}
     rd_cells = {q: {k: [] for k in k_list} for q in range(1, q_max + 1)} if rd else {}
     levels = sorted(grid_cells.keys() | rd_cells.keys())
-    cells = [(stream, q, by_q[q]) for q in levels  # in draw order
+    cells = [(stream, q, by_q[q], f"{STREAM_NAMES[stream]} cell (q_min={q})")  # in draw order
+             for q in levels
              for stream, by_q in ((STREAM_RHO, grid_cells), (STREAM_RD, rd_cells)) if q in by_q]
 
-    def run(group: list, seed: SinglePasses | None) -> list:  # from item x, in the loop below
-        """The group's chains (stream, q_min, ..., levels), rated iff RD, in
-        one compress_chains call; on failure, each alone in its own cell."""
-        rates = [c[0] == STREAM_RD for c in group]
-        if len(group) > 1:
-            with contextlib.suppress(CodecError):
-                return compress_chains(x, [c[-1] for c in group], codec, rates, seed)
-        results = []
-        for (stream, q_min, *_, levels), rate in zip(group, rates):
-            with _failing_in(stream, q_min):
-                results += compress_chains(x, [levels], codec, [rate], seed)
-        return results
-
     def record(group: list) -> None:  # of item i, in the loop below
-        for (stream, q_min, outcomes, t, levels), (y, bits) in zip(group, run(group, passes)):
+        *_, sequences, rates, names = zip(*group)
+        results = compress_chains(x, sequences, codec, rates, passes, names)
+        for (q_min, outcomes, t, levels, rated, name), (y, bits) in zip(group, results):
             single, single_bits = passes.by_q[q_min]
-            rated = stream == STREAM_RD
-            with _failing_in(stream, q_min):
+            try:
                 if q_min not in mse_x_single:
                     mse_x_single[q_min] = _mse(x, single)
                 # a chain that ends on the single pass's samples is 0 from
@@ -348,19 +330,26 @@ def sweep_levels(
                         peak=peak,
                     )
                 )
+            except Exception as e:
+                raise CodecError(f"{name} failed: {e}") from e
 
-    singles = [(STREAM_RD if rd else STREAM_RHO, q, (q,)) for q in levels]  # each item's passes
+    # each item's passes, as the chains (levels, rated, name) of their cells
+    singles = [((q,), rd, name) for stream, q, _, name in cells
+               if stream == (STREAM_RD if rd else STREAM_RHO)]
     for i, x in enumerate(ds.items):
-        chains = [  # (stream, q_min, outcomes, trial, levels)
-            (stream, q_min, by_k[k], t, sample_quality_sequence(
-                q_min, q_max, k, mode, derive_rng(master_seed, stream, q_min, k, i, t)))
-            for stream, q_min, by_k in cells
+        chains = [  # (q_min, outcomes, trial, levels, rated, name)
+            (q_min, by_k[k], t, sample_quality_sequence(
+                q_min, q_max, k, mode, derive_rng(master_seed, stream, q_min, k, i, t)),
+             stream == STREAM_RD, name)
+            for stream, q_min, by_k, name in cells
             for k, t in itertools.product(by_k, range(b))
         ]
         size = codec.stack_size(x)
         # no local holds a pass, so none is alive when the next item's first runs
         passes = SinglePasses(x, dict(zip(levels, itertools.chain.from_iterable(
-            run(singles[s : s + size], None) for s in range(0, len(singles), size)))))
+            compress_chains(x, sequences, codec, rates, None, names)
+            for sequences, rates, names in (
+                zip(*singles[s : s + size]) for s in range(0, len(singles), size))))))
         peak, samples = signal_peak(x), signal_samples(x)
         mse_x_single = {}  # q_min -> d(x, f(x, q_min)), taken in its first chain's cell
         for start in range(0, len(chains), size):

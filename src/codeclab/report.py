@@ -81,8 +81,9 @@ def render_svg(
     A point of finite bpp and infinite PSNR, as every point of a lossless
     codec is, sits on the chart's top edge, with a note counting them; the
     bpp axis spans every finite rate and the PSNR axis every finite PSNR
-    (-0.5 to 0.5 about a lone value).  Points of other non-finite values are
-    not drawn.
+    (-0.5 to 0.5 about a lone value).  With such points and no finite PSNR,
+    the PSNR axis has one tick, "inf", at the top edge.  Points of other
+    non-finite values are not drawn.  The legend sits in the top margin.
     """
     curves = {
         "single-pass": [(p.mean_bpp, p.mean_psnr) for p in rd_single],
@@ -130,9 +131,10 @@ def render_svg(
         f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" '
         f'y2="{_HEIGHT - _MARGIN}" stroke="black"/>'
     )
+    lossless = on_top and not ys  # one PSNR tick, inf, at the top edge
     for i in range(5):
         fx = x_lo + (x_hi - x_lo) * i / 4
-        fy = y_lo + (y_hi - y_lo) * i / 4
+        fy = math.inf if lossless else y_lo + (y_hi - y_lo) * i / 4
         px, py = sx(fx), sy(fy)
         parts.append(
             f'<line x1="{_fmt(px)}" y1="{_HEIGHT - _MARGIN}" x2="{_fmt(px)}" '
@@ -142,6 +144,8 @@ def render_svg(
             f'<text x="{_fmt(px)}" y="{_HEIGHT - _MARGIN + 22}" text-anchor="middle" '
             f'font-size="12">{_fmt(fx)}</text>'
         )
+        if lossless and i < 4:
+            continue
         parts.append(
             f'<line x1="{_MARGIN - 6}" y1="{_fmt(py)}" x2="{_MARGIN}" '
             f'y2="{_fmt(py)}" stroke="black"/>'
@@ -167,15 +171,13 @@ def render_svg(
             parts.append(
                 f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" fill="{colors[name]}"/>'
             )
-    # legend
+    # legend, one row in the top margin, below the title and left of the note
     for i, name in enumerate(drawn):
-        y0 = _MARGIN + 20 * i
+        x0 = _MARGIN + 130 * i
         parts.append(
-            f'<line x1="{_WIDTH - 220}" y1="{y0}" x2="{_WIDTH - 190}" y2="{y0}" '
+            f'<line x1="{x0}" y1="50" x2="{x0 + 30}" y2="50" '
             f'stroke="{colors[name]}" stroke-width="2"/>'
         )
-        parts.append(
-            f'<text x="{_WIDTH - 182}" y="{y0 + 4}" font-size="12">{name}</text>'
-        )
+        parts.append(f'<text x="{x0 + 38}" y="54" font-size="12">{name}</text>')
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode()

@@ -74,8 +74,8 @@ class SourceVector:
     """1-D real signal with every value in [0, 1], plain or factored.
 
     ``SourceVector(values)`` is plain.  ``SourceVector(cells=..., table=...)``
-    is factored: its values are ``table[cells]``, built on first read and
-    kept.  ``cells`` is a compact index array (uint8 for at most 256 cells,
+    is factored: its values are ``table[cells]``, gathered on each read and
+    not kept.  ``cells`` is a compact index array (uint8 for at most 256 cells,
     uint16 otherwise) that every stage output derived from one source shares,
     and ``table`` a small float64 array of per-cell values.  The caller
     guarantees every index is below ``table.size``; the range check runs on
@@ -110,14 +110,7 @@ class SourceVector:
 
     @property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = _read_only(self.table[self.cells])
-        return self._values
-
-    def read_values(self) -> np.ndarray:
-        """The values without keeping them: the kept array if built, else a
-        fresh ``table[cells]`` that the vector does not keep."""
-        return self._values if self._values is not None else self.table[self.cells]
+        return self._values if self.cells is None else _read_only(self.table[self.cells])
 
     def __len__(self) -> int:
         return (self._values if self.cells is None else self.cells).size

@@ -119,17 +119,16 @@ class TestDistortion:
 
     def test_source_mse_keeps_no_values(self):
         """A distortion reads a factored vector's values without keeping
-        them, and leaves values already kept as they were."""
+        them, read through values or not."""
         rng = np.random.default_rng(5)
         shared, other = (rng.integers(0, 8, 500).astype(np.uint8) for _ in range(2))
         plain = SourceVector(rng.random(500))
-        x, y, z, built = (SourceVector(cells=c, table=rng.random(8))
-                          for c in (shared, shared, other, other))
-        kept = built.values
-        for u, v in [(plain, x), (x, y), (y, z), (z, built), (built, plain)]:
+        x, y, z, read = (SourceVector(cells=c, table=rng.random(8))
+                         for c in (shared, shared, other, other))
+        assert len(read.values) == 500
+        for u, v in [(plain, x), (x, y), (y, z), (z, read), (read, plain)]:
             assert distortion(u, v) == distortion(v, u) > 0
-        assert x._values is None and y._values is None and z._values is None
-        assert built._values is kept
+        assert all(v._values is None for v in (x, y, z, read))
 
 
 class TestSampleQualitySequence:
@@ -368,12 +367,54 @@ class TestLockstep:
         assert codec.calls == [[(1, False), (3, False), (2, False)],
                                [(2, False), (2, False), (2, False)], [(3, True)], [(1, True)]]
 
-    def test_failure_names_depth_and_qualities(self, gray_images):
-        with pytest.raises(CodecError, match=r"stage 1 \(qualities \[9, 3\]\)"):
-            compress_chains(gray_images[0], [(9,), (3,)], make_codec("block-dct"),
-                            [False, False])
+    def test_failure_is_the_first_in_chain_order(self, source_ds):
+        """A failing stacked call runs each chain again alone, in order: an
+        earlier chain that fails only at depth 3 is named before a later one
+        that fails at depth 1, as a chain-by-chain loop names it."""
+        inner = make_codec("nested-scalar:8")
+
+        class FailsAt5(Codec):
+            codec_id, signal_kind, num_levels = "fails-at-5", "source", 8
+
+            def stage(self, x, q, rate=False):
+                if q == 5:
+                    raise RuntimeError("kaput")
+                return inner.stage(x, q, rate)
+
+        x, codec = source_ds.items[0], FailsAt5()
+        sequences, rates, names = [(1, 2, 5), (5, 3)], [True, False], ["first", "second"]
+        loop = []
+        for levels, rate, name in zip(sequences, rates, names):
+            with pytest.raises(CodecError) as err:
+                compress_chains(x, [levels], codec, [rate], None, [name])
+            loop.append(str(err.value))
+        assert loop == ["first failed: chain stage 3 (quality 5) failed: kaput",
+                        "second failed: chain stage 1 (quality 5) failed: kaput"]
+        with pytest.raises(CodecError) as err:
+            compress_chains(x, sequences, codec, rates, None, names)
+        assert str(err.value) == loop[0]
+        with pytest.raises(CodecError) as err:
+            compress_chains(x, sequences, codec, rates)
+        assert str(err.value) == "chain stage 3 (quality 5) failed: kaput"
         with pytest.raises(ValueError, match="empty"):
-            compress_chains(gray_images[0], [(1,), ()], make_codec("block-dct"), [False] * 2)
+            compress_chains(x, [(1,), ()], codec, [False] * 2)
+
+    def test_failing_only_when_stacked_gives_the_alone_results(self, gray_images):
+        """A codec that fails on any call of more than one input gives each
+        chain what the chain gives alone."""
+
+        class AloneOnly(BlockDctCodec):
+            def stage_many(self, imgs, qs, rates):
+                if len(imgs) > 1:
+                    raise RuntimeError("stacked")
+                return super().stage_many(imgs, qs, rates)
+
+        x, codec = gray_images[0], make_codec("block-dct")
+        sequences, rates = [(1, 2, 3), (3, 2), (2, 2, 2, 1)], [True, False, True]
+        results = compress_chains(x, sequences, AloneOnly(), rates, None, ["a", "b", "c"])
+        for levels, rate, (y, bits) in zip(sequences, rates, results):
+            ref, ref_bits = compress_chains(x, [levels], codec, [rate])[0]
+            assert _samples(y) == _samples(ref) and bits == ref_bits
 
 
 class _BrokenDct(BlockDctCodec):

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import itertools
 import json
@@ -198,28 +197,27 @@ def test_one_single_pass_per_item_and_level(monkeypatch, mode):
     codec = _Counting(inner, items)
     monkeypatch.setattr(codeclab.protocol, "make_codec", lambda *args: codec)
     monkeypatch.setattr(codeclab.protocol, "resolve_dataset", lambda *args: ds)
-    # an _mse call belongs to the item whose single passes ran last, the last
-    # item a stage took as its input, and the q_min of the cell that names
-    # its failure
-    cells_open, mse_calls = [], []
-    failing_in, mse = codeclab.chains._failing_in, codeclab.chains._mse
-
-    @contextlib.contextmanager
-    def counting_cell(stream, q_min):
-        cells_open.append(q_min)
-        try:
-            with failing_in(stream, q_min):
-                yield
-        finally:
-            cells_open.pop()
+    # an _mse call belongs to the outcome built after it, so to its item and
+    # to the q_min of the cell that sweep_levels returns it in
+    mse, outcome, sweep = codeclab.chains._mse, codeclab.chains.PairOutcome, sweep_levels
+    pending, mses_before, sweeps = [0], {}, []  # mses_before: id -> (outcome, _mse calls)
 
     def counting_mse(a, b):
-        item = next(item for _, item, _ in reversed(codec.calls) if item is not None)
-        mse_calls.append((item, cells_open[-1]))
+        pending[0] += 1
         return mse(a, b)
 
-    monkeypatch.setattr(codeclab.chains, "_failing_in", counting_cell)
+    def counting_outcome(**fields):
+        o = outcome(**fields)
+        mses_before[id(o)], pending[0] = (o, pending[0]), 0
+        return o
+
+    def kept_sweep(*args):
+        sweeps.append(sweep(*args))
+        return sweeps[-1]
+
     monkeypatch.setattr(codeclab.chains, "_mse", counting_mse)
+    monkeypatch.setattr(codeclab.chains, "PairOutcome", counting_outcome)
+    monkeypatch.setattr(codeclab.protocol, "sweep_levels", kept_sweep)
     k_list, b, seed, q_min_list = [1, 3], 2, 7, [5, 2, 5]
     run_protocol(EvalConfig(codec="block-dct", q_min_list=q_min_list, k_list=k_list, b=b,
                             mode=mode, master_seed=seed))
@@ -247,8 +245,13 @@ def test_one_single_pass_per_item_and_level(monkeypatch, mode):
     assert seen == passes
     rates = [rate for rate, _, _ in codec.calls]
     assert {rate: rates.count(rate) for rate in stages} == stages
-    assert {key: mse_calls.count(key) for key in mses} == mses
-    assert len(mse_calls) == sum(mses.values())
+    [(grid_cells, rd_cells)] = sweeps
+    mse_calls = dict.fromkeys(mses, 0)
+    for q_min, by_k in [*grid_cells.items(), *rd_cells.items()]:
+        for o in itertools.chain(*by_k.values()):
+            mse_calls[o.item, q_min] += mses_before.pop(id(o))[1]
+    assert not mses_before and pending == [0]
+    assert mse_calls == mses
 
 
 def test_sweep_holds_one_item_at_a_time():

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,43 @@ class TestRenderSvg:
         assert out.count(b'<polyline points="70,70 730,70"') == 2
         assert out.count(b"<circle") == 4 and out.count(b'cy="70"') == 4
         assert b">0.5</text>" in out and b">2.5</text>" in out
+
+    @staticmethod
+    def _elements(out, tag):
+        return list(ET.fromstring(out).iter(f"{{http://www.w3.org/2000/svg}}{tag}"))
+
+    @pytest.mark.parametrize("psnr", [30.0, float("inf")], ids=["finite", "lossless"])
+    def test_legend_in_top_margin(self, psnr):
+        """The legend lies between the title and the plot rectangle, whose
+        top is y = 70, left-aligned at its left edge, x = 70, and left of
+        the right-aligned note, taking 0.6 em per character."""
+        s = self._points([(1, 0.5, float("inf"), 0.0), (2, 1.0, psnr, 3.0)])
+        m = self._points([(1, 0.5, float("inf"), 0.0), (2, 1.0, psnr, 5.0)])
+        out = render_svg(s, m)
+        lines = [e for e in self._elements(out, "line") if e.get("stroke") != "black"]
+        texts = {e.text: e for e in self._elements(out, "text")}
+        legend = [texts["single-pass"], texts["multi-round"]]
+        assert len(lines) == 2 and min(float(e.get("x1")) for e in lines) == 70
+        assert all(30 < float(e.get(y)) < 70 for e in lines for y in ("y1", "y2"))
+        assert all(30 < float(e.get("y")) - 12 and float(e.get("y")) + 3 < 70 for e in legend)
+        [note] = [e for e in texts.values() if "infinite-PSNR" in e.text]
+        note_left = float(note.get("x")) - 0.6 * 11 * len(note.text)
+        assert all(float(e.get("x")) + 0.6 * 12 * len(e.text) < note_left for e in legend)
+
+    def test_lossless_psnr_axis_has_one_inf_tick(self):
+        """With no finite PSNR the PSNR axis has one tick, at the top edge,
+        labelled inf; with one, it keeps its five numbered ticks."""
+        inf = float("inf")
+        for vals, ticks in [([(1, 0.5, inf, 0.0), (2, 2.5, inf, 0.0)], [("70", "inf")]),
+                            ([(1, 0.5, inf, 0.0), (2, 2.5, 30.0, 1.0)],
+                             [("530", "29.5"), ("415", "29.75"), ("300", "30"),
+                              ("185", "30.25"), ("70", "30.5")])]:
+            out = render_svg(self._points(vals), self._points(vals))
+            marks = [e for e in self._elements(out, "line") if e.get("x1") == "64"]
+            labels = [e for e in self._elements(out, "text") if e.get("x") == "60"]
+            assert [(e.get("y1"), e.get("y2")) for e in marks] == [(y, y) for y, _ in ticks]
+            assert [(float(e.get("y")) - 4, e.text) for e in labels] == [
+                (float(y), label) for y, label in ticks]
 
 
 def _no_sweep(monkeypatch):

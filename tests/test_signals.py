@@ -155,7 +155,7 @@ class TestSourceVector:
         v = SourceVector(cells=cells, table=[0.25, 0.5, 1.0])
         assert len(v) == 4 and np.shares_memory(v.cells, cells)
         assert list(v.values) == [1.0, 0.25, 1.0, 0.5]
-        assert v.values is v.values  # built once, then kept
+        assert v._values is None and v.values is not v.values  # gathered on each read
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
     def test_factored_table_range_checked(self, bad):

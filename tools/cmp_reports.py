@@ -7,9 +7,10 @@ corpora (perfbench/corpus.py), the configs and two external codec specs, `cp`
 and an always failing `false`, into the same directory, and runs one fixed set
 of `python3 -m codeclab.cli` commands against each tree's `src/`.  Prints
 `same` or `DIFFERS` for every artefact (a report or SVG file, or a command's
-exit code, stdout and stderr), then one tally line, `N same, M DIFFERS`, and
-exits 1 if any differs, 2 if REF cannot be archived.  The temporary directory
-is removed afterwards.
+exit code, stdout and stderr), with the first differing line of base and of
+head under each `DIFFERS` of two text artefacts, then one tally line,
+`N same, M DIFFERS`, and exits 1 if any differs, 2 if REF cannot be archived.
+The temporary directory is removed afterwards.
 """
 from __future__ import annotations
 
@@ -243,6 +244,18 @@ def _run(tree: Path, out_dir: Path, args: list[str], out: str | None) -> bytes |
     return (out_dir / out).read_bytes()
 
 
+def _first_difference(old: bytes, new: bytes) -> list[str]:
+    """The first line where two text artefacts differ, base's then head's,
+    each cut to 120 characters; nothing if either is not UTF-8 text."""
+    try:
+        lines = old.decode().splitlines(), new.decode().splitlines()
+    except UnicodeDecodeError:
+        return []
+    n = next((n for n, (a, b) in enumerate(zip(*lines)) if a != b), min(map(len, lines)))
+    return [f"  {tree} line {n + 1}: " + (text[n][:120] if n < len(text) else "(no line)")
+            for tree, text in zip(("base", "head"), lines)]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git ref to compare the working tree against")
@@ -265,6 +278,9 @@ def main(argv=None) -> int:
             same = old is not None and old == new
             differs += not same
             print(f"{'same' if same else 'DIFFERS':8s}{name}", flush=True)
+            if not same and old is not None and new is not None:
+                for line in _first_difference(old, new):
+                    print(line, flush=True)
         print(f"{len(cmds) - differs} same, {differs} DIFFERS")
         return 1 if differs else 0
     finally:
